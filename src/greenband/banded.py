@@ -15,6 +15,7 @@ from .errors import BandPatternError
 
 __all__ = [
     "BandedMatrix",
+    "singularity_tol",
     "random_band",
     "prescribed_condition_band",
     "read_matrix",
@@ -26,8 +27,10 @@ class BandedMatrix:
     """N x N real matrix with lower bandwidth ``r_lower`` and upper bandwidth
     ``r_upper`` (``r_upper == n - 1`` means the upper part is unconstrained).
 
-    Instances are immutable after construction; the band array is marked
-    read-only so they can be shared freely between threads.
+    ``bands`` is copied, and its cells outside the matrix (the corner
+    triangles of the band layout) must be zero.  Instances are immutable after
+    construction; the band array is marked read-only so they can be shared
+    freely between threads.
     """
 
     def __init__(self, n, r_lower, r_upper, bands):
@@ -35,13 +38,20 @@ class BandedMatrix:
             raise ValueError(f"need n > r_lower > 0, got n={n}, r_lower={r_lower}")
         if not 0 <= r_upper <= n - 1:
             raise ValueError(f"r_upper must be in [0, n-1], got {r_upper}")
-        bands = np.ascontiguousarray(bands, dtype=float)
+        bands = np.array(bands, dtype=float, order="C")
         if bands.shape != (r_lower + r_upper + 1, n):
             raise ValueError(
                 f"bands must have shape {(r_lower + r_upper + 1, n)}, got {bands.shape}"
             )
         if not np.all(np.isfinite(bands)):
             raise ValueError("band entries must be finite")
+        # cell (d, j) holds A[j + d - r_upper, j], so the first r_upper - d
+        # cells of a superdiagonal and the last d - r_upper cells of a
+        # subdiagonal lie outside the matrix
+        corners = [bands[d, : r_upper - d] for d in range(r_upper)]
+        corners += [bands[d, n + r_upper - d :] for d in range(r_upper + 1, bands.shape[0])]
+        if any(c.any() for c in corners):
+            raise ValueError("bands has nonzero cells outside the matrix")
         self.n = int(n)
         self.r_lower = int(r_lower)
         self.r_upper = int(r_upper)
@@ -137,6 +147,12 @@ class BandedMatrix:
 
     def __repr__(self):
         return f"BandedMatrix(n={self.n}, r_lower={self.r_lower}, r_upper={self.r_upper})"
+
+
+def singularity_tol(a):
+    """A pivot or diagonal entry of R at or below n * eps * ||A||_inf is zero
+    to working precision."""
+    return a.n * np.finfo(float).eps * a.norm_inf()
 
 
 def random_band(n, r_lower, r_upper, seed, diag_shift=0.0):

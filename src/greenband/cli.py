@@ -26,8 +26,8 @@ from .generators import (
     reconstruct_structured,
     write_generators,
 )
-from .lu import invert_lower_band_lu, invert_two_sided_lu
-from .qr import invert_lower_band_qr, invert_two_sided_qr
+from .lu import invert_lower_band_lu
+from .qr import invert_lower_band_qr
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -52,17 +52,10 @@ def _cmd_gen(args):
     return EXIT_OK
 
 
-def _invert(a, method):
-    # the banded variants apply whenever the upper bandwidth fits the lower one
-    two_sided = a.r_upper <= a.r_lower
-    if method == "qr":
-        return invert_two_sided_qr(a) if two_sided else invert_lower_band_qr(a)
-    return invert_two_sided_lu(a) if two_sided else invert_lower_band_lu(a)
-
-
 def _cmd_invert(args):
     a = read_matrix(args.matrix)
-    gens = _invert(a, args.method)
+    invert = invert_lower_band_qr if args.method == "qr" else invert_lower_band_lu
+    gens = invert(a)
     write_generators(args.out, gens)
     print(f"wrote {args.out}: generators of the inverse (n={gens.n}, r={gens.r})")
     return EXIT_OK

@@ -27,6 +27,7 @@ __all__ = [
     "tail_stacks",
     "check_green_rank",
     "multiply_upper_triangular",
+    "backward_recursion",
     "covered_relative_error",
     "identity_residual",
     "write_generators",
@@ -224,6 +225,30 @@ def multiply_upper_triangular(s, g):
         p_out[k - 1] = s[k - 1, k - 1] * g.p[k - 1] + s[k - 1, k:] @ sa
         stack = np.vstack([g.p[k - 1], sa])
     return GreenGenerators(n, r, p_out, g.q, g.a, p_last)
+
+
+def backward_recursion(x, rows, width, a, c, p_last):
+    """Rows p(k) of the generators of B = R^{-1} V, by back substitution.
+
+    R is upper triangular with diagonal ``x``; ``rows[k-1]`` holds the at
+    most ``width`` entries of R(k, k+1:) that can be nonzero.  V is lower
+    Green with generator rows ``c`` and blocks ``a``; B shares ``a`` and V's
+    columns q, and ``p_last`` is B's closing block, solved by the caller.  Then
+
+        p(k) = (c(k) - R(k, k+1:) P_{k+1} a(k)) / x_k,
+
+    where the tail stack P_k = [p(k); P_{k+1} a(k)] is kept to its first
+    ``width`` rows, all that a row of R reaches.  Returns p, shape (n-r, r).
+    """
+    m, r = len(a), p_last.shape[0]
+    p = np.empty((m, r))
+    t = p_last
+    for k0 in range(m - 1, -1, -1):
+        ta = t @ a[k0]
+        row = rows[k0]
+        p[k0] = (c[k0] - row @ ta[: row.size]) / x[k0]
+        t = np.concatenate((p[k0 : k0 + 1], ta[: width - 1]))
+    return p
 
 
 def covered_relative_error(b, reference, r):

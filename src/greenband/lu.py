@@ -10,15 +10,19 @@ strong regularity, and a pivot that is zero to working precision raises
 ZeroPivotError.  The factorization records its growth factor so instability
 on nearly-singular leading blocks is observable.
 
-For a two-sided banded matrix R is upper banded of order r, the window
-shrinks to r x (r+1) and the tail stacks to r rows: O(n r^2) total.
+R is upper banded of order r_upper, so the working window spans
+max(r_lower, r_upper) + 1 columns and the stored rows of R and the tail
+stacks max(r_lower, r_upper), clipped at the matrix edge: the inversion costs
+O(n r_lower max(r_lower, r_upper)) arithmetic, O(n r^2) for a two-sided band
+and O(n^2 r) for a full upper part (r_upper = n - 1).
 """
 
 import numpy as np
 import scipy.linalg
 
+from .banded import singularity_tol
 from .errors import ZeroPivotError
-from .generators import GreenGenerators
+from .generators import GreenGenerators, backward_recursion
 from .transforms import TransformProduct
 
 __all__ = [
@@ -29,12 +33,6 @@ __all__ = [
     "elementary_factors_from_entrywise",
 ]
 
-_EPS = np.finfo(float).eps
-
-
-def _pivot_tol(a):
-    return a.n * _EPS * a.norm_inf()
-
 
 class LuFactorization:
     """A = L R in factored form.
@@ -42,12 +40,13 @@ class LuFactorization:
     ``f[k-1]`` holds the r multipliers eliminating column k (they sit in
     L(k+1:k+r, k), 1-based), ``closing_t`` / ``closing_l`` the unit lower
     triangular trailing block T and its inverse, ``x[k-1] = R(k, k)`` and
-    ``rows[k-1]`` the nonzero part of R(k, k+1:), trimmed to r entries when
-    ``band_limited``.  ``growth`` is max_k ||Y_k||_inf / ||A||_inf over the
-    elimination windows Y_k.
+    ``rows[k-1]`` = R(k, k+1:k+width), which holds every nonzero of the row
+    since ``width`` = max(r_lower, r_upper) is at least the upper bandwidth of
+    R.  ``growth`` is max_k ||Y_k||_inf / ||A||_inf over the elimination
+    windows Y_k.
     """
 
-    def __init__(self, n, r, f, closing_t, closing_l, x, rows, band_limited, growth):
+    def __init__(self, n, r, f, closing_t, closing_l, x, rows, width, growth):
         self.n = n
         self.r = r
         self.f = f
@@ -55,7 +54,7 @@ class LuFactorization:
         self.closing_l = closing_l
         self.x = x
         self.rows = rows
-        self.band_limited = band_limited
+        self.width = width
         self.growth = growth
 
     def l_dense(self):
@@ -112,64 +111,25 @@ def _unpivoted_lu(mat, tol, pivot_offset):
     return t, s
 
 
-def _finish(a, y, x, rows, f, growth, band_limited):
-    n, r = a.n, a.r_lower
-    t_mat, s_mat = _unpivoted_lu(y, _pivot_tol(a), n - r + 1)
-    growth = max(growth, np.linalg.norm(s_mat, np.inf) / (a.norm_inf() or 1.0))
-    closing_l = scipy.linalg.solve_triangular(
-        t_mat, np.eye(r), lower=True, unit_diagonal=True, check_finite=False
-    )
-    for j in range(r):
-        x[n - r + j] = s_mat[j, j]
-        if j < r - 1:
-            rows[n - r + j] = s_mat[j, j + 1 :].copy()
-    return LuFactorization(n, r, f, t_mat, closing_l, x, rows, band_limited, growth)
-
-
 def lu_factor_lower_band(a):
     """Structured unpivoted LU of a strongly regular lower banded matrix of
-    order r (full upper part).  O(n^2 r) arithmetic; raises ZeroPivotError
-    with the 1-based pivot index when strong regularity fails."""
+    order r.
+
+    Each step eliminates one column in an r-row window spanning the
+    max(r_lower, r_upper) + 1 columns that the pivot row of R can reach,
+    clipped at the matrix edge, so the cost is O(n r max(r, r_upper)):
+    O(n r^2) for a two-sided band and O(n^2 r) for a full upper part.
+    Raises ZeroPivotError with the 1-based pivot index when strong regularity
+    fails.
+    """
     n, r = a.n, a.r_lower
-    tol = _pivot_tol(a)
+    width = max(r, a.r_upper)  # R's rows are stored this wide
     scale = a.norm_inf() or 1.0
+    tol = singularity_tol(a)
     x = np.empty(n)
     rows = [None] * (n - 1)
     f = np.empty((n - r, r))
-    growth = np.linalg.norm(a.rows_block(0, r, 0, n), np.inf) / scale
-    y = a.rows_block(0, r, 0, n)
-    for k1 in range(1, n - r + 1):
-        k0 = k1 - 1
-        gamma = y[0, 0]
-        if abs(gamma) <= tol:
-            raise ZeroPivotError(
-                f"pivot {k1} is zero to working precision", pivot_index=k1
-            )
-        xrow = y[0, 1:]
-        fk = np.append(y[1:, 0], a.entry(k0 + r, k0)) / gamma
-        z = np.vstack([y[1:, 1:], a.row_segment(k0 + r, k0 + 1, n)])
-        z -= np.outer(fk, xrow)
-        x[k0] = gamma
-        rows[k0] = xrow.copy()
-        f[k0] = fk
-        growth = max(growth, np.linalg.norm(z, np.inf) / scale) if z.size else growth
-        y = z
-    return _finish(a, y, x, rows, f, growth, band_limited=False)
-
-
-def _lu_factor_two_sided(a):
-    """Unpivoted LU of a strongly regular two-sided banded matrix with an
-    r x (r+1) working window: O(n r^2) total."""
-    n, r = a.n, a.r_lower
-    tol = _pivot_tol(a)
-    scale = a.norm_inf() or 1.0
-    width = r + 1
-    x = np.empty(n)
-    rows = [None] * (n - 1)
-    f = np.empty((n - r, r))
-    y = np.zeros((r, width))
-    lead = a.rows_block(0, r, 0, min(width, n))
-    y[:, : lead.shape[1]] = lead
+    y = a.rows_block(0, r, 0, min(width + 1, n))
     growth = np.linalg.norm(y, np.inf) / scale
     for k1 in range(1, n - r + 1):
         k0 = k1 - 1
@@ -180,59 +140,56 @@ def _lu_factor_two_sided(a):
             )
         xrow = y[0, 1:]
         fk = np.append(y[1:, 0], a.entry(k0 + r, k0)) / gamma
-        # rows k+1..k+r-1 were last touched in column k+r at step k-1, so the
-        # incoming column k+r+1 is still pristine
-        if k0 + r + 1 < n:
-            incol = a.col_segment(k0 + r + 1, k0 + 1, k0 + r)
-        else:
-            incol = np.zeros(r - 1)
-        brow = np.zeros(width)
-        seg = a.row_segment(k0 + r, k0 + 1, min(k0 + r + 2, n))
-        brow[: seg.size] = seg
-        z = np.vstack([np.hstack([y[1:, 1:], incol[:, None]]), brow])
-        z -= np.outer(fk, np.append(xrow, 0.0))
+        z = np.empty((r, min(width + 1, n - k1)))
+        z[: r - 1, : xrow.size] = y[1:, 1:]
+        z[r - 1] = a.row_segment(k0 + r, k1, k1 + z.shape[1])
+        if z.shape[1] > xrow.size:
+            # no elimination has reached the column the window gains yet
+            z[: r - 1, -1] = a.col_segment(k1 + xrow.size, k1, k0 + r)
+        z[:, : xrow.size] -= np.outer(fk, xrow)
         x[k0] = gamma
-        rows[k0] = xrow[: min(r, n - k1)].copy()
+        rows[k0] = xrow.copy()
         f[k0] = fk
         growth = max(growth, np.linalg.norm(z, np.inf) / scale)
         y = z
-    return _finish(a, np.ascontiguousarray(y[:, :r]), x, rows, f, growth, band_limited=True)
+    t_mat, s_mat = _unpivoted_lu(y, tol, n - r + 1)
+    growth = max(growth, np.linalg.norm(s_mat, np.inf) / scale)
+    closing_l = scipy.linalg.solve_triangular(
+        t_mat, np.eye(r), lower=True, unit_diagonal=True, check_finite=False
+    )
+    for j in range(r):
+        x[n - r + j] = s_mat[j, j]
+        if j < r - 1:
+            rows[n - r + j] = s_mat[j, j + 1 :].copy()
+    return LuFactorization(n, r, f, t_mat, closing_l, x, rows, width, growth)
 
 
 def _generators_from_lu(fact):
     """Backward recursion producing the Green generators of A^{-1} from the
     factored A = L R.  The a(k), q(k) blocks come straight from the
-    elimination blocks: a(k) = [-f_k | e_1 .. e_{r-1}], q(k) = e_r, so their
-    identity and zero sub-blocks are exact."""
+    elimination blocks: a(k) = [-f_k | e_1 .. e_{r-1}], q(k) = e_r and the
+    rows of L^{-1}'s generators are c(k) = e_1, so their identity and zero
+    sub-blocks are exact."""
     n, r = fact.n, fact.r
-    xs = fact.x
+    m = n - r
     # trailing block: (T S)^{-1} via two triangular solves
     p_last = scipy.linalg.solve_triangular(
         fact.r_closing(), fact.closing_l, lower=False, check_finite=False
     )
-    cap = r if fact.band_limited else n
-    m = n - r
-    e1 = np.zeros(r)
-    e1[0] = 1.0
-    shift_cols = np.eye(r)[:, : r - 1]
-    p = np.empty((m, r))
+    aa = np.zeros((m, r, r))
+    aa[:, :, 0] = -fact.f
+    aa[:, : r - 1, 1:] = np.eye(r - 1)
     q = np.zeros((m, r))
     q[:, r - 1] = 1.0
-    aa = np.empty((m, r, r))
-    t = p_last
-    for k1 in range(m, 0, -1):
-        k0 = k1 - 1
-        aa[k0] = np.hstack([-fact.f[k0][:, None], shift_cols])
-        ta = t @ aa[k0]
-        row = fact.rows[k0]
-        p[k0] = (e1 - row @ ta[: row.size]) / xs[k0]
-        t = np.vstack([p[k0][None, :], ta[: cap - 1]])
+    c = np.broadcast_to(np.eye(r)[0], (m, r))
+    p = backward_recursion(fact.x, fact.rows, fact.width, aa, c, p_last)
     return GreenGenerators(n, r, p, q, aa, p_last)
 
 
 def invert_lower_band_lu(a):
     """Green generators of A^{-1} for a strongly regular lower banded matrix
-    of order r, via unpivoted structured elimination."""
+    of order r and any upper bandwidth, via unpivoted structured
+    elimination."""
     return _generators_from_lu(lu_factor_lower_band(a))
 
 
@@ -240,14 +197,14 @@ def invert_two_sided_lu(a):
     """Green generators of A^{-1} for a strongly regular two-sided banded
     matrix of order r = r_lower (requires r_upper <= r_lower); O(n r^2).
 
-    Up to roundoff this returns the same generators as invert_lower_band_lu
-    applied to the same matrix.
+    This is invert_lower_band_lu, whose window already follows r_upper,
+    behind a check of the two-sided contract.
     """
     if a.r_upper > a.r_lower:
         raise ValueError(
             f"two-sided path needs r_upper <= r_lower, got {a.r_upper} > {a.r_lower}"
         )
-    return _generators_from_lu(_lu_factor_two_sided(a))
+    return invert_lower_band_lu(a)
 
 
 def elementary_factors_from_entrywise(l, r):

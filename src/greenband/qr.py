@@ -8,16 +8,19 @@ lower Green, upper banded matrix whose generators are read off the transposed
 blocks, and the generators of A^{-1} = R^{-1} U* follow from a backward
 recursion over the rows of R.
 
-For a two-sided banded matrix R is additionally upper banded of order 2r, so
-the working window, the stored rows of R and the tail stacks can all be
-truncated to width 2r: the whole inversion then costs O(n r^2) arithmetic.
+R is upper banded of order r_lower + r_upper, so the working window, the
+stored rows of R and the tail stacks all have that width, clipped at the
+matrix edge: the inversion costs O(n r_lower (r_lower + r_upper)) arithmetic,
+O(n r^2) for a two-sided band and O(n^2 r) for a full upper part
+(r_upper = n - 1).
 """
 
 import numpy as np
 
+from .banded import singularity_tol
 from .dense_oracle import householder_vector
 from .errors import SingularMatrixError
-from .generators import GreenGenerators
+from .generators import GreenGenerators, backward_recursion
 from .transforms import TransformProduct, expand_transform_product
 
 __all__ = [
@@ -27,13 +30,6 @@ __all__ = [
     "invert_two_sided_qr",
 ]
 
-_EPS = np.finfo(float).eps
-
-
-def _singularity_tol(a):
-    # a pivot below n * eps * ||A||_inf counts as zero to working precision
-    return a.n * _EPS * a.norm_inf()
-
 
 class QrFactorization:
     """A = U R in factored form.
@@ -41,11 +37,12 @@ class QrFactorization:
     ``factors`` holds the (r+1) x (r+1) unitary blocks U_k (k = 1..n-r,
     1-based), ``closing`` the shrinking blocks of sizes n-k+1 that triangulate
     the trailing r x r window (k = n-r+1..n-1), and ``closing_unitary`` their
-    assembled r x r product.  ``x[k-1] = R(k, k)`` and ``rows[k-1]`` is the
-    nonzero part of R(k, k+1:), trimmed to 2r entries when ``band_limited``.
+    assembled r x r product.  ``x[k-1] = R(k, k)`` and ``rows[k-1]`` is
+    R(k, k+1:k+width), the part of row k that can be nonzero, where ``width``
+    = min(r_lower + r_upper, n - 1) is the upper bandwidth of R.
     """
 
-    def __init__(self, n, r, factors, closing, closing_unitary, x, rows, band_limited):
+    def __init__(self, n, r, factors, closing, closing_unitary, x, rows, width):
         self.n = n
         self.r = r
         self.factors = factors
@@ -53,7 +50,7 @@ class QrFactorization:
         self.closing_unitary = closing_unitary
         self.x = x
         self.rows = rows
-        self.band_limited = band_limited
+        self.width = width
 
     def u_product(self):
         """U as an ascending TransformProduct of the stored blocks."""
@@ -112,58 +109,35 @@ def _closing_qr(y, n, r, x, rows):
 
 
 def qr_factor_lower_band(a):
-    """Structured QR of a lower banded matrix of order r (full upper part).
+    """Structured QR of a lower banded matrix of order r.
 
-    One reflection per step acts on an (r+1)-row window; the window spans all
-    remaining columns, so the cost is O(n^2 r).  Zero columns simply produce
-    x_k = 0, which the inversion stage rejects.
+    One reflection per step acts on an (r+1)-row window spanning the
+    r_lower + r_upper columns that row k of R can reach, clipped at the matrix
+    edge, so the cost is O(n r (r + r_upper)): O(n r^2) for a two-sided band
+    and O(n^2 r) for a full upper part.  Zero columns simply produce x_k = 0,
+    which the inversion stage rejects.
     """
     n, r = a.n, a.r_lower
+    width = min(r + a.r_upper, n - 1)  # upper bandwidth of R
     x = np.empty(n)
     rows = [None] * (n - 1)
     factors = []
-    y = a.rows_block(0, r, 0, n)
-    for k1 in range(1, n - r + 1):
-        k0 = k1 - 1
-        new_row = a.row_segment(k0 + r, k0, n)
-        u, w, beta, xk = _reflect(np.append(y[:, 0], new_row[0]))
+    y = a.rows_block(0, r, 0, min(width + 1, n))
+    for k0 in range(n - r):
+        # rows k..k+r, columns k..k+width; the transformed rows are still zero
+        # in a column the window gains
+        z = np.zeros((r + 1, min(width + 1, n - k0)))
+        z[:r, : y.shape[1]] = y
+        z[r] = a.row_segment(k0 + r, k0, k0 + z.shape[1])
+        u, w, beta, xk = _reflect(z[:, 0])
         factors.append(u)
-        z = np.vstack([y[:, 1:], new_row[1:]])
+        z = z[:, 1:]
         z -= beta * np.outer(w, w @ z)
         x[k0] = xk
         rows[k0] = z[0].copy()
         y = z[1:]
     closing, uhat = _closing_qr(y, n, r, x, rows)
-    return QrFactorization(n, r, factors, closing, uhat, x, rows, band_limited=False)
-
-
-def _qr_factor_two_sided(a):
-    """Structured QR of a two-sided banded matrix: the working window keeps
-    only 2r columns (everything further right is still zero), so each step is
-    O(r^2) and the factorization is O(n r^2) in total."""
-    n, r = a.n, a.r_lower
-    width = 2 * r
-    x = np.empty(n)
-    rows = [None] * (n - 1)
-    factors = []
-    y = np.zeros((r, width))
-    lead = a.rows_block(0, r, 0, min(width, n))
-    y[:, : lead.shape[1]] = lead
-    for k1 in range(1, n - r + 1):
-        k0 = k1 - 1
-        arow = np.zeros(width + 1)
-        seg = a.row_segment(k0 + r, k0, min(k0 + width + 1, n))
-        arow[: seg.size] = seg
-        u, w, beta, xk = _reflect(np.append(y[:, 0], arow[0]))
-        factors.append(u)
-        # transformed rows are zero beyond column k + 2r, hence the fresh zero column
-        z = np.vstack([np.hstack([y[:, 1:], np.zeros((r, 1))]), arow[1:]])
-        z -= beta * np.outer(w, w @ z)
-        x[k0] = xk
-        rows[k0] = z[0, : min(width, n - k1)].copy()
-        y = z[1:]
-    closing, uhat = _closing_qr(np.ascontiguousarray(y[:, :r]), n, r, x, rows)
-    return QrFactorization(n, r, factors, closing, uhat, x, rows, band_limited=True)
+    return QrFactorization(n, r, factors, closing, uhat, x, rows, width)
 
 
 def _generators_from_qr(fact, tol):
@@ -187,48 +161,38 @@ def _generators_from_qr(fact, tol):
         pk = (ust[0] - fact.rows[k1 - 1] @ sa) / xs[k1 - 1]
         stack = np.vstack([pk, sa])
     p_last = stack
-    # main recursion; tail stacks carry at most `cap` rows because the stored
-    # rows of R are that short
-    cap = 2 * r if fact.band_limited else n
     m = n - r
-    p = np.empty((m, r))
-    q = np.empty((m, r))
+    c = np.empty((m, r))
     aa = np.empty((m, r, r))
-    t = p_last
-    for k1 in range(m, 0, -1):
-        k0 = k1 - 1
-        ust = fact.factors[k0].T
-        aa[k0] = ust[1:, :r]
-        q[k0] = ust[1:, r]
-        ta = t @ aa[k0]
-        row = fact.rows[k0]
-        p[k0] = (ust[0, :r] - row @ ta[: row.size]) / xs[k0]
-        t = np.vstack([p[k0][None, :], ta[: cap - 1]])
+    q = np.empty((m, r))
+    for k0, u in enumerate(fact.factors):
+        ust = u.T
+        c[k0], aa[k0], q[k0] = ust[0, :r], ust[1:, :r], ust[1:, r]
+    p = backward_recursion(xs, fact.rows, fact.width, aa, c, p_last)
     return GreenGenerators(n, r, p, q, aa, p_last)
 
 
 def invert_lower_band_qr(a):
-    """Green generators of A^{-1} for a lower banded matrix of order r.
+    """Green generators of A^{-1} for a lower banded matrix of order r and any
+    upper bandwidth.
 
     The produced generators are in right normal form:
     a(k) a(k)^T + q(k) q(k)^T = I_r, since [a(k) q(k)] are orthonormal rows of
     a unitary block.  Raises SingularMatrixError (naming the failing diagonal
     index of R) when A is singular to working precision.
     """
-    fact = qr_factor_lower_band(a)
-    return _generators_from_qr(fact, _singularity_tol(a))
+    return _generators_from_qr(qr_factor_lower_band(a), singularity_tol(a))
 
 
 def invert_two_sided_qr(a):
     """Green generators of A^{-1} for a two-sided banded matrix of order
     r = r_lower (requires r_upper <= r_lower), in O(n r^2) arithmetic.
 
-    Up to roundoff this returns the same generators as invert_lower_band_qr
-    applied to the same matrix.
+    This is invert_lower_band_qr, whose window already follows r_upper,
+    behind a check of the two-sided contract.
     """
     if a.r_upper > a.r_lower:
         raise ValueError(
             f"two-sided path needs r_upper <= r_lower, got {a.r_upper} > {a.r_lower}"
         )
-    fact = _qr_factor_two_sided(a)
-    return _generators_from_qr(fact, _singularity_tol(a))
+    return invert_lower_band_qr(a)

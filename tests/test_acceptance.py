@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from greenband import (
+    BandedMatrix,
     check_green_rank,
     covered_relative_error,
     dense_invert,
@@ -197,9 +198,11 @@ def test_criterion_10_one_and_two_sided_consistency():
     worst = {"qr": 0.0, "lu": 0.0}
     for n, r, seed in [(20, 1, 0), (31, 2, 1), (44, 3, 2), (52, 4, 3), (60, 5, 4)]:
         a = random_band(n, r, r, seed, diag_shift=r)
+        # the same matrix declared with a full upper part runs the full-row window
+        full = BandedMatrix.from_dense(a.to_dense(), r, n - 1)
         pairs = {
-            "qr": (invert_lower_band_qr(a), invert_two_sided_qr(a)),
-            "lu": (invert_lower_band_lu(a), invert_two_sided_lu(a)),
+            "qr": (invert_lower_band_qr(full), invert_two_sided_qr(a)),
+            "lu": (invert_lower_band_lu(full), invert_two_sided_lu(a)),
         }
         for method, (g1, g2) in pairs.items():
             b1, b2 = reconstruct_structured(g1), reconstruct_structured(g2)

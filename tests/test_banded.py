@@ -43,6 +43,30 @@ def test_round_trip_property(n, data):
     assert BandedMatrix.from_dense(a.to_dense(), r_lower, r_upper) == a
 
 
+def test_constructor_copies_the_band_array():
+    bands = random_band(10, 2, 3, seed=4).bands.copy()
+    a = BandedMatrix(10, 2, 3, bands)
+    assert a.bands is not bands and bands.flags.writeable
+    bands[3, 5] += 1.0
+    assert a.bands[3, 5] != bands[3, 5]
+    assert not a.bands.flags.writeable
+
+
+def test_cells_outside_the_matrix_are_rejected():
+    # a 30 x 30 band of order 3 has 3 + 2 + 1 cells outside the matrix in
+    # each corner of its band array
+    bands = random_band(30, 3, 3, seed=5, diag_shift=3.0).bands.copy()
+    outside = [(d, j) for d in range(3) for j in range(3 - d)]
+    outside += [(d, j) for d in range(4, 7) for j in range(33 - d, 30)]
+    assert len(outside) == 12
+    for d, j in outside:
+        bad = bands.copy()
+        bad[d, j] = 1.0
+        with pytest.raises(ValueError):
+            BandedMatrix(30, 3, 3, bad)
+    BandedMatrix(30, 3, 3, bands)
+
+
 def test_band_pattern_enforced():
     dense = np.eye(4)
     dense[3, 0] = 1.0  # outside lower bandwidth 2

@@ -16,7 +16,6 @@ from greenband import (
     reconstruct_structured,
 )
 from greenband.bench import instability_matrix
-from greenband.lu import _lu_factor_two_sided
 
 
 def dense_unpivoted_lu(a):
@@ -59,6 +58,18 @@ def test_factor_residual():
     assert np.all(np.tril(fact.l_dense(), -(4 + 1)) == 0.0)  # L keeps bandwidth r
 
 
+@pytest.mark.parametrize("r_upper, width", [(0, 4), (2, 4), (32, 32), (59, 59)])
+def test_window_follows_upper_bandwidth(r_upper, width):
+    # R has upper bandwidth r_upper; rows are stored max(r_lower, r_upper) wide
+    a = random_band(60, 4, r_upper, seed=13, diag_shift=4.0)
+    fact = lu_factor_lower_band(a)
+    assert fact.width == width
+    assert max(row.size for row in fact.rows) == width
+    dense = a.to_dense()
+    res = np.linalg.norm(dense - fact.l_dense() @ fact.r_dense(), "fro")
+    assert res <= 1e-13 * np.linalg.norm(dense, "fro")
+
+
 def test_inverse_factor_product():
     a = random_band(12, 2, 11, seed=2, diag_shift=2.0)
     fact = lu_factor_lower_band(a)
@@ -94,6 +105,19 @@ def test_generator_blocks_have_exact_structure():
         np.testing.assert_array_equal(g.q[k], np.eye(r)[:, r - 1])
 
 
+@pytest.mark.parametrize("r_upper", [0, 3, 5, 29])
+def test_generator_rows_are_rows_of_the_inverse(r_upper):
+    # c(k) = e_1 and a(k) = [-f_k | shift] make p(k) = B[k, k:k+r], the
+    # diagonal and first r-1 superdiagonals of B = A^{-1}: a direct oracle
+    # check of the backward recursion
+    n, r = 30, 3
+    a = random_band(n, r, r_upper, seed=5, diag_shift=4.0 + r_upper)
+    g = invert_lower_band_lu(a)
+    b = dense_invert(a.to_dense())
+    rows = np.array([b[k, k : k + r] for k in range(n - r)])
+    assert np.abs(g.p - rows).max() <= 1e-13 * np.abs(b).max()
+
+
 def test_invert_two_sided_tridiagonal():
     n = 12
     dense = 2.0 * np.eye(n) - np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1)
@@ -113,8 +137,10 @@ def test_invert_two_sided_scaled_identity():
 
 @pytest.mark.parametrize("n,r,seed", [(20, 1, 0), (33, 2, 1), (47, 4, 2), (60, 5, 3)])
 def test_one_and_two_sided_agree(n, r, seed):
+    # the same matrix declared with a full upper part runs the full-row window
     a = random_band(n, r, r, seed, diag_shift=r)
-    b1 = reconstruct_structured(invert_lower_band_lu(a))
+    full = BandedMatrix.from_dense(a.to_dense(), r, n - 1)
+    b1 = reconstruct_structured(invert_lower_band_lu(full))
     b2 = reconstruct_structured(invert_two_sided_lu(a))
     assert np.linalg.norm(b1 - b2) <= 1e-12 * np.linalg.norm(b1)
 
@@ -191,8 +217,8 @@ def test_growth_factor_monitors_instability():
 
 def test_two_sided_factorization_matches_one_sided():
     a = random_band(25, 3, 3, seed=9, diag_shift=3.0)
-    f1 = lu_factor_lower_band(a)
-    f2 = _lu_factor_two_sided(a)
+    f1 = lu_factor_lower_band(BandedMatrix.from_dense(a.to_dense(), 3, 24))
+    f2 = lu_factor_lower_band(a)
     np.testing.assert_allclose(f1.x, f2.x, rtol=1e-13)
     np.testing.assert_allclose(f1.l_dense(), f2.l_dense(), rtol=1e-13, atol=1e-15)
     np.testing.assert_allclose(f1.r_dense(), f2.r_dense(), rtol=1e-13, atol=1e-15)

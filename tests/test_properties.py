@@ -2,7 +2,6 @@
 every kind of (n, r_lower, r_upper) pair, entry scales near overflow and
 underflow, and planted zero pivots."""
 
-import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 

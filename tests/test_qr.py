@@ -62,6 +62,17 @@ def test_factor_residual_bound_sweep():
         assert res <= 50 * EPS * n * np.linalg.norm(dense, "fro")
 
 
+@pytest.mark.parametrize("r_upper, width", [(0, 4), (2, 6), (32, 36), (59, 59)])
+def test_window_follows_upper_bandwidth(r_upper, width):
+    # R has upper bandwidth r_lower + r_upper, clipped at the matrix edge
+    a = random_band(60, 4, r_upper, seed=13, diag_shift=4.0)
+    fact = qr_factor_lower_band(a)
+    assert fact.width == width
+    assert max(row.size for row in fact.rows) == width
+    dense = a.to_dense()
+    assert np.linalg.norm(dense - fact.u_dense() @ fact.r_dense()) <= 1e-13 * np.linalg.norm(dense)
+
+
 def test_invert_identity():
     n, r = 6, 2
     g = invert_lower_band_qr(BandedMatrix.from_dense(np.eye(n), r, n - 1))
@@ -112,8 +123,10 @@ def test_two_sided_rejects_wide_upper_band():
 
 @pytest.mark.parametrize("n,r,seed", [(20, 1, 0), (33, 2, 1), (47, 4, 2), (60, 5, 3)])
 def test_one_and_two_sided_agree(n, r, seed):
+    # the same matrix declared with a full upper part runs the full-row window
     a = random_band(n, r, r, seed, diag_shift=r)
-    b1 = reconstruct_structured(invert_lower_band_qr(a))
+    full = BandedMatrix.from_dense(a.to_dense(), r, n - 1)
+    b1 = reconstruct_structured(invert_lower_band_qr(full))
     b2 = reconstruct_structured(invert_two_sided_qr(a))
     assert np.linalg.norm(b1 - b2) <= 1e-12 * np.linalg.norm(b1)
 
