@@ -14,6 +14,7 @@ import numpy as np
 from .errors import BandPatternError
 
 __all__ = [
+    "PANEL",
     "BandedMatrix",
     "singularity_tol",
     "random_band",
@@ -21,6 +22,8 @@ __all__ = [
     "read_matrix",
     "write_matrix",
 ]
+
+PANEL = 32  # columns per panel of the blocked QR and LU factorizations
 
 
 class BandedMatrix:
@@ -102,37 +105,85 @@ class BandedMatrix:
             return self.bands[d, j]
         return 0.0
 
+    def _row_band(self):
+        """Read-only (n, r_lower + r_upper + 1) strided view of ``bands`` whose
+        row i holds A[i, i - r_lower : i + r_upper + 1].
+
+        Every cell of the view lies inside the band array.  A cell whose
+        column falls outside the matrix reads one of the zero corner cells,
+        except in row 0 (columns before 0) and row n - 1 (columns past n - 1),
+        where it wraps onto entries of row n - 1 and row 0.
+        """
+        d, n = self.bands.shape
+        step = self.bands.strides[1]
+        # A[i, i - r_lower + t] sits at flat offset (d-1-t) n + i - r_lower + t
+        return np.lib.stride_tricks.as_strided(
+            self.bands.ravel()[(d - 1) * n - self.r_lower :],
+            shape=(n, d),
+            strides=(step, (1 - n) * step),
+            writeable=False,
+        )
+
     def row_segment(self, i, j0, j1):
         """Values A[i, j0:j1] as a dense vector (zeros outside the band)."""
-        js = np.arange(j0, j1)
-        out = np.zeros(js.size)
-        d = self.r_upper + i - js
-        ok = (d >= 0) & (d <= self.r_lower + self.r_upper)
-        out[ok] = self.bands[d[ok], js[ok]]
-        return out
+        return self.rows_block(i, i + 1, j0, j1)[0]
 
     def col_segment(self, j, i0, i1):
         """Values A[i0:i1, j] as a dense vector (zeros outside the band)."""
-        iis = np.arange(i0, i1)
-        out = np.zeros(iis.size)
-        d = self.r_upper + iis - j
-        ok = (d >= 0) & (d <= self.r_lower + self.r_upper)
-        out[ok] = self.bands[d[ok], j]
-        return out
+        return self.rows_block(i0, i1, j, j + 1)[:, 0]
 
     def rows_block(self, i0, i1, j0, j1):
-        """Dense block A[i0:i1, j0:j1]."""
-        return np.array([self.row_segment(i, j0, j1) for i in range(i0, i1)])
+        """Dense block A[i0:i1, j0:j1] in Fortran order, zero outside the band;
+        rows past the last one read as zero (0 <= i0, 0 <= j0 <= j1 <= n).
+
+        One strided copy moves the band cells of all rows at once: row i0 + a
+        of the row-band view is written along a skewed view of a buffer
+        padded on both sides, and the pads take the cells outside the block's
+        columns, the wrapped cells of rows 0 and n - 1 among them.
+        """
+        d = self.bands.shape[0]
+        rows, cols = i1 - i0, j1 - j0
+        live = max(0, min(i1, self.n) - i0)
+        s = i0 - self.r_lower - j0  # block column of row-band cell (a, t) is a + t + s
+        t_lo = max(0, -s - max(live - 1, 0))
+        t_hi = min(d, cols - s)
+        pad = max(0, -(t_lo + s))
+        buf = np.zeros((rows, pad + max(cols, live + t_hi + s - 1)), order="F")
+        if live and t_hi > t_lo:
+            skew = np.lib.stride_tricks.as_strided(
+                buf[:, pad + t_lo + s :],
+                shape=(live, t_hi - t_lo),
+                strides=(buf.strides[0] + buf.strides[1], buf.strides[1]),
+            )
+            skew[...] = self._row_band()[i0 : i0 + live, t_lo:t_hi]
+        return buf[:, pad : pad + cols]
+
+    def panel(self, k0, rows, cols, carried=None):
+        """Working window of a panel factorization: A[k0:k0+rows, k0:k0+cols]
+        (rows past the last one are zero) with its top-left corner replaced by
+        ``carried``, the rows that the previous panel transformed.  The cells
+        of the top rows to the right of ``carried`` are still entries of A."""
+        w = self.rows_block(k0, k0 + rows, k0, k0 + cols)
+        if carried is not None:
+            w[: carried.shape[0], : carried.shape[1]] = carried
+        return w
 
     def norm_inf(self):
-        """Max absolute row sum, computed from the compressed band."""
-        n = self.n
-        sums = np.zeros(n)
-        for off in range(-self.r_upper, self.r_lower + 1):
-            row = self.bands[self.r_upper + off]
-            j0 = max(0, -off)
-            j1 = min(n, n - off)
-            sums[j0 + off : j1 + off] += np.abs(row[j0:j1])
+        """Max absolute row sum, computed from the compressed band.
+
+        The row sums accumulate over blocks of 32 diagonals of the row-band
+        view; rows 0 and n - 1, whose cells outside the matrix wrap around,
+        are summed on their own.
+        """
+        band = self._row_band().T  # band[t, i] = A[i, i - r_lower + t]
+        chunk = 32
+        sums = np.zeros(self.n)
+        buf = np.empty((min(chunk, len(band)), self.n))
+        for t0 in range(0, len(band), chunk):
+            blk = band[t0 : t0 + chunk]
+            sums += np.abs(blk, out=buf[: len(blk)]).sum(axis=0)
+        sums[0] = np.abs(band[self.r_lower : self.r_lower + self.n, 0]).sum()
+        sums[-1] = np.abs(band[max(0, self.r_lower + 1 - self.n) : self.r_lower + 1, -1]).sum()
         return float(sums.max())
 
     def __eq__(self, other):
@@ -149,10 +200,10 @@ class BandedMatrix:
         return f"BandedMatrix(n={self.n}, r_lower={self.r_lower}, r_upper={self.r_upper})"
 
 
-def singularity_tol(a):
+def singularity_tol(n, norm):
     """A pivot or diagonal entry of R at or below n * eps * ||A||_inf is zero
-    to working precision."""
-    return a.n * np.finfo(float).eps * a.norm_inf()
+    to working precision; ``norm`` is ||A||_inf."""
+    return n * np.finfo(float).eps * norm
 
 
 def random_band(n, r_lower, r_upper, seed, diag_shift=0.0):

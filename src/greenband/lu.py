@@ -19,10 +19,12 @@ and O(n^2 r) for a full upper part (r_upper = n - 1).
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dgemm, dtrsm
+from scipy.linalg.lapack import dtrtri
 
-from .banded import singularity_tol
+from .banded import PANEL, singularity_tol
 from .errors import ZeroPivotError
-from .generators import GreenGenerators, backward_recursion
+from .generators import GreenGenerators, backward_recursion, empty_generators
 from .transforms import TransformProduct
 
 __all__ = [
@@ -42,8 +44,8 @@ class LuFactorization:
     triangular trailing block T and its inverse, ``x[k-1] = R(k, k)`` and
     ``rows[k-1]`` = R(k, k+1:k+width), which holds every nonzero of the row
     since ``width`` = max(r_lower, r_upper) is at least the upper bandwidth of
-    R.  ``growth`` is max_k ||Y_k||_inf / ||A||_inf over the elimination
-    windows Y_k.
+    R.  ``growth`` is max_k ||R(k, k:)||_1 / ||A||_inf, the largest absolute
+    row sum of R against that of A; row k of R is the pivot row of step k.
     """
 
     def __init__(self, n, r, f, closing_t, closing_l, x, rows, width, growth):
@@ -92,97 +94,78 @@ class LuFactorization:
         return TransformProduct(self.n, self.r, factors, self.closing_l, order="descending")
 
 
-def _unpivoted_lu(mat, tol, pivot_offset):
-    """LU without pivoting of a small dense block: mat = T S with T unit lower
-    triangular.  ``pivot_offset`` is the 1-based index reported for pivot 0."""
-    r = mat.shape[0]
-    t = np.eye(r)
-    s = np.array(mat)
-    for j in range(r):
-        piv = s[j, j]
-        if abs(piv) <= tol:
-            raise ZeroPivotError(
-                f"pivot {pivot_offset + j} is zero to working precision",
-                pivot_index=pivot_offset + j,
-            )
-        t[j + 1 :, j] = s[j + 1 :, j] / piv
-        s[j + 1 :, j:] -= np.outer(t[j + 1 :, j], s[j, j:])
-        s[j + 1 :, j] = 0.0
-    return t, s
-
-
 def lu_factor_lower_band(a):
     """Structured unpivoted LU of a strongly regular lower banded matrix of
     order r.
 
-    Each step eliminates one column in an r-row window spanning the
-    max(r_lower, r_upper) + 1 columns that the pivot row of R can reach,
-    clipped at the matrix edge, so the cost is O(n r max(r, r_upper)):
-    O(n r^2) for a two-sided band and O(n^2 r) for a full upper part.
-    Raises ZeroPivotError with the 1-based pivot index when strong regularity
-    fails.
+    Each panel of PANEL columns reads its (PANEL + r) x (PANEL + width)
+    window, eliminates the panel one column at a time (pivot check, scaling
+    of the r multipliers, rank-one update inside the panel), then gets the
+    panel's rows of R right of it with one ``dtrsm`` and updates the r rows
+    below with one ``dgemm``; those rows carry over to the next panel, and
+    the last panel runs to column n.  R's rows reach max(r, r_upper) columns
+    past the diagonal, so the cost is O(n r max(r, r_upper)) up to the
+    panel's fill: O(n r^2) for a two-sided band and O(n^2 r) for a full upper
+    part.  Raises ZeroPivotError with the 1-based index of the first pivot
+    that is zero to working precision.
     """
     n, r = a.n, a.r_lower
+    m = n - r
     width = max(r, a.r_upper)  # R's rows are stored this wide
-    scale = a.norm_inf() or 1.0
-    tol = singularity_tol(a)
+    norm = a.norm_inf()
+    tol = singularity_tol(n, norm)
     x = np.empty(n)
-    rows = [None] * (n - 1)
-    f = np.empty((n - r, r))
-    y = a.rows_block(0, r, 0, min(width + 1, n))
-    growth = np.linalg.norm(y, np.inf) / scale
-    for k1 in range(1, n - r + 1):
-        k0 = k1 - 1
-        gamma = y[0, 0]
-        if abs(gamma) <= tol:
-            raise ZeroPivotError(
-                f"pivot {k1} is zero to working precision", pivot_index=k1
-            )
-        xrow = y[0, 1:]
-        fk = np.append(y[1:, 0], a.entry(k0 + r, k0)) / gamma
-        z = np.empty((r, min(width + 1, n - k1)))
-        z[: r - 1, : xrow.size] = y[1:, 1:]
-        z[r - 1] = a.row_segment(k0 + r, k1, k1 + z.shape[1])
-        if z.shape[1] > xrow.size:
-            # no elimination has reached the column the window gains yet
-            z[: r - 1, -1] = a.col_segment(k1 + xrow.size, k1, k0 + r)
-        z[:, : xrow.size] -= np.outer(fk, xrow)
-        x[k0] = gamma
-        rows[k0] = xrow.copy()
-        f[k0] = fk
-        growth = max(growth, np.linalg.norm(z, np.inf) / scale)
-        y = z
-    t_mat, s_mat = _unpivoted_lu(y, tol, n - r + 1)
-    growth = max(growth, np.linalg.norm(s_mat, np.inf) / scale)
-    closing_l = scipy.linalg.solve_triangular(
-        t_mat, np.eye(r), lower=True, unit_diagonal=True, check_finite=False
-    )
-    for j in range(r):
-        x[n - r + j] = s_mat[j, j]
-        if j < r - 1:
-            rows[n - r + j] = s_mat[j, j + 1 :].copy()
-    return LuFactorization(n, r, f, t_mat, closing_l, x, rows, width, growth)
+    rows = []
+    f = np.empty((n, r))
+    growth = 0.0
+    carried = None
+    for k0 in range(0, m, PANEL):
+        k1 = k0 + PANEL if k0 + PANEL < m else n  # the last panel runs to column n
+        b = k1 - k0
+        w = a.panel(k0, b + r, min(b + width, n - k0), carried)
+        for j in range(b):
+            if abs(w[j, j]) <= tol:
+                raise ZeroPivotError(
+                    f"pivot {k0 + j + 1} is zero to working precision", pivot_index=k0 + j + 1
+                )
+            mult = w[j + 1 : j + 1 + r, j]
+            mult /= w[j, j]
+            w[j + 1 : j + 1 + r, j + 1 : b] -= mult[:, None] * w[j, j + 1 : b]
+        if w.shape[1] > b:
+            w[:b, b:] = dtrsm(1.0, w[:b, :b], w[:b, b:], lower=1, diag=1)
+            w[b:, b:] = dgemm(-1.0, w[b:, :b], w[:b, b:], 1.0, w[b:, b:])
+        x[k0:k1] = np.diagonal(w[:b])
+        diag = np.arange(b)[:, None]
+        f[k0:k1] = w[diag + np.arange(1, r + 1), diag]  # below each pivot
+        top = np.ascontiguousarray(w[:b])  # the panel's rows of R, each contiguous
+        rows += [top[j, j + 1 : j + 1 + width] for j in range(min(b, n - 1 - k0))]
+        growth = max(growth, np.abs(np.triu(top)).sum(axis=1).max())
+        carried = w[b:, b:]
+    # the trailing r x r block of L, its inverse and the growth against ||A||
+    t_mat = np.tril(w[b - r : b, b - r : b], -1) + np.eye(r)
+    closing_l = dtrtri(t_mat, lower=1, unitdiag=1)[0]
+    return LuFactorization(n, r, f[:m], t_mat, closing_l, x, rows, width, growth / (norm or 1.0))
 
 
-def _generators_from_lu(fact):
+def _generators_from_lu(fact, out):
     """Backward recursion producing the Green generators of A^{-1} from the
     factored A = L R.  The a(k), q(k) blocks come straight from the
     elimination blocks: a(k) = [-f_k | e_1 .. e_{r-1}], q(k) = e_r and the
     rows of L^{-1}'s generators are c(k) = e_1, so their identity and zero
-    sub-blocks are exact."""
+    sub-blocks are exact.  The generators are written into ``out``, the
+    arrays of ``empty_generators``."""
     n, r = fact.n, fact.r
     m = n - r
-    # trailing block: (T S)^{-1} via two triangular solves
-    p_last = scipy.linalg.solve_triangular(
-        fact.r_closing(), fact.closing_l, lower=False, check_finite=False
-    )
-    aa = np.zeros((m, r, r))
+    p, q, aa, p_last = out
+    # trailing block: (T S)^{-1} = S^{-1} T^{-1}
+    p_last[:] = dtrsm(1.0, fact.r_closing(), fact.closing_l)
     aa[:, :, 0] = -fact.f
     aa[:, : r - 1, 1:] = np.eye(r - 1)
-    q = np.zeros((m, r))
+    aa[:, r - 1, 1:] = 0.0
+    q[:, : r - 1] = 0.0
     q[:, r - 1] = 1.0
     c = np.broadcast_to(np.eye(r)[0], (m, r))
-    p = backward_recursion(fact.x, fact.rows, fact.width, aa, c, p_last)
+    backward_recursion(fact.x, fact.rows, fact.width, aa, c, p_last, p)
     return GreenGenerators(n, r, p, q, aa, p_last)
 
 
@@ -190,7 +173,8 @@ def invert_lower_band_lu(a):
     """Green generators of A^{-1} for a strongly regular lower banded matrix
     of order r and any upper bandwidth, via unpivoted structured
     elimination."""
-    return _generators_from_lu(lu_factor_lower_band(a))
+    out = empty_generators(a.n, a.r_lower)
+    return _generators_from_lu(lu_factor_lower_band(a), out)
 
 
 def invert_two_sided_lu(a):

@@ -12,15 +12,17 @@ R is upper banded of order r_lower + r_upper, so the working window, the
 stored rows of R and the tail stacks all have that width, clipped at the
 matrix edge: the inversion costs O(n r_lower (r_lower + r_upper)) arithmetic,
 O(n r^2) for a two-sided band and O(n^2 r) for a full upper part
-(r_upper = n - 1).
+(r_upper = n - 1).  The factorization runs over panels of PANEL columns:
+LAPACK's ``dgeqrf`` reduces each panel and ``dormqr`` applies its
+reflections to the columns right of it.
 """
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf, dormqr
 
-from .banded import singularity_tol
-from .dense_oracle import householder_vector
+from .banded import PANEL, singularity_tol
 from .errors import SingularMatrixError
-from .generators import GreenGenerators, backward_recursion
+from .generators import GreenGenerators, backward_recursion, empty_generators
 from .transforms import TransformProduct, expand_transform_product
 
 __all__ = [
@@ -30,27 +32,52 @@ __all__ = [
     "invert_two_sided_qr",
 ]
 
+SLAB = 4 * PANEL  # columns per dormqr call on the block right of a panel
+
 
 class QrFactorization:
     """A = U R in factored form.
 
-    ``factors`` holds the (r+1) x (r+1) unitary blocks U_k (k = 1..n-r,
-    1-based), ``closing`` the shrinking blocks of sizes n-k+1 that triangulate
-    the trailing r x r window (k = n-r+1..n-1), and ``closing_unitary`` their
-    assembled r x r product.  ``x[k-1] = R(k, k)`` and ``rows[k-1]`` is
+    U = H_0 H_1 ... H_{n-1} (0-based), where the reflection
+    H_k = I - tau[k] v[k] v[k]^T acts on rows k..k+r; ``v`` is (n, r+1) with
+    v[k, 0] = 1, and the rows k >= n-r, whose reflections shrink at the
+    matrix edge, are zero-padded (tau[n-1] = 0).  ``factors`` (the (r+1) x (r+1) blocks U_k = H_k,
+    k = 1..n-r, 1-based), ``closing`` (the blocks of sizes n-k+1 that
+    triangulate the trailing r x r window, k = n-r+1..n-1) and
+    ``closing_unitary`` (their assembled r x r product) are built from
+    (v, tau) on demand.  ``x[k-1] = R(k, k)`` and ``rows[k-1]`` is
     R(k, k+1:k+width), the part of row k that can be nonzero, where ``width``
     = min(r_lower + r_upper, n - 1) is the upper bandwidth of R.
     """
 
-    def __init__(self, n, r, factors, closing, closing_unitary, x, rows, width):
+    def __init__(self, n, r, v, tau, x, rows, width):
         self.n = n
         self.r = r
-        self.factors = factors
-        self.closing = closing
-        self.closing_unitary = closing_unitary
+        self.v = v
+        self.tau = tau
         self.x = x
         self.rows = rows
         self.width = width
+
+    def _block(self, k, size):
+        """H_k on its rows and columns k..k+size-1."""
+        w = self.v[k, :size]
+        return np.eye(size) - self.tau[k] * np.outer(w, w)
+
+    @property
+    def factors(self):
+        return [self._block(k, self.r + 1) for k in range(self.n - self.r)]
+
+    @property
+    def closing(self):
+        return [self._block(k, self.n - k) for k in range(self.n - self.r, self.n - 1)]
+
+    @property
+    def closing_unitary(self):
+        uhat = np.eye(self.r)
+        for idx, u in enumerate(self.closing):
+            uhat[:, idx:] = uhat[:, idx:] @ u
+        return uhat
 
     def u_product(self):
         """U as an ascending TransformProduct of the stored blocks."""
@@ -79,70 +106,52 @@ class QrFactorization:
         return out
 
 
-def _reflect(v):
-    """Materialized Householder block and its reflection data for v."""
-    w, beta, x = householder_vector(v)
-    u = np.eye(v.size) - beta * np.outer(w, w)
-    return u, w, beta, x
-
-
-def _closing_qr(y, n, r, x, rows):
-    """Householder QR of the trailing r x r window.
-
-    Fills x[n-r:] and rows[n-r:n-1], returns the list of shrinking unitary
-    blocks and their assembled r x r product.
-    """
-    closing = []
-    cur = y
-    for k1 in range(n - r + 1, n):  # 1-based row index
-        u, w, beta, xk = _reflect(cur[:, 0])
-        closing.append(u)
-        z = cur[:, 1:] - beta * np.outer(w, w @ cur[:, 1:])
-        x[k1 - 1] = xk
-        rows[k1 - 1] = z[0].copy()
-        cur = z[1:]
-    x[n - 1] = cur[0, 0]
-    uhat = np.eye(r)
-    for idx, u in enumerate(closing):
-        uhat[:, idx:] = uhat[:, idx:] @ u
-    return closing, uhat
-
-
 def qr_factor_lower_band(a):
     """Structured QR of a lower banded matrix of order r.
 
-    One reflection per step acts on an (r+1)-row window spanning the
-    r_lower + r_upper columns that row k of R can reach, clipped at the matrix
-    edge, so the cost is O(n r (r + r_upper)): O(n r^2) for a two-sided band
-    and O(n^2 r) for a full upper part.  Zero columns simply produce x_k = 0,
-    which the inversion stage rejects.
+    Each panel of PANEL columns reads its (PANEL + r) x (PANEL + width)
+    window, reduces the panel with ``dgeqrf`` and applies the reflections to
+    the rest of the window with ``dormqr``, SLAB columns per call; the
+    window's last r rows carry over to the next panel, and the last panel
+    also triangulates the trailing r x r window.  Column k's reflection spans
+    rows k..k+r, so the cost is O(n r (r + r_upper)) up to the panel's fill:
+    O(n r^2) for a two-sided band and O(n^2 r) for a full upper part.  Zero
+    columns simply produce x_k = 0, which the inversion stage rejects.
     """
     n, r = a.n, a.r_lower
+    m = n - r
     width = min(r + a.r_upper, n - 1)  # upper bandwidth of R
     x = np.empty(n)
-    rows = [None] * (n - 1)
-    factors = []
-    y = a.rows_block(0, r, 0, min(width + 1, n))
-    for k0 in range(n - r):
-        # rows k..k+r, columns k..k+width; the transformed rows are still zero
-        # in a column the window gains
-        z = np.zeros((r + 1, min(width + 1, n - k0)))
-        z[:r, : y.shape[1]] = y
-        z[r] = a.row_segment(k0 + r, k0, k0 + z.shape[1])
-        u, w, beta, xk = _reflect(z[:, 0])
-        factors.append(u)
-        z = z[:, 1:]
-        z -= beta * np.outer(w, w @ z)
-        x[k0] = xk
-        rows[k0] = z[0].copy()
-        y = z[1:]
-    closing, uhat = _closing_qr(y, n, r, x, rows)
-    return QrFactorization(n, r, factors, closing, uhat, x, rows, width)
+    rows = []
+    v = np.ones((n, r + 1))
+    tau = np.empty(n)
+    carried = None
+    for k0 in range(0, m, PANEL):
+        k1 = k0 + PANEL if k0 + PANEL < m else n  # the last panel runs to column n
+        b = k1 - k0
+        w = a.panel(k0, b + r, min(b + width, n - k0), carried)
+        # w is in Fortran order, so both calls work in place
+        tau[k0:k1] = dgeqrf(w[:, :b], lwork=PANEL * b, overwrite_a=1)[1]
+        # the columns right of the panel, in slabs that each stay in cache and
+        # under a threaded BLAS's threshold for splitting such thin products
+        for c0 in range(b, w.shape[1], SLAB):
+            c = w[:, c0 : c0 + SLAB]
+            dormqr("L", "T", w[:, :b], tau[k0:k1], c, lwork=PANEL * SLAB, overwrite_c=1)
+        x[k0:k1] = np.diagonal(w[:b])
+        diag = np.arange(b)[:, None]
+        v[k0:k1, 1:] = w[diag + np.arange(1, r + 1), diag]  # below each diagonal entry
+        top = np.ascontiguousarray(w[:b])  # the panel's rows of R, each contiguous
+        rows += [top[j, j + 1 : j + 1 + width] for j in range(min(b, n - 1 - k0))]
+        carried = w[b:, b:]
+    return QrFactorization(n, r, v, tau, x, rows, width)
 
 
-def _generators_from_qr(fact, tol):
+def _generators_from_qr(fact, tol, out):
     """Backward recursion producing the Green generators of A^{-1} from the
-    factored A = U R."""
+    factored A = U R.  U_k^T = H_k = I - tau_k v_k v_k^T is symmetric, so its
+    first row gives c(k), and its last r rows a(k) (first r columns) and
+    q(k) (last column).  The generators are written into ``out``, the arrays
+    of ``empty_generators``."""
     n, r = fact.n, fact.r
     xs = fact.x
     small = np.abs(xs) <= tol
@@ -155,20 +164,22 @@ def _generators_from_qr(fact, tol):
     # closing recursion: build the r x r trailing generator block from the
     # shrinking unitary factors, starting at the bottom-right corner of R
     stack = np.array([[1.0 / xs[n - 1]]])
-    for k1 in range(n - 1, n - r, -1):
-        ust = fact.closing[k1 - (n - r + 1)].T
+    for k0 in range(n - 2, n - r - 1, -1):
+        ust = fact._block(k0, n - k0)
         sa = stack @ ust[1:]
-        pk = (ust[0] - fact.rows[k1 - 1] @ sa) / xs[k1 - 1]
+        pk = (ust[0] - fact.rows[k0] @ sa) / xs[k0]
         stack = np.vstack([pk, sa])
-    p_last = stack
+    p, q, aa, p_last = out
+    p_last[:] = stack
     m = n - r
-    c = np.empty((m, r))
-    aa = np.empty((m, r, r))
-    q = np.empty((m, r))
-    for k0, u in enumerate(fact.factors):
-        ust = u.T
-        c[k0], aa[k0], q[k0] = ust[0, :r], ust[1:, :r], ust[1:, r]
-    p = backward_recursion(xs, fact.rows, fact.width, aa, c, p_last)
+    v, tv = fact.v[:m], fact.tau[:m, None] * fact.v[:m]
+    c = -tv[:, :1] * v[:, :r]
+    c[:, 0] += 1.0
+    np.multiply(-tv[:, 1:, None], v[:, None, :r], out=aa)
+    aa[:, np.arange(r - 1), np.arange(1, r)] += 1.0
+    np.multiply(-tv[:, 1:], v[:, r:], out=q)
+    q[:, r - 1] += 1.0
+    backward_recursion(xs, fact.rows, fact.width, aa, c, p_last, p)
     return GreenGenerators(n, r, p, q, aa, p_last)
 
 
@@ -181,7 +192,8 @@ def invert_lower_band_qr(a):
     a unitary block.  Raises SingularMatrixError (naming the failing diagonal
     index of R) when A is singular to working precision.
     """
-    return _generators_from_qr(qr_factor_lower_band(a), singularity_tol(a))
+    out = empty_generators(a.n, a.r_lower)
+    return _generators_from_qr(qr_factor_lower_band(a), singularity_tol(a.n, a.norm_inf()), out)
 
 
 def invert_two_sided_qr(a):

@@ -26,3 +26,22 @@ def random_generators(n, r, seed, scale=None):
 def random_orthogonal(m, rng):
     q, rr = np.linalg.qr(rng.standard_normal((m, m)))
     return q * np.sign(np.diagonal(rr))
+
+
+def instance(n, r_lower, r_upper, seed, scale):
+    """A diagonally dominant banded matrix (strongly regular, well
+    conditioned) with its entries multiplied by ``scale``."""
+    from greenband import BandedMatrix, random_band
+
+    a = random_band(n, r_lower, r_upper, seed, diag_shift=1.0 + r_lower + r_upper)
+    return BandedMatrix.from_dense(scale * a.to_dense(), r_lower, r_upper)
+
+
+def inverters(a):
+    """The inversion entry points that accept ``a``."""
+    import greenband
+
+    out = [greenband.invert_lower_band_qr, greenband.invert_lower_band_lu]
+    if a.r_upper <= a.r_lower:
+        out += [greenband.invert_two_sided_qr, greenband.invert_two_sided_lu]
+    return out

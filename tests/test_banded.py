@@ -138,8 +138,15 @@ def test_entry_and_segments():
 
 
 def test_norm_inf_matches_dense():
-    a = random_band(25, 3, 6, seed=2, diag_shift=1.5)
-    assert a.norm_inf() == pytest.approx(np.linalg.norm(a.to_dense(), np.inf))
+    # r_u in {0, r_l, n - 1} and between; rows 0 and n - 1, where the
+    # row-band view wraps around, take their turn as the largest row
+    shapes = [(25, 3, 6), (25, 3, 0), (25, 3, 3), (25, 3, 24), (40, 39, 39), (2, 1, 0)]
+    for n, r_lower, r_upper in shapes:
+        for hot in (0, n - 1, n // 2):
+            dense = random_band(n, r_lower, r_upper, seed=2, diag_shift=1.5).to_dense()
+            dense[hot] *= 10.0
+            a = BandedMatrix.from_dense(dense, r_lower, r_upper)
+            assert a.norm_inf() == pytest.approx(np.linalg.norm(a.to_dense(), np.inf))
 
 
 def test_matrix_file_round_trip(tmp_path):

@@ -263,3 +263,27 @@ def test_block_partition_scalar_mapping():
     for i in range(10):
         for j in range(10):
             assert bp.covered(i, j) == (j - i <= 2)
+
+
+@pytest.mark.parametrize("method", ["qr", "lu"])
+@pytest.mark.parametrize("r_upper", [3, 59])
+def test_inverse_generators_are_one_array_taken_first(monkeypatch, method, r_upper):
+    # a loop of inversions reuses the space of freed generators only when the
+    # new ones are one array, allocated before the factorization's working
+    # arrays (see empty_generators)
+    import greenband.lu as lu_module
+    import greenband.qr as qr_module
+
+    module = {"qr": qr_module, "lu": lu_module}[method]
+    order = []
+    for name in ("empty_generators", f"{method}_factor_lower_band"):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name: order.append(name) or fn(*args))
+    a = random_band(60, 3, r_upper, seed=4, diag_shift=4.0 + r_upper)
+    g = getattr(module, f"invert_lower_band_{method}")(a)
+    assert order == ["empty_generators", f"{method}_factor_lower_band"]
+    arrays = (g.p, g.q, g.a, g.p_last)
+    assert len({id(x.base) for x in arrays}) == 1
+    assert g.a.base.nbytes == sum(x.nbytes for x in arrays)
+    ref = dense_invert(a.to_dense())
+    assert covered_relative_error(reconstruct_structured(g), ref, 3) <= 1e-12

@@ -1,0 +1,117 @@
+"""The panel-blocked factorizations at their panel boundaries: sizes that end
+just before, on and just after a panel edge, planted zero pivots on either
+side of the first edge, and a count of the LAPACK/BLAS calls per
+factorization (one panel of PANEL columns per call, never one per row)."""
+
+import math
+
+import numpy as np
+import pytest
+from conftest import instance, inverters
+
+import greenband.lu as lu_module
+import greenband.qr as qr_module
+from greenband import (
+    BandedMatrix,
+    SingularMatrixError,
+    ZeroPivotError,
+    covered_relative_error,
+    dense_invert,
+    lu_factor_lower_band,
+    qr_factor_lower_band,
+    random_band,
+    reconstruct_structured,
+)
+from greenband.banded import PANEL
+
+SCALES = (1.0, 1e150, 1e-150)
+R_LOWERS = (1, 4, PANEL + 3)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("upper", ["zero", "equal", "full"])
+@pytest.mark.parametrize("r_lower", R_LOWERS)
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("panels", [1, 3])
+def test_inversions_at_panel_edges(panels, offset, r_lower, upper, scale):
+    # n = r_l + k b + {-1, 0, 1}: the main columns end one short of, on or
+    # one past the k-th panel edge
+    n = r_lower + panels * PANEL + offset
+    r_upper = {"zero": 0, "equal": r_lower, "full": n - 1}[upper]
+    a = instance(n, r_lower, r_upper, seed=n + r_lower, scale=scale)
+    ref = dense_invert(a.to_dense())
+    for invert in inverters(a):
+        err = covered_relative_error(reconstruct_structured(invert(a)), ref, r_lower)
+        assert err <= 1e-12, (invert.__name__, err)
+
+
+@pytest.mark.parametrize("upper", ["zero", "equal", "full"])
+@pytest.mark.parametrize("r_lower", R_LOWERS)
+@pytest.mark.parametrize("column", [PANEL - 1, PANEL])
+def test_zero_pivot_at_panel_edge_is_named(column, r_lower, upper):
+    # the last column of panel 1 and the first column of panel 2; zeroing
+    # row and column j makes pivot j+1 and R(j+1, j+1) exactly zero (1-based)
+    n = r_lower + 3 * PANEL
+    r_upper = {"zero": 0, "equal": r_lower, "full": n - 1}[upper]
+    dense = instance(n, r_lower, r_upper, seed=column, scale=1.0).to_dense()
+    dense[column, :] = 0.0
+    dense[:, column] = 0.0
+    a = BandedMatrix.from_dense(dense, r_lower, r_upper)
+    for invert in inverters(a):
+        expected = ZeroPivotError if invert.__name__.endswith("_lu") else SingularMatrixError
+        with pytest.raises(expected) as info:
+            invert(a)
+        assert info.value.pivot_index == column + 1, invert.__name__
+
+
+def counting(monkeypatch, owner, name, calls):
+    """Replace ``owner.name`` by a wrapper that counts its calls."""
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+@pytest.mark.parametrize("r_upper", [4, 999])
+def test_one_lapack_call_per_panel(monkeypatch, r_upper):
+    # a deterministic guard against per-row dispatch: n = 1000, r = 4 takes
+    # ceil((n - r) / PANEL) panels, each one window read and one panel call,
+    # plus the trailing-block calls on every panel but the last (QR: one per
+    # SLAB columns right of the panel)
+    n, r = 1000, 4
+    panels = math.ceil((n - r) / PANEL)
+    qr_width = min(r + r_upper, n - 1)
+    slabs = sum(
+        math.ceil((min(PANEL + qr_width, n - k0) - PANEL) / qr_module.SLAB)
+        for k0 in range(0, (panels - 1) * PANEL, PANEL)
+    )
+    a = random_band(n, r, r_upper, seed=0, diag_shift=r + 1.0)
+    calls = {}
+    for name in ("panel", "row_segment", "col_segment"):
+        counting(monkeypatch, BandedMatrix, name, calls)
+    for name in ("dgeqrf", "dormqr"):
+        counting(monkeypatch, qr_module, name, calls)
+    for name in ("dtrsm", "dgemm"):
+        counting(monkeypatch, lu_module, name, calls)
+
+    qr_factor_lower_band(a)
+    assert calls == {"panel": panels, "dgeqrf": panels, "dormqr": slabs}
+    calls.clear()
+    lu_factor_lower_band(a)
+    assert calls == {"panel": panels, "dtrsm": panels - 1, "dgemm": panels - 1}
+
+
+def test_qr_stores_reflections_not_blocks():
+    n, r = 3 * PANEL + 7, 5
+    fact = qr_factor_lower_band(random_band(n, r, r, seed=1, diag_shift=r))
+    assert fact.v.shape == (n, r + 1) and fact.tau.shape == (n,)
+    assert np.all(fact.v[:, 0] == 1.0)
+    # the closing reflections shrink at the matrix edge
+    for k in range(n - r, n):
+        assert np.all(fact.v[k, n - k :] == 0.0)
+    assert fact.tau[n - 1] == 0.0
+    assert [u.shape[0] for u in fact.closing] == list(range(r, 1, -1))
+    assert all(u.shape == (r + 1, r + 1) for u in fact.factors)

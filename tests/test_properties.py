@@ -3,6 +3,7 @@ every kind of (n, r_lower, r_upper) pair, entry scales near overflow and
 underflow, and planted zero pivots."""
 
 import pytest
+from conftest import instance, inverters
 from hypothesis import example, given, strategies as st
 
 from greenband import (
@@ -11,11 +12,8 @@ from greenband import (
     ZeroPivotError,
     covered_relative_error,
     dense_invert,
-    invert_lower_band_lu,
-    invert_lower_band_qr,
     invert_two_sided_lu,
     invert_two_sided_qr,
-    random_band,
     reconstruct_structured,
 )
 
@@ -37,21 +35,6 @@ def shapes(draw):
     else:
         r_upper = {"zero": 0, "one": 1, "equal": r_lower, "plus2": r_lower + 2, "full": n - 1}[kind]
     return n, r_lower, min(r_upper, n - 1)
-
-
-def instance(n, r_lower, r_upper, seed, scale):
-    """A diagonally dominant banded matrix (strongly regular, well
-    conditioned) with its entries multiplied by ``scale``."""
-    a = random_band(n, r_lower, r_upper, seed, diag_shift=1.0 + r_lower + r_upper)
-    return BandedMatrix.from_dense(scale * a.to_dense(), r_lower, r_upper)
-
-
-def inverters(a):
-    """The inversion entry points that accept ``a``."""
-    out = [invert_lower_band_qr, invert_lower_band_lu]
-    if a.r_upper <= a.r_lower:
-        out += [invert_two_sided_qr, invert_two_sided_lu]
-    return out
 
 
 @given(shape=shapes(), seed=st.integers(0, 2**32 - 1), scale=st.sampled_from(SCALES))
