@@ -108,7 +108,8 @@ class GreenGenerators:
         if self.p_last.shape != (r, r):
             raise ValueError(f"p_last must have shape {(r, r)}")
         for arr in (self.p, self.q, self.a, self.p_last):
-            if not np.all(np.isfinite(arr)):
+            # as isfinite, but without an array of the generators' size
+            if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
                 raise ValueError("generator entries must be finite")
             arr.setflags(write=False)
 
@@ -248,26 +249,54 @@ def empty_generators(n, r):
     return p, q, a, buf[-r * r :].reshape(r, r)
 
 
-def backward_recursion(x, rows, width, a, c, p_last, p):
+def backward_recursion(x, rows, width, a, t, p):
     """Rows p(k) of the generators of B = R^{-1} V, by back substitution.
 
-    R is upper triangular with diagonal ``x``; ``rows[k-1]`` holds the at
-    most ``width`` entries of R(k, k+1:) that can be nonzero.  V is lower
-    Green with generator rows ``c`` and blocks ``a``; B shares ``a`` and V's
-    columns q, and ``p_last`` is B's closing block, solved by the caller.  Then
+    R is upper triangular with diagonal ``x``; ``rows[k]`` holds the at most
+    ``width`` entries of R(k, k+1:) that can be nonzero.  V is lower Green
+    with generator rows c(k), held in ``p`` on entry, and blocks ``a``; B
+    shares ``a`` and V's columns q, and ``t`` is B's tail stack at the row
+    below the last one walked.  Then
 
         p(k) = (c(k) - R(k, k+1:) P_{k+1} a(k)) / x_k,
 
     where the tail stack P_k = [p(k); P_{k+1} a(k)] is kept to its first
-    ``width`` rows, all that a row of R reaches.  Writes the rows into ``p``,
-    shape (n-r, r).
+    ``width`` rows, all that a row of R reaches.  Overwrites ``p``, last row
+    to first, and returns the final stack.
     """
-    t = p_last
     for k0 in range(len(a) - 1, -1, -1):
         ta = t @ a[k0]
         row = rows[k0]
-        p[k0] = (c[k0] - row @ ta[: row.size]) / x[k0]
+        p[k0] = (p[k0] - row @ ta[: row.size]) / x[k0]
         t = np.concatenate((p[k0 : k0 + 1], ta[: width - 1]))
+    return t
+
+
+def inverse_generators(x, rows, width, u, w, out):
+    """Generators of B = R^{-1} V for R as in backward_recursion (all n rows)
+    and V = G_{n-1} ... G_0, a descending product of the (r+1) x (r+1) blocks
+    G_k = I - u_k w_k^T = [[c(k), d(k)], [a(k), q(k)]] at rows and columns
+    k..k+r, with ``u``, ``w`` (n, r+1) zero past the matrix edge.  B shares
+    a and q.  The recursion starts from an empty stack at row n-1, holds
+    p_last after the bottom r rows and goes on up.  Writes into ``out``, the
+    arrays of ``empty_generators``.
+    """
+    n, r = u.shape[0], u.shape[1] - 1
+    m = n - r
+    p, q, a, p_last = out
+    shift = np.eye(r + 1)[1:]  # [E | e_r]
+    tail = np.empty((r, r, r))
+    # c(k) goes where p(k) will, and the bottom rows' p(k) through p_last
+    for c, blocks, k in ((p, a, slice(0, m)), (p_last, tail, slice(m, n))):
+        np.multiply(u[k, :1], w[k, :r], out=c)
+        np.subtract(np.eye(1, r), c, out=c)
+        np.einsum("ki,kj->kij", u[k, 1:], w[k, :r], out=blocks)  # faster than a broadcast multiply
+        np.subtract(shift[:, :r], blocks, out=blocks)
+    np.multiply(u[:m, 1:], w[:m, r:], out=q)
+    np.subtract(shift[:, r], q, out=q)
+    p_last[:] = backward_recursion(x[m:], rows[m:], width, tail, np.empty((0, r)), p_last)
+    backward_recursion(x[:m], rows[:m], width, a, p_last, p)
+    return GreenGenerators(n, r, p, q, a, p_last)
 
 
 def covered_relative_error(b, reference, r):

@@ -5,10 +5,10 @@ A = L R with L unit lower triangular of lower bandwidth r and R upper
 triangular.  L^{-1} is a descending product of embedded elimination blocks
 [[1, 0], [-f_k, I_r]], hence lower Green and upper banded of order r; the
 generators of A^{-1} = R^{-1} L^{-1} follow from the same backward recursion
-as in the QR path.  No pivoting is performed anywhere: the method requires
-strong regularity, and a pivot that is zero to working precision raises
-ZeroPivotError.  The factorization records its growth factor so instability
-on nearly-singular leading blocks is observable.
+over all n rows as in the QR path.  No pivoting is performed anywhere: the
+method requires strong regularity, and a pivot that is zero to working
+precision raises ZeroPivotError.  The factorization records its growth
+factor so instability on nearly-singular leading blocks is observable.
 
 R is upper banded of order r_upper, so the working window spans
 max(r_lower, r_upper) + 1 columns and the stored rows of R and the tail
@@ -20,11 +20,10 @@ and O(n^2 r) for a full upper part (r_upper = n - 1).
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dgemm, dtrsm
-from scipy.linalg.lapack import dtrtri
 
 from .banded import PANEL, singularity_tol
 from .errors import ZeroPivotError
-from .generators import GreenGenerators, backward_recursion, empty_generators
+from .generators import empty_generators, inverse_generators
 from .transforms import TransformProduct
 
 __all__ = [
@@ -40,20 +39,19 @@ class LuFactorization:
     """A = L R in factored form.
 
     ``f[k-1]`` holds the r multipliers eliminating column k (they sit in
-    L(k+1:k+r, k), 1-based), ``closing_t`` / ``closing_l`` the unit lower
-    triangular trailing block T and its inverse, ``x[k-1] = R(k, k)`` and
-    ``rows[k-1]`` = R(k, k+1:k+width), which holds every nonzero of the row
-    since ``width`` = max(r_lower, r_upper) is at least the upper bandwidth of
-    R.  ``growth`` is max_k ||R(k, k:)||_1 / ||A||_inf, the largest absolute
-    row sum of R against that of A; row k of R is the pivot row of step k.
+    L(k+1:k+r, k), 1-based); ``f`` is (n, r), and the rows k > n-r, whose
+    columns of L shrink at the matrix edge, are zero-padded.  ``x[k-1] =
+    R(k, k)`` and ``rows[k-1]`` = R(k, k+1:k+width), which holds every
+    nonzero of the row since ``width`` = max(r_lower, r_upper) is at least the
+    upper bandwidth of R; the last row is empty.  ``growth`` is
+    max_k ||R(k, k:)||_1 / ||A||_inf, the largest absolute row sum of R
+    against that of A; row k of R is the pivot row of step k.
     """
 
-    def __init__(self, n, r, f, closing_t, closing_l, x, rows, width, growth):
+    def __init__(self, n, r, f, x, rows, width, growth):
         self.n = n
         self.r = r
         self.f = f
-        self.closing_t = closing_t
-        self.closing_l = closing_l
         self.x = x
         self.rows = rows
         self.width = width
@@ -62,9 +60,9 @@ class LuFactorization:
     def l_dense(self):
         """Entrywise unit lower triangular factor L."""
         out = np.eye(self.n)
-        for k0 in range(self.n - self.r):
-            out[k0 + 1 : k0 + self.r + 1, k0] = self.f[k0]
-        out[self.n - self.r :, self.n - self.r :] = self.closing_t
+        for k0 in range(self.n):
+            col = out[k0 + 1 : k0 + 1 + self.r, k0]
+            col[:] = self.f[k0, : col.size]
         return out
 
     def r_dense(self):
@@ -74,24 +72,19 @@ class LuFactorization:
             out[k0, k0 + 1 : k0 + 1 + row.size] = row
         return out
 
-    def r_closing(self):
-        """The trailing r x r upper triangular block S of R."""
-        s = np.zeros((self.r, self.r))
-        for j in range(self.r):
-            s[j, j] = self.x[self.n - self.r + j]
-            if j < self.r - 1:
-                s[j, j + 1 :] = self.rows[self.n - self.r + j]
-        return s
-
     def inverse_factors(self):
         """L^{-1} as a descending TransformProduct of the elimination blocks
-        [[1, 0], [-f_k, I_r]] with trailing block T^{-1}."""
+        [[1, 0], [-f_k, I_r]], with the trailing block the product of the
+        last r of them, shrunk at the matrix edge."""
         factors = []
         for k0 in range(self.n - self.r):
             blk = np.eye(self.r + 1)
             blk[1:, 0] = -self.f[k0]
             factors.append(blk)
-        return TransformProduct(self.n, self.r, factors, self.closing_l, order="descending")
+        last = np.eye(self.r)
+        for j in range(self.r - 1, -1, -1):  # times the block of column n-r+j, shrunk
+            last[:, j] -= last[:, j + 1 :] @ self.f[self.n - self.r + j, : self.r - 1 - j]
+        return TransformProduct(self.n, self.r, factors, last, order="descending")
 
 
 def lu_factor_lower_band(a):
@@ -138,43 +131,23 @@ def lu_factor_lower_band(a):
         diag = np.arange(b)[:, None]
         f[k0:k1] = w[diag + np.arange(1, r + 1), diag]  # below each pivot
         top = np.ascontiguousarray(w[:b])  # the panel's rows of R, each contiguous
-        rows += [top[j, j + 1 : j + 1 + width] for j in range(min(b, n - 1 - k0))]
+        rows += [top[j, j + 1 : j + 1 + width] for j in range(b)]
         growth = max(growth, np.abs(np.triu(top)).sum(axis=1).max())
         carried = w[b:, b:]
-    # the trailing r x r block of L, its inverse and the growth against ||A||
-    t_mat = np.tril(w[b - r : b, b - r : b], -1) + np.eye(r)
-    closing_l = dtrtri(t_mat, lower=1, unitdiag=1)[0]
-    return LuFactorization(n, r, f[:m], t_mat, closing_l, x, rows, width, growth / (norm or 1.0))
-
-
-def _generators_from_lu(fact, out):
-    """Backward recursion producing the Green generators of A^{-1} from the
-    factored A = L R.  The a(k), q(k) blocks come straight from the
-    elimination blocks: a(k) = [-f_k | e_1 .. e_{r-1}], q(k) = e_r and the
-    rows of L^{-1}'s generators are c(k) = e_1, so their identity and zero
-    sub-blocks are exact.  The generators are written into ``out``, the
-    arrays of ``empty_generators``."""
-    n, r = fact.n, fact.r
-    m = n - r
-    p, q, aa, p_last = out
-    # trailing block: (T S)^{-1} = S^{-1} T^{-1}
-    p_last[:] = dtrsm(1.0, fact.r_closing(), fact.closing_l)
-    aa[:, :, 0] = -fact.f
-    aa[:, : r - 1, 1:] = np.eye(r - 1)
-    aa[:, r - 1, 1:] = 0.0
-    q[:, : r - 1] = 0.0
-    q[:, r - 1] = 1.0
-    c = np.broadcast_to(np.eye(r)[0], (m, r))
-    backward_recursion(fact.x, fact.rows, fact.width, aa, c, p_last, p)
-    return GreenGenerators(n, r, p, q, aa, p_last)
+    return LuFactorization(n, r, f, x, rows, width, growth / (norm or 1.0))
 
 
 def invert_lower_band_lu(a):
     """Green generators of A^{-1} for a strongly regular lower banded matrix
     of order r and any upper bandwidth, via unpivoted structured
-    elimination."""
+    elimination.  L^{-1}'s blocks are I - [0 | f_k] e_1^T, so a(k) =
+    [-f_k | e_1 .. e_{r-1}] and q(k) = e_r come out with their identity and
+    zero sub-blocks exact."""
     out = empty_generators(a.n, a.r_lower)
-    return _generators_from_lu(lu_factor_lower_band(a), out)
+    fact = lu_factor_lower_band(a)
+    u = np.hstack((np.zeros((a.n, 1)), fact.f))
+    w = np.broadcast_to(np.eye(1, a.r_lower + 1), u.shape)
+    return inverse_generators(fact.x, fact.rows, fact.width, u, w, out)
 
 
 def invert_two_sided_lu(a):

@@ -5,8 +5,8 @@ A lower banded matrix of order r factors as A = U R where U is an ascending
 product of embedded (r+1) x (r+1) unitary blocks (one Householder reflection
 per row) and R is upper triangular.  U* is then a descending product, hence a
 lower Green, upper banded matrix whose generators are read off the transposed
-blocks, and the generators of A^{-1} = R^{-1} U* follow from a backward
-recursion over the rows of R.
+blocks, and the generators of A^{-1} = R^{-1} U* follow from one backward
+recursion over all n rows of R.
 
 R is upper banded of order r_lower + r_upper, so the working window, the
 stored rows of R and the tail stacks all have that width, clipped at the
@@ -22,7 +22,7 @@ from scipy.linalg.lapack import dgeqrf, dormqr
 
 from .banded import PANEL, singularity_tol
 from .errors import SingularMatrixError
-from .generators import GreenGenerators, backward_recursion, empty_generators
+from .generators import empty_generators, inverse_generators
 from .transforms import TransformProduct, expand_transform_product
 
 __all__ = [
@@ -41,13 +41,14 @@ class QrFactorization:
     U = H_0 H_1 ... H_{n-1} (0-based), where the reflection
     H_k = I - tau[k] v[k] v[k]^T acts on rows k..k+r; ``v`` is (n, r+1) with
     v[k, 0] = 1, and the rows k >= n-r, whose reflections shrink at the
-    matrix edge, are zero-padded (tau[n-1] = 0).  ``factors`` (the (r+1) x (r+1) blocks U_k = H_k,
-    k = 1..n-r, 1-based), ``closing`` (the blocks of sizes n-k+1 that
-    triangulate the trailing r x r window, k = n-r+1..n-1) and
-    ``closing_unitary`` (their assembled r x r product) are built from
-    (v, tau) on demand.  ``x[k-1] = R(k, k)`` and ``rows[k-1]`` is
-    R(k, k+1:k+width), the part of row k that can be nonzero, where ``width``
-    = min(r_lower + r_upper, n - 1) is the upper bandwidth of R.
+    matrix edge, are zero-padded (tau[n-1] = 0).  ``factors`` (the
+    (r+1) x (r+1) blocks U_k = H_k, k = 1..n-r, 1-based), ``closing`` (the
+    blocks of sizes n-k+1 that triangulate the trailing r x r window,
+    k = n-r+1..n-1) and ``closing_unitary`` (their assembled r x r product)
+    are built from (v, tau) on demand, for assembling U.  ``x[k-1] = R(k, k)``
+    and ``rows[k-1]`` is R(k, k+1:k+width), the part of row k that can be
+    nonzero, where ``width`` = min(r_lower + r_upper, n - 1) is the upper
+    bandwidth of R; there are n rows, the last one empty.
     """
 
     def __init__(self, n, r, v, tau, x, rows, width):
@@ -141,59 +142,32 @@ def qr_factor_lower_band(a):
         diag = np.arange(b)[:, None]
         v[k0:k1, 1:] = w[diag + np.arange(1, r + 1), diag]  # below each diagonal entry
         top = np.ascontiguousarray(w[:b])  # the panel's rows of R, each contiguous
-        rows += [top[j, j + 1 : j + 1 + width] for j in range(min(b, n - 1 - k0))]
+        rows += [top[j, j + 1 : j + 1 + width] for j in range(b)]
         carried = w[b:, b:]
     return QrFactorization(n, r, v, tau, x, rows, width)
-
-
-def _generators_from_qr(fact, tol, out):
-    """Backward recursion producing the Green generators of A^{-1} from the
-    factored A = U R.  U_k^T = H_k = I - tau_k v_k v_k^T is symmetric, so its
-    first row gives c(k), and its last r rows a(k) (first r columns) and
-    q(k) (last column).  The generators are written into ``out``, the arrays
-    of ``empty_generators``."""
-    n, r = fact.n, fact.r
-    xs = fact.x
-    small = np.abs(xs) <= tol
-    if small.any():
-        k = int(np.argmax(small)) + 1
-        raise SingularMatrixError(
-            f"matrix is singular to working precision (diagonal entry {k} of R)",
-            pivot_index=k,
-        )
-    # closing recursion: build the r x r trailing generator block from the
-    # shrinking unitary factors, starting at the bottom-right corner of R
-    stack = np.array([[1.0 / xs[n - 1]]])
-    for k0 in range(n - 2, n - r - 1, -1):
-        ust = fact._block(k0, n - k0)
-        sa = stack @ ust[1:]
-        pk = (ust[0] - fact.rows[k0] @ sa) / xs[k0]
-        stack = np.vstack([pk, sa])
-    p, q, aa, p_last = out
-    p_last[:] = stack
-    m = n - r
-    v, tv = fact.v[:m], fact.tau[:m, None] * fact.v[:m]
-    c = -tv[:, :1] * v[:, :r]
-    c[:, 0] += 1.0
-    np.multiply(-tv[:, 1:, None], v[:, None, :r], out=aa)
-    aa[:, np.arange(r - 1), np.arange(1, r)] += 1.0
-    np.multiply(-tv[:, 1:], v[:, r:], out=q)
-    q[:, r - 1] += 1.0
-    backward_recursion(xs, fact.rows, fact.width, aa, c, p_last, p)
-    return GreenGenerators(n, r, p, q, aa, p_last)
 
 
 def invert_lower_band_qr(a):
     """Green generators of A^{-1} for a lower banded matrix of order r and any
     upper bandwidth.
 
-    The produced generators are in right normal form:
+    U^T = H_{n-1} ... H_0 is a descending product of the symmetric blocks
+    H_k = I - tau_k v_k v_k^T, so ``inverse_generators`` takes u = tau v and
+    w = v.  The produced generators are in right normal form:
     a(k) a(k)^T + q(k) q(k)^T = I_r, since [a(k) q(k)] are orthonormal rows of
     a unitary block.  Raises SingularMatrixError (naming the failing diagonal
     index of R) when A is singular to working precision.
     """
     out = empty_generators(a.n, a.r_lower)
-    return _generators_from_qr(qr_factor_lower_band(a), singularity_tol(a.n, a.norm_inf()), out)
+    fact = qr_factor_lower_band(a)
+    small = np.abs(fact.x) <= singularity_tol(a.n, a.norm_inf())
+    if small.any():
+        k = int(np.argmax(small)) + 1
+        raise SingularMatrixError(
+            f"matrix is singular to working precision (diagonal entry {k} of R)",
+            pivot_index=k,
+        )
+    return inverse_generators(fact.x, fact.rows, fact.width, fact.tau[:, None] * fact.v, fact.v, out)
 
 
 def invert_two_sided_qr(a):

@@ -28,6 +28,17 @@ def ones_generators(n, r=1):
     )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["p", "q", "a", "p_last"])
+def test_non_finite_entries_are_rejected(field, bad):
+    n, r = 6, 2
+    arrays = {"p": np.ones((n - r, r)), "q": np.ones((n - r, r)),
+              "a": np.ones((n - r, r, r)), "p_last": np.ones((r, r))}
+    arrays[field].flat[-1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        GreenGenerators(n, r, **arrays)
+
+
 def test_entry_small_products():
     # n=3, r=1: entries are products like p3 * a2 * q1
     g = GreenGenerators(

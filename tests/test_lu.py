@@ -46,7 +46,7 @@ def test_factor_bidiagonal_matches_dense_elimination():
     low_ref, up_ref = dense_unpivoted_lu(dense)
     np.testing.assert_allclose(fact.l_dense(), low_ref, atol=1e-15)
     np.testing.assert_allclose(fact.r_dense(), up_ref, atol=1e-15)
-    np.testing.assert_allclose(fact.f[:, 0], low_ref[np.arange(1, n), np.arange(n - 1)])
+    np.testing.assert_allclose(fact.f[: n - 1, 0], low_ref[np.arange(1, n), np.arange(n - 1)])
 
 
 def test_factor_residual():

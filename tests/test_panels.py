@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 from conftest import instance, inverters
+from test_lu import dense_unpivoted_lu
 
 import greenband.lu as lu_module
 import greenband.qr as qr_module
@@ -17,6 +18,8 @@ from greenband import (
     ZeroPivotError,
     covered_relative_error,
     dense_invert,
+    invert_lower_band_lu,
+    invert_lower_band_qr,
     lu_factor_lower_band,
     qr_factor_lower_band,
     random_band,
@@ -65,14 +68,15 @@ def test_zero_pivot_at_panel_edge_is_named(column, r_lower, upper):
 
 
 def counting(monkeypatch, owner, name, calls):
-    """Replace ``owner.name`` by a wrapper that counts its calls."""
-    fn = getattr(owner, name)
+    """Replace ``owner.name`` by a wrapper that counts its calls (the name
+    need not exist: a call to it is then counted if any code makes one)."""
+    fn = getattr(owner, name, None)
 
     def wrapper(*args, **kwargs):
         calls[name] = calls.get(name, 0) + 1
         return fn(*args, **kwargs)
 
-    monkeypatch.setattr(owner, name, wrapper)
+    monkeypatch.setattr(owner, name, wrapper, raising=False)
 
 
 @pytest.mark.parametrize("r_upper", [4, 999])
@@ -80,7 +84,9 @@ def test_one_lapack_call_per_panel(monkeypatch, r_upper):
     # a deterministic guard against per-row dispatch: n = 1000, r = 4 takes
     # ceil((n - r) / PANEL) panels, each one window read and one panel call,
     # plus the trailing-block calls on every panel but the last (QR: one per
-    # SLAB columns right of the panel)
+    # SLAB columns right of the panel); the whole inversions add none, since
+    # their bottom r rows are steps of the one backward recursion (no closing
+    # QR blocks, no triangular inverse or solve for LU's trailing block)
     n, r = 1000, 4
     panels = math.ceil((n - r) / PANEL)
     qr_width = min(r + r_upper, n - 1)
@@ -92,16 +98,28 @@ def test_one_lapack_call_per_panel(monkeypatch, r_upper):
     calls = {}
     for name in ("panel", "row_segment", "col_segment"):
         counting(monkeypatch, BandedMatrix, name, calls)
+    counting(monkeypatch, qr_module.QrFactorization, "_block", calls)
     for name in ("dgeqrf", "dormqr"):
         counting(monkeypatch, qr_module, name, calls)
-    for name in ("dtrsm", "dgemm"):
+    for name in ("dtrsm", "dgemm", "dtrtri"):
         counting(monkeypatch, lu_module, name, calls)
 
-    qr_factor_lower_band(a)
-    assert calls == {"panel": panels, "dgeqrf": panels, "dormqr": slabs}
-    calls.clear()
-    lu_factor_lower_band(a)
-    assert calls == {"panel": panels, "dtrsm": panels - 1, "dgemm": panels - 1}
+    for run in (qr_factor_lower_band, invert_lower_band_qr):
+        calls.clear()
+        run(a)
+        assert calls == {"panel": panels, "dgeqrf": panels, "dormqr": slabs}, run.__name__
+    for run in (lu_factor_lower_band, invert_lower_band_lu):
+        calls.clear()
+        run(a)
+        assert calls == {"panel": panels, "dtrsm": panels - 1, "dgemm": panels - 1}, run.__name__
+
+
+@pytest.mark.parametrize("factor", [qr_factor_lower_band, lu_factor_lower_band])
+def test_factorizations_keep_every_row_of_r(factor):
+    n, r = 2 * PANEL + 3, 4
+    fact = factor(random_band(n, r, 2, seed=2, diag_shift=r))
+    # row k holds R(k, k+1:k+1+width), clipped at the matrix edge; the last is empty
+    assert [row.size for row in fact.rows] == [min(fact.width, n - 1 - k) for k in range(n)]
 
 
 def test_qr_stores_reflections_not_blocks():
@@ -115,3 +133,19 @@ def test_qr_stores_reflections_not_blocks():
     assert fact.tau[n - 1] == 0.0
     assert [u.shape[0] for u in fact.closing] == list(range(r, 1, -1))
     assert all(u.shape == (r + 1, r + 1) for u in fact.factors)
+
+
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_lu_stores_every_column_of_multipliers(offset):
+    # f keeps a row for every column of L, zero past the matrix edge, and
+    # l_dense reads the trailing block of L from it
+    r = 5
+    n = r + PANEL + offset
+    a = random_band(n, r, r, seed=3, diag_shift=r)
+    fact = lu_factor_lower_band(a)
+    assert fact.f.shape == (n, r)
+    for k in range(n - r, n):
+        assert np.all(fact.f[k, n - 1 - k :] == 0.0)
+    low, up = dense_unpivoted_lu(a.to_dense())
+    np.testing.assert_allclose(fact.l_dense(), low, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(fact.r_dense(), up, rtol=1e-13, atol=1e-14)
