@@ -262,14 +262,26 @@ def backward_recursion(x, rows, width, a, t, p):
 
     where the tail stack P_k = [p(k); P_{k+1} a(k)] is kept to its first
     ``width`` rows, all that a row of R reaches.  Overwrites ``p``, last row
-    to first, and returns the final stack.
+    to first, and returns the final stack as a new array.
+
+    The stack lives in two buffers allocated once per call: each row writes
+    P_{k+1} a(k) straight into rows 1.. of the buffer the previous row did
+    not, updates p(k) in place and stores it as row 0, so no row allocates.
     """
+    h, r = t.shape
+    bufs = np.empty((2, max(h, width) + 1, r))
+    prod = np.empty(r)
     for k0 in range(len(a) - 1, -1, -1):
-        ta = t @ a[k0]
+        nxt = bufs[k0 & 1]
+        ta = np.dot(t, a[k0], out=nxt[1 : h + 1])
         row = rows[k0]
-        p[k0] = (p[k0] - row @ ta[: row.size]) / x[k0]
-        t = np.concatenate((p[k0 : k0 + 1], ta[: width - 1]))
-    return t
+        pk = p[k0]
+        pk -= np.dot(row, ta[: row.size], out=prod)
+        pk /= x[k0]
+        nxt[0] = pk
+        h = min(h + 1, width)
+        t = nxt[:h]
+    return t.copy()
 
 
 def inverse_generators(x, rows, width, u, w, out):

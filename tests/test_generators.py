@@ -19,6 +19,7 @@ from greenband import (
     write_generators,
 )
 from conftest import random_generators
+from greenband.generators import backward_recursion
 
 
 def ones_generators(n, r=1):
@@ -26,6 +27,44 @@ def ones_generators(n, r=1):
     return GreenGenerators(
         n, r, np.ones((m, r)), np.ones((m, r)), np.ones((m, r, r)), np.ones((r, r))
     )
+
+
+def per_row_recursion(x, rows, width, a, t, p):
+    """backward_recursion written as its formula, with a new stack per row."""
+    for k0 in range(len(a) - 1, -1, -1):
+        ta = t @ a[k0]
+        row = rows[k0]
+        p[k0] = (p[k0] - row @ ta[: row.size]) / x[k0]
+        t = np.concatenate((p[k0 : k0 + 1], ta[: width - 1]))
+    return t
+
+
+@pytest.mark.parametrize("start", ["empty", "r rows", "width + 1 rows"])
+@pytest.mark.parametrize("width", ["r", "2r", "n-1"])
+@pytest.mark.parametrize("r", [1, 3])
+def test_backward_recursion_matches_per_row_formula(r, width, start):
+    # rows of R hold min(width, n-1-k) entries, so the bottom ones are shorter
+    # than width; from an empty stack the walk covers all n rows, from r rows
+    # the top n-r, as inverse_generators runs it, and a taller starting stack
+    # is cut to width rows after the first row
+    n = 20
+    width = {"r": r, "2r": 2 * r, "n-1": n - 1}[width]
+    h = {"empty": 0, "r rows": r, "width + 1 rows": width + 1}[start]
+    rng = np.random.default_rng([r, width, h])
+    x = rng.uniform(1.0, 2.0, n)
+    rows = [rng.uniform(-1.0, 1.0, min(width, n - 1 - k)) for k in range(n)]
+    a = rng.standard_normal((n, r, r)) * (0.5 / np.sqrt(r))
+    c = rng.uniform(-1.0, 1.0, (n, r))
+    t = rng.uniform(-1.0, 1.0, (h, r))
+    k = n if h == 0 else n - r
+    t_in = t.copy()
+    p_ref, p = c[:k].copy(), c[:k].copy()
+    t_ref = per_row_recursion(x[:k], rows[:k], width, a[:k], t, p_ref)
+    t_out = backward_recursion(x[:k], rows[:k], width, a[:k], t, p)
+    assert p.tobytes() == p_ref.tobytes()
+    assert t_out.shape == t_ref.shape == (min(width, h + k), r)
+    assert t_out.tobytes() == t_ref.tobytes()
+    assert t_out.base is None and t.tobytes() == t_in.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

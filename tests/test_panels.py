@@ -114,6 +114,33 @@ def test_one_lapack_call_per_panel(monkeypatch, r_upper):
         assert calls == {"panel": panels, "dtrsm": panels - 1, "dgemm": panels - 1}, run.__name__
 
 
+@pytest.mark.parametrize("upper", ["zero", "equal", "full"])
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_lu_growth_is_the_largest_row_sum_of_r(offset, upper):
+    # growth = max_k ||R(k, k:)||_1 / ||A||_inf, summed panel by panel with
+    # the multipliers below each panel's diagonal masked out
+    r = 5
+    n = r + 2 * PANEL + offset
+    a = instance(n, r, {"zero": 0, "equal": r, "full": n - 1}[upper], seed=6, scale=1.0)
+    dense = a.to_dense()
+    _, up = dense_unpivoted_lu(dense)
+    expected = np.abs(up).sum(axis=1).max() / np.abs(dense).sum(axis=1).max()
+    assert lu_factor_lower_band(a).growth == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("r_upper", [4, "n-1"])
+def test_inversions_make_no_concatenate_call(monkeypatch, r_upper):
+    # the backward recursion updates its tail stack in two buffers instead
+    # of building a new one per row
+    n, r = 3 * PANEL + 7, 4
+    a = random_band(n, r, n - 1 if r_upper == "n-1" else r_upper, seed=5, diag_shift=r + 1.0)
+    calls = {}
+    counting(monkeypatch, np, "concatenate", calls)
+    for invert in (invert_lower_band_qr, invert_lower_band_lu):
+        invert(a)
+        assert calls == {}, invert.__name__
+
+
 @pytest.mark.parametrize("factor", [qr_factor_lower_band, lu_factor_lower_band])
 def test_factorizations_keep_every_row_of_r(factor):
     n, r = 2 * PANEL + 3, 4
