@@ -3,9 +3,10 @@
 Methods timed here: the two-sided structured paths ("qr", "lu"), their
 one-sided counterparts ("qr-lower", "lu-lower") and the dense reference
 ("dense", row-pivoted elimination).  Matrix generation is always excluded
-from the timed region; reported seconds are the median over ``trials`` runs
-of a monotonic clock.  Relative errors are measured on the covered part
-against the dense inverse, and only for sizes up to ``oracle_cutoff``.
+from the timed region; reported seconds are the minimum over ``trials`` runs
+of a monotonic clock, since load from elsewhere on the host only ever adds
+time.  Relative errors are measured on the covered part against the dense
+inverse, and only for sizes up to ``oracle_cutoff``.
 """
 
 import csv
@@ -45,7 +46,7 @@ METHODS = ("qr", "lu", "qr-lower", "lu-lower", "dense")
 
 @dataclass
 class BenchRecord:
-    """One benchmark cell: size, method tag, median wall seconds and (when the
+    """One benchmark cell: size, method tag, minimum wall seconds and (when the
     oracle was consulted) the covered-part relative error."""
 
     n: int
@@ -86,9 +87,11 @@ def slope_fit(points):
 
 
 def _interleaved_times(fns, trials):
-    """Median seconds per callable, with the timed rounds interleaved across
+    """Fastest seconds per callable, with the timed rounds interleaved across
     all callables so that bursts of background load spread over every cell
-    instead of skewing one of them."""
+    instead of skewing one of them.  The minimum, not the median: contention
+    only adds time, so the fastest of the trials is the one it touched
+    least."""
     for fn in fns:
         fn()  # warm-up runs, not timed
     samples = [[] for _ in fns]
@@ -103,7 +106,7 @@ def _interleaved_times(fns, trials):
     finally:
         if gc_was_enabled:
             gc.enable()
-    return [float(np.median(ts)) for ts in samples]
+    return [min(ts) for ts in samples]
 
 
 def _timed_region():

@@ -16,8 +16,11 @@ Generator sequences are stored 0-based: ``p[k]``, ``q[k]``, ``a[k]`` hold the
 """
 
 import numpy as np
+from scipy.linalg.blas import dtrsm
 
 from .dense_oracle import numerical_rank
+
+CHUNK = 2**15  # doubles in a chunk of the blocks a(k), 256 KB
 
 __all__ = [
     "BlockPartitionMap",
@@ -267,6 +270,8 @@ def backward_recursion(x, rows, width, a, t, p):
     The stack lives in two buffers allocated once per call: each row writes
     P_{k+1} a(k) straight into rows 1.. of the buffer the previous row did
     not, updates p(k) in place and stores it as row 0, so no row allocates.
+    The inversions use the panel-blocked ``inverse_generators``; this per-row
+    form is the reference it is tested against.
     """
     h, r = t.shape
     bufs = np.empty((2, max(h, width) + 1, r))
@@ -284,30 +289,100 @@ def backward_recursion(x, rows, width, a, t, p):
     return t.copy()
 
 
-def inverse_generators(x, rows, width, u, w, out):
-    """Generators of B = R^{-1} V for R as in backward_recursion (all n rows)
-    and V = G_{n-1} ... G_0, a descending product of the (r+1) x (r+1) blocks
+def _skewed(b, r, count):
+    """``count`` zero b x (b + r) matrices, C-ordered, and for each a
+    b x (r + 1) view whose row l is the matrix's cells (l, l..l+r).  Those
+    cells start at l (b + r + 1) in the matrix's buffer, so a buffer b cells
+    longer, read as rows of b + r + 1, holds them at the start of each row."""
+    buf = np.zeros((count, b * (b + r + 1)))
+    mats = buf[:, : b * (b + r)].reshape(count, b, b + r)
+    return mats, buf.reshape(count, b, b + r + 1)[:, :, : r + 1]
+
+
+def inverse_generators(tops, width, u, w, out):
+    """Generators of B = R^{-1} V, one panel of rows of R at a time.
+
+    R is upper triangular.  ``tops`` holds its rows panel by panel, top to
+    bottom: for the panel J = [j0, j1) of b rows, ``top`` is R(J, j0:), as
+    many columns as the panel's rows reach, exact zeros past each row's reach
+    of ``width`` columns right of its diagonal; what is below the diagonal
+    of its leading b x b block is not read.  V = G_{n-1} ... G_0 is a
+    descending product of the (r+1) x (r+1) blocks
     G_k = I - u_k w_k^T = [[c(k), d(k)], [a(k), q(k)]] at rows and columns
-    k..k+r, with ``u``, ``w`` (n, r+1) zero past the matrix edge.  B shares
-    a and q.  The recursion starts from an empty stack at row n-1, holds
-    p_last after the bottom r rows and goes on up.  Writes into ``out``, the
-    arrays of ``empty_generators``.
+    k..k+r, with ``u``, ``w`` (n, r+1) zero past the matrix edge, where each
+    G_k is a reflection (G_k^2 = I) or an elimination step (w_k = e_1).  B
+    shares a and q.  Writes into ``out``, the arrays of ``empty_generators``.
+
+    With Z_k = R^{-1} G_{n-1} ... G_k, row k of the generators is
+    p(k) = Z_k[k, k:k+r] and the tail stack at row k is Z_k[k:, k:k+r], of
+    which a row of R reaches the first ``width`` rows.  For a panel J, with U
+    and W its u_k and w_k as (b+r) x b banded matrices and X = W^T U:
+
+    - F = I - U (I + stril X)^{-1} W^T is G_{j1-1} ... G_{j0} on the rows
+      and columns j0..j1+r-1 (Schreiber & Van Loan's compact form);
+    - Z = R(J, J)^{-1} (F[:b] - R(J, j1:) P F[b:]) is Z_{j0} there, where P
+      is the stack below J (none below the last panel);
+    - the stack at row j0 is [Z[:, :r]; P F[b:, :r]], cut to ``width`` rows;
+    - row k of Z_k is row k of Z times G_{j0} ... G_{k-1}, the compact form
+      of the panel's first k - j0 blocks in ascending order, that is
+      Z - tril(Z U (I + striu X)^{-1}, -1) W^T.  For reflections that
+      product is the inverse of G_{k-1} ... G_{j0}; for elimination steps
+      it is not, but the correction then changes only columns left of k.
+
+    The last panel holds the bottom r rows too.  Their prefix stops at
+    G_{m-1} (m = n - r): the closing block p_last is Z_m[m:, m:m+r].
+
+    A panel costs about ten BLAS calls, three of them ``dtrsm``, and
+    O(b (b + r)^2 + h r (b + r)) arithmetic for a stack of h <= width rows:
+    O(n r^2) in all for a two-sided band (width <= 2r, r up to b) and
+    O(n^2 r) for a full upper part (width n - 1).  The blocks a(k) are built
+    first, in chunks of CHUNK doubles, so that each chunk's second pass finds
+    it in cache.
     """
     n, r = u.shape[0], u.shape[1] - 1
     m = n - r
     p, q, a, p_last = out
     shift = np.eye(r + 1)[1:]  # [E | e_r]
-    tail = np.empty((r, r, r))
-    # c(k) goes where p(k) will, and the bottom rows' p(k) through p_last
-    for c, blocks, k in ((p, a, slice(0, m)), (p_last, tail, slice(m, n))):
-        np.multiply(u[k, :1], w[k, :r], out=c)
-        np.subtract(np.eye(1, r), c, out=c)
-        np.einsum("ki,kj->kij", u[k, 1:], w[k, :r], out=blocks)  # faster than a broadcast multiply
-        np.subtract(shift[:, :r], blocks, out=blocks)
     np.multiply(u[:m, 1:], w[:m, r:], out=q)
     np.subtract(shift[:, r], q, out=q)
-    p_last[:] = backward_recursion(x[m:], rows[m:], width, tail, np.empty((0, r)), p_last)
-    backward_recursion(x[:m], rows[:m], width, a, p_last, p)
+    step = max(1, CHUNK // (r * r))
+    for k0 in range(0, m, step):
+        k1 = min(k0 + step, m)
+        np.einsum("ki,kj->kij", u[k0:k1, 1:], w[k0:k1, :r], out=a[k0:k1])  # faster than a broadcast multiply
+        np.subtract(shift[:, :r], a[k0:k1], out=a[k0:k1])
+    stacks = np.empty((2, width, r))  # each panel writes the one it does not read
+    t = stacks[1, :0]
+    scratch = {}
+    j0 = n
+    for i, top in enumerate(reversed(tops)):
+        b, h = len(top), len(t)
+        j0 -= b
+        if b not in scratch:
+            scratch[b] = _skewed(b, r, 3) + (np.eye(b + r), np.tri(b, b, -1))
+        (ut, wt, z), bands, eye, low = scratch[b]
+        bands[0] = u[j0 : j0 + b]
+        bands[1] = w[j0 : j0 + b]
+        # ut = U^T, wt = W^T and z are C-ordered, so dtrsm solves with their
+        # transposes, uncopied, from the right
+        x = wt @ ut.T
+        f = np.subtract(eye, ut.T @ dtrsm(1.0, x.T, wt.T, side=1, diag=1).T)
+        np.dot(top[:, b : b + h] @ t, f[b:], out=z)
+        np.subtract(f[:b], z, out=z)
+        z[:] = dtrsm(1.0, top[:, :b], z.T, side=1, trans_a=1, overwrite_b=1).T
+        nxt = stacks[i & 1]
+        keep = min(b, width)
+        nxt[:keep] = z[:keep, :r]
+        height = min(b + h, width)
+        np.dot(t[: height - keep], f[b:, :r], out=nxt[keep:height])
+        t = nxt[:height]
+        prefix = dtrsm(1.0, x.T, (ut @ z.T).T, side=1, lower=1, trans_a=1, diag=1, overwrite_b=1)
+        prefix *= low
+        e = min(m - j0, b)  # rows e.. of the last panel are the bottom r rows,
+        prefix[:, e:] = 0.0  # whose prefix stops at row m
+        z -= prefix @ wt
+        p[j0 : j0 + e] = bands[2, :e, :r]
+        if e < b:
+            p_last[:] = z[e:, e : e + r]
     return GreenGenerators(n, r, p, q, a, p_last)
 
 

@@ -4,17 +4,20 @@ LU-based Green generators of the inverse.
 A = L R with L unit lower triangular of lower bandwidth r and R upper
 triangular.  L^{-1} is a descending product of embedded elimination blocks
 [[1, 0], [-f_k, I_r]], hence lower Green and upper banded of order r; the
-generators of A^{-1} = R^{-1} L^{-1} follow from the same backward recursion
-over all n rows as in the QR path.  No pivoting is performed anywhere: the
-method requires strong regularity, and a pivot that is zero to working
-precision raises ZeroPivotError.  The factorization records its growth
-factor so instability on nearly-singular leading blocks is observable.
+generators of A^{-1} = R^{-1} L^{-1} follow from R's panels and the
+multipliers by the same panel-blocked stage as in the QR path, where a
+panel's elimination steps act as one block and p(k) = A^{-1}[k, k:k+r].
+No pivoting is performed anywhere: the method requires strong regularity,
+and a pivot that is zero to working precision raises ZeroPivotError.  The
+factorization records its growth factor so instability on nearly-singular
+leading blocks is observable.
 
 R is upper banded of order r_upper, so the working window spans
 max(r_lower, r_upper) + 1 columns and the stored rows of R and the tail
 stacks max(r_lower, r_upper), clipped at the matrix edge: the inversion costs
-O(n r_lower max(r_lower, r_upper)) arithmetic, O(n r^2) for a two-sided band
-and O(n^2 r) for a full upper part (r_upper = n - 1).
+O(n r_lower max(r_lower, r_upper)) arithmetic in the factorization and
+O(n r^2) (two-sided band, r up to PANEL) or O(n^2 r) (full upper part,
+r_upper = n - 1) in the generator stage.
 """
 
 import numpy as np
@@ -41,21 +44,28 @@ class LuFactorization:
     ``f[k-1]`` holds the r multipliers eliminating column k (they sit in
     L(k+1:k+r, k), 1-based); ``f`` is (n, r), and the rows k > n-r, whose
     columns of L shrink at the matrix edge, are zero-padded.  ``x[k-1] =
-    R(k, k)`` and ``rows[k-1]`` = R(k, k+1:k+width), which holds every
-    nonzero of the row since ``width`` = max(r_lower, r_upper) is at least the
-    upper bandwidth of R; the last row is empty.  ``growth`` is
+    R(k, k)``.  ``tops`` holds R panel by panel: the panel's rows over the
+    columns of its window, exact zeros past each row's reach, with L's
+    multipliers below the diagonal of its leading block.  ``rows[k-1]``,
+    built from it on demand, is R(k, k+1:k+width), which holds every nonzero
+    of the row since ``width`` = max(r_lower, r_upper) is at least the upper
+    bandwidth of R; the last row is empty.  ``growth`` is
     max_k ||R(k, k:)||_1 / ||A||_inf, the largest absolute row sum of R
     against that of A; row k of R is the pivot row of step k.
     """
 
-    def __init__(self, n, r, f, x, rows, width, growth):
+    def __init__(self, n, r, f, x, tops, width, growth):
         self.n = n
         self.r = r
         self.f = f
         self.x = x
-        self.rows = rows
+        self.tops = tops
         self.width = width
         self.growth = growth
+
+    @property
+    def rows(self):
+        return [top[j, j + 1 : j + 1 + self.width] for top in self.tops for j in range(len(top))]
 
     def l_dense(self):
         """Entrywise unit lower triangular factor L."""
@@ -108,7 +118,7 @@ def lu_factor_lower_band(a):
     norm = a.norm_inf()
     tol = singularity_tol(n, norm)
     x = np.empty(n)
-    rows = []
+    tops = []
     f = np.empty((n, r))
     growth = 0.0
     carried = None
@@ -130,11 +140,10 @@ def lu_factor_lower_band(a):
         x[k0:k1] = np.diagonal(w[:b])
         diag = np.arange(b)[:, None]
         f[k0:k1] = w[diag + np.arange(1, r + 1), diag]  # below each pivot
-        top = np.ascontiguousarray(w[:b])  # the panel's rows of R, each contiguous
-        rows += [top[j, j + 1 : j + 1 + width] for j in range(b)]
-        growth = max(growth, _max_row_sum(top, b))
+        tops.append(np.ascontiguousarray(w[:b]))  # the panel's rows of R, each contiguous
+        growth = max(growth, _max_row_sum(tops[-1], b))
         carried = w[b:, b:]
-    return LuFactorization(n, r, f, x, rows, width, growth / (norm or 1.0))
+    return LuFactorization(n, r, f, x, tops, width, growth / (norm or 1.0))
 
 
 def _max_row_sum(top, b):
@@ -151,14 +160,15 @@ def _max_row_sum(top, b):
 def invert_lower_band_lu(a):
     """Green generators of A^{-1} for a strongly regular lower banded matrix
     of order r and any upper bandwidth, via unpivoted structured
-    elimination.  L^{-1}'s blocks are I - [0 | f_k] e_1^T, so a(k) =
-    [-f_k | e_1 .. e_{r-1}] and q(k) = e_r come out with their identity and
-    zero sub-blocks exact."""
+    elimination.  L^{-1}'s blocks are I - [0 | f_k] e_1^T, so
+    ``inverse_generators`` takes R's panels, u = [0 | f] and w = e_1, and
+    a(k) = [-f_k | e_1 .. e_{r-1}] and q(k) = e_r come out with their
+    identity and zero sub-blocks exact."""
     out = empty_generators(a.n, a.r_lower)
     fact = lu_factor_lower_band(a)
     u = np.hstack((np.zeros((a.n, 1)), fact.f))
     w = np.broadcast_to(np.eye(1, a.r_lower + 1), u.shape)
-    return inverse_generators(fact.x, fact.rows, fact.width, u, w, out)
+    return inverse_generators(fact.tops, fact.width, u, w, out)
 
 
 def invert_two_sided_lu(a):

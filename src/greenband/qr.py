@@ -5,16 +5,19 @@ A lower banded matrix of order r factors as A = U R where U is an ascending
 product of embedded (r+1) x (r+1) unitary blocks (one Householder reflection
 per row) and R is upper triangular.  U* is then a descending product, hence a
 lower Green, upper banded matrix whose generators are read off the transposed
-blocks, and the generators of A^{-1} = R^{-1} U* follow from one backward
-recursion over all n rows of R.
+blocks, and the generators of A^{-1} = R^{-1} U* follow from R's rows and the
+reflections one panel at a time (``generators.inverse_generators``): each
+panel's reflections act as one compact block I - V T V^T, so a panel costs a
+few BLAS calls.
 
 R is upper banded of order r_lower + r_upper, so the working window, the
 stored rows of R and the tail stacks all have that width, clipped at the
-matrix edge: the inversion costs O(n r_lower (r_lower + r_upper)) arithmetic,
-O(n r^2) for a two-sided band and O(n^2 r) for a full upper part
-(r_upper = n - 1).  The factorization runs over panels of PANEL columns:
-LAPACK's ``dgeqrf`` reduces each panel and ``dormqr`` applies its
-reflections to the columns right of it.
+matrix edge: the inversion costs O(n r_lower (r_lower + r_upper)) arithmetic
+in the factorization and O(n r^2) (two-sided band, r up to PANEL) or
+O(n^2 r) (full upper part, r_upper = n - 1) in the generator stage.  The
+factorization runs over panels of PANEL columns: LAPACK's ``dgeqrf``
+reduces each panel and ``dormqr`` applies its reflections to the columns
+right of it.
 """
 
 import numpy as np
@@ -45,20 +48,27 @@ class QrFactorization:
     (r+1) x (r+1) blocks U_k = H_k, k = 1..n-r, 1-based), ``closing`` (the
     blocks of sizes n-k+1 that triangulate the trailing r x r window,
     k = n-r+1..n-1) and ``closing_unitary`` (their assembled r x r product)
-    are built from (v, tau) on demand, for assembling U.  ``x[k-1] = R(k, k)``
-    and ``rows[k-1]`` is R(k, k+1:k+width), the part of row k that can be
-    nonzero, where ``width`` = min(r_lower + r_upper, n - 1) is the upper
-    bandwidth of R; there are n rows, the last one empty.
+    are built from (v, tau) on demand, for assembling U.  ``x[k-1] = R(k, k)``.
+    ``tops`` holds R panel by panel: the panel's rows over the columns of its
+    window, exact zeros past each row's reach, with the reflections' entries
+    below the diagonal of its leading block, where ``dgeqrf`` leaves them.
+    ``rows[k-1]``, built from it on demand, is R(k, k+1:k+width), the part of
+    row k that can be nonzero, where ``width`` = min(r_lower + r_upper, n - 1)
+    is the upper bandwidth of R; there are n rows, the last one empty.
     """
 
-    def __init__(self, n, r, v, tau, x, rows, width):
+    def __init__(self, n, r, v, tau, x, tops, width):
         self.n = n
         self.r = r
         self.v = v
         self.tau = tau
         self.x = x
-        self.rows = rows
+        self.tops = tops
         self.width = width
+
+    @property
+    def rows(self):
+        return [top[j, j + 1 : j + 1 + self.width] for top in self.tops for j in range(len(top))]
 
     def _block(self, k, size):
         """H_k on its rows and columns k..k+size-1."""
@@ -123,7 +133,7 @@ def qr_factor_lower_band(a):
     m = n - r
     width = min(r + a.r_upper, n - 1)  # upper bandwidth of R
     x = np.empty(n)
-    rows = []
+    tops = []
     v = np.ones((n, r + 1))
     tau = np.empty(n)
     carried = None
@@ -141,10 +151,9 @@ def qr_factor_lower_band(a):
         x[k0:k1] = np.diagonal(w[:b])
         diag = np.arange(b)[:, None]
         v[k0:k1, 1:] = w[diag + np.arange(1, r + 1), diag]  # below each diagonal entry
-        top = np.ascontiguousarray(w[:b])  # the panel's rows of R, each contiguous
-        rows += [top[j, j + 1 : j + 1 + width] for j in range(b)]
+        tops.append(np.ascontiguousarray(w[:b]))  # the panel's rows of R, each contiguous
         carried = w[b:, b:]
-    return QrFactorization(n, r, v, tau, x, rows, width)
+    return QrFactorization(n, r, v, tau, x, tops, width)
 
 
 def invert_lower_band_qr(a):
@@ -152,8 +161,8 @@ def invert_lower_band_qr(a):
     upper bandwidth.
 
     U^T = H_{n-1} ... H_0 is a descending product of the symmetric blocks
-    H_k = I - tau_k v_k v_k^T, so ``inverse_generators`` takes u = tau v and
-    w = v.  The produced generators are in right normal form:
+    H_k = I - tau_k v_k v_k^T, so ``inverse_generators`` takes R's panels,
+    u = tau v and w = v.  The produced generators are in right normal form:
     a(k) a(k)^T + q(k) q(k)^T = I_r, since [a(k) q(k)] are orthonormal rows of
     a unitary block.  Raises SingularMatrixError (naming the failing diagonal
     index of R) when A is singular to working precision.
@@ -167,7 +176,7 @@ def invert_lower_band_qr(a):
             f"matrix is singular to working precision (diagonal entry {k} of R)",
             pivot_index=k,
         )
-    return inverse_generators(fact.x, fact.rows, fact.width, fact.tau[:, None] * fact.v, fact.v, out)
+    return inverse_generators(fact.tops, fact.width, fact.tau[:, None] * fact.v, fact.v, out)
 
 
 def invert_two_sided_qr(a):

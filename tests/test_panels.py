@@ -1,15 +1,18 @@
-"""The panel-blocked factorizations at their panel boundaries: sizes that end
-just before, on and just after a panel edge, planted zero pivots on either
-side of the first edge, and a count of the LAPACK/BLAS calls per
-factorization (one panel of PANEL columns per call, never one per row)."""
+"""The panel-blocked factorizations and generator stage at their panel
+boundaries: sizes that end just before, on and just after a panel edge,
+planted zero pivots on either side of the first edge, planted columns that
+need no reflection, and a count of the LAPACK/BLAS calls per inversion (one
+panel of PANEL columns per call, never one per row)."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import instance, inverters
 from test_lu import dense_unpivoted_lu
 
+import greenband.generators as generators_module
 import greenband.lu as lu_module
 import greenband.qr as qr_module
 from greenband import (
@@ -26,6 +29,7 @@ from greenband import (
     reconstruct_structured,
 )
 from greenband.banded import PANEL
+from greenband.generators import backward_recursion, empty_generators, inverse_generators
 
 SCALES = (1.0, 1e150, 1e-150)
 R_LOWERS = (1, 4, PANEL + 3)
@@ -176,3 +180,124 @@ def test_lu_stores_every_column_of_multipliers(offset):
     low, up = dense_unpivoted_lu(a.to_dense())
     np.testing.assert_allclose(fact.l_dense(), low, rtol=1e-13, atol=1e-15)
     np.testing.assert_allclose(fact.r_dense(), up, rtol=1e-13, atol=1e-14)
+
+
+def stage_inputs(fact):
+    """(u, w) of a factorization: its inverse factor's blocks I - u_k w_k^T."""
+    if hasattr(fact, "tau"):
+        return fact.tau[:, None] * fact.v, fact.v
+    u = np.hstack((np.zeros((fact.n, 1)), fact.f))
+    return u, np.broadcast_to(np.eye(1, fact.r + 1), u.shape)
+
+
+def recursion_generators(fact, u, w):
+    """p, q, a and p_last by the per-row backward recursion over all n rows
+    of R, started from an empty stack at the last row (the reference)."""
+    n, r = u.shape[0], u.shape[1] - 1
+    m = n - r
+    shift = np.eye(r + 1)[1:]
+    c = np.eye(1, r) - u[:, :1] * w[:, :r]  # becomes p
+    blocks = np.subtract(shift[:, :r], u[:, 1:, None] * w[:, None, :r])
+    q = np.subtract(shift[:, r], u[:m, 1:] * w[:m, r:])
+    rows = fact.rows
+    p_last = backward_recursion(fact.x[m:], rows[m:], fact.width, blocks[m:], np.empty((0, r)), c[m:])
+    backward_recursion(fact.x[:m], rows[:m], fact.width, blocks[:m], p_last, c[:m])
+    return c[:m], q, blocks[:m], p_last
+
+
+def dense_windows(fact, a):
+    """p(k) and p_last from dense matrices: for LU the windows B[k, k:k+r] and
+    B[m:, m:] of B = A^{-1}; for QR Z_k[k, k:k+r] and Z_m[m:, m:] of
+    Z_k = R^{-1} H_{n-1} ... H_k."""
+    n, r = fact.n, fact.r
+    m = n - r
+    if not hasattr(fact, "tau"):
+        b = dense_invert(a.to_dense())
+        return np.array([b[k, k : k + r] for k in range(m)]), b[m:, m:]
+    z = scipy.linalg.solve_triangular(fact.r_dense(), np.eye(n))
+    p = np.empty((m, r))
+    for k in range(n - 1, -1, -1):
+        cols = slice(k, min(k + r + 1, n))
+        v = fact.v[k, : cols.stop - k]
+        z[:, cols] -= fact.tau[k] * np.outer(z[:, cols] @ v, v)  # Z_k = Z_{k+1} H_k
+        if k < m:
+            p[k] = z[k, k : k + r]
+        elif k == m:
+            p_last = z[m:, m:].copy()
+    return p, p_last
+
+
+def plant_reduced_columns(dense, columns):
+    """Zero A[j+1:, :j+1] for each column j: column j is then already
+    reduced when the factorization reaches it (LAPACK skips its reflection,
+    tau = 0; LU's multipliers are zero), and A stays diagonally dominant."""
+    for j in columns:
+        dense[j + 1 :, : j + 1] = 0.0
+    return dense
+
+
+def rel(x, ref):
+    return np.abs(x - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("upper", ["zero", "equal", "equal + 2", "full"])
+@pytest.mark.parametrize("r", R_LOWERS)
+@pytest.mark.parametrize("offset", [-1, 1])
+@pytest.mark.parametrize("panels", [1, 3])
+def test_generator_stage_against_recursion_and_dense(panels, offset, r, upper):
+    # the panel-blocked stage against the per-row backward recursion (a and
+    # q bit for bit, p and p_last to rounding) and against dense windows of
+    # the inverse (LU) or of R^{-1} H_{n-1} ... H_k (QR), at n = r + k b +- 1,
+    # 1e+-150 scales and with columns at both sides of the first panel edge
+    # and in the middle that need no reflection
+    n = r + panels * PANEL + offset
+    r_upper = {"zero": 0, "equal": r, "equal + 2": r + 2, "full": n - 1}[upper]
+    planted = [j for j in (0, PANEL - 1, PANEL, n // 2) if j < n - 1]
+    for scale in SCALES:
+        dense = instance(n, r, r_upper, seed=n + r, scale=scale).to_dense()
+        a = BandedMatrix.from_dense(plant_reduced_columns(dense, planted), r, r_upper)
+        for factor in (qr_factor_lower_band, lu_factor_lower_band):
+            fact = factor(a)
+            if factor is qr_factor_lower_band:
+                assert np.all(fact.tau[planted] == 0.0)
+            u, w = stage_inputs(fact)
+            g = inverse_generators(fact.tops, fact.width, u, w, empty_generators(n, r))
+            p, q, blocks, p_last = recursion_generators(fact, u, w)
+            assert g.a.tobytes() == blocks.tobytes() and g.q.tobytes() == q.tobytes()
+            assert rel(g.p, p) <= 1e-13 and rel(g.p_last, p_last) <= 1e-13, factor.__name__
+            p, p_last = dense_windows(fact, a)
+            assert rel(g.p, p) <= 1e-13 and rel(g.p_last, p_last) <= 1e-13, factor.__name__
+
+
+@pytest.mark.parametrize("upper", ["equal", "full"])
+@pytest.mark.parametrize("offset", [-1, 1])
+@pytest.mark.parametrize("factor", [qr_factor_lower_band, lu_factor_lower_band])
+def test_panels_of_r_are_zero_past_each_rows_reach(factor, offset, upper):
+    # the generator stage multiplies a panel's whole right block of R by the
+    # stack below it, unmasked, so the cells past each row's reach of width
+    # columns must be exact zeros, as the window's arithmetic leaves them
+    r = 5
+    n = r + 3 * PANEL + offset
+    r_upper = {"equal": r, "full": n - 1}[upper]
+    dense = instance(n, r, r_upper, seed=offset + 2, scale=1.0).to_dense()
+    fact = factor(BandedMatrix.from_dense(plant_reduced_columns(dense, [PANEL]), r, r_upper))
+    assert sum(len(top) for top in fact.tops) == n
+    for top in fact.tops:
+        rows, cols = np.indices(top.shape)
+        assert np.all(top[cols > rows + fact.width] == 0.0)
+
+
+@pytest.mark.parametrize("r_upper", [4, 999])
+def test_generator_stage_calls_blas_per_panel(monkeypatch, r_upper):
+    # no per-row recursion: the stage takes three triangular solves per
+    # panel of the factorization, never one per row
+    n, r = 1000, 4
+    panels = math.ceil((n - r) / PANEL)
+    a = random_band(n, r, r_upper, seed=0, diag_shift=r + 1.0)
+    calls = {}
+    for name in ("backward_recursion", "dtrsm"):
+        counting(monkeypatch, generators_module, name, calls)
+    for invert in (invert_lower_band_qr, invert_lower_band_lu):
+        calls.clear()
+        invert(a)
+        assert calls == {"dtrsm": 3 * panels}, invert.__name__
