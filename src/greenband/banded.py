@@ -1,4 +1,5 @@
-"""Banded matrix container, test-matrix generators and the matrix text format.
+"""Banded matrix container, the panel loop of its factorizations, test-matrix
+generators and the matrix text format.
 
 A matrix A is *lower banded of order r* when ``A[i, j] == 0`` for
 ``i - j > r`` (the upper part may be full), and *two-sided banded* when in
@@ -16,6 +17,9 @@ from .errors import BandPatternError
 __all__ = [
     "PANEL",
     "BandedMatrix",
+    "PanelFactorization",
+    "factor_panels",
+    "require_two_sided",
     "singularity_tol",
     "random_band",
     "prescribed_condition_band",
@@ -198,6 +202,83 @@ class BandedMatrix:
 
     def __repr__(self):
         return f"BandedMatrix(n={self.n}, r_lower={self.r_lower}, r_upper={self.r_upper})"
+
+
+class PanelFactorization:
+    """R of a factorization A = G R made by ``factor_panels``, with the
+    method's record of G left to the subclass.
+
+    ``x[k-1] = R(k, k)``.  ``tops`` holds R panel by panel: the panel's rows
+    over the columns of its window, exact zeros past each row's reach, with
+    the method's entries (reflection vectors or L's multipliers) below the
+    diagonal of its leading block.  ``rows[k-1]``, built from it on demand,
+    is R(k, k+1:k+width), which holds every nonzero of the row since
+    ``width`` is at least the upper bandwidth of R; there are n rows, the
+    last one empty.
+    """
+
+    def __init__(self, n, r, x, tops, width):
+        self.n = n
+        self.r = r
+        self.x = x
+        self.tops = tops
+        self.width = width
+
+    @property
+    def rows(self):
+        return [top[j, j + 1 : j + 1 + self.width] for top in self.tops for j in range(len(top))]
+
+    def r_dense(self):
+        out = np.zeros((self.n, self.n))
+        out[np.arange(self.n), np.arange(self.n)] = self.x
+        for k0, row in enumerate(self.rows):
+            out[k0, k0 + 1 : k0 + 1 + row.size] = row
+        return out
+
+
+def factor_panels(a, width, reduce):
+    """The panel loop of the QR and LU factorizations of ``a``, lower banded
+    of order r, whose R has each row's nonzeros within ``width`` columns
+    right of its diagonal.
+
+    Panels of PANEL columns, the last one running to column n, each read
+    their (b + r) x (b + width) window, clipped at the matrix edge, with the
+    r rows that the previous panel transformed in its corner, and
+    ``reduce(w, k0, b)`` turns the window's top b rows into the panel's rows
+    of R, with the method's r entries below each diagonal entry, in place.
+    Column k's transform spans rows k..k+r: O(n r (r + width)) arithmetic up
+    to the panel's fill, O(n r^2) for a two-sided band and O(n^2 r) for a
+    full upper part.
+
+    Returns x (R's diagonal), the panels' contiguous ``tops`` and an
+    (n, r + 1) array whose columns 1.. hold the entries below each diagonal
+    entry, zero past the matrix edge; column 0 is left to the method.
+    """
+    n, r = a.n, a.r_lower
+    m = n - r
+    x = np.empty(n)
+    tops = []
+    below = np.empty((n, r + 1))
+    carried = None
+    for k0 in range(0, m, PANEL):
+        k1 = k0 + PANEL if k0 + PANEL < m else n
+        b = k1 - k0
+        w = a.panel(k0, b + r, min(b + width, n - k0), carried)
+        reduce(w, k0, b)
+        x[k0:k1] = np.diagonal(w[:b])
+        diag = np.arange(b)[:, None]
+        below[k0:k1, 1:] = w[diag + np.arange(1, r + 1), diag]
+        tops.append(np.ascontiguousarray(w[:b]))
+        carried = w[b:, b:]
+    return x, tops, below
+
+
+def require_two_sided(a):
+    """The contract of the two-sided inversions: r_upper <= r_lower."""
+    if a.r_upper > a.r_lower:
+        raise ValueError(
+            f"two-sided path needs r_upper <= r_lower, got {a.r_upper} > {a.r_lower}"
+        )
 
 
 def singularity_tol(n, norm):

@@ -42,10 +42,12 @@ def _fmt(x):
 
 
 def _cmd_gen(args):
+    r_upper = args.n - 1 if args.r_upper in (None, "full") else int(args.r_upper)
     if args.cond is not None:
+        if r_upper != args.n - 1:
+            raise ValueError("--cond builds a full upper part: --r-upper must be 'full' or n-1")
         a = prescribed_condition_band(args.n, args.r, args.cond, args.seed)
     else:
-        r_upper = args.n - 1 if args.r_upper in (None, "full") else int(args.r_upper)
         a = random_band(args.n, args.r, r_upper, args.seed, diag_shift=args.diag_shift)
     write_matrix(args.out, a)
     print(f"wrote {args.out}: n={a.n} r_lower={a.r_lower} r_upper={a.r_upper}")

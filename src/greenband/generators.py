@@ -90,8 +90,10 @@ class GreenGenerators:
 
     p : (n - r, r) rows, q : (n - r, r) columns, a : (n - r, r, r) blocks,
     p_last : (r, r) closing block.  Any finite parameter set defines a valid
-    lower Green matrix; no further constraints are imposed.  Arrays are made
-    read-only so instances can be shared across threads.
+    lower Green matrix; no further constraints are imposed.  C-contiguous
+    float arrays are shared with the caller, not copied (the generators of a
+    wide band are tens of MB); the instance holds read-only views of them so
+    it can be shared across threads, and the caller's arrays stay writable.
     """
 
     def __init__(self, n, r, p, q, a, p_last):
@@ -99,10 +101,9 @@ class GreenGenerators:
             raise ValueError(f"need n > r > 0, got n={n}, r={r}")
         self.n = int(n)
         self.r = int(r)
-        self.p = np.ascontiguousarray(p, dtype=float)
-        self.q = np.ascontiguousarray(q, dtype=float)
-        self.a = np.ascontiguousarray(a, dtype=float)
-        self.p_last = np.ascontiguousarray(p_last, dtype=float)
+        self.p, self.q, self.a, self.p_last = (
+            np.ascontiguousarray(arr, dtype=float).view() for arr in (p, q, a, p_last)
+        )
         m = self.n - self.r
         if self.p.shape != (m, r) or self.q.shape != (m, r):
             raise ValueError(f"p and q must have shape {(m, r)}")

@@ -2,29 +2,24 @@
 LU-based Green generators of the inverse.
 
 A = L R with L unit lower triangular of lower bandwidth r and R upper
-triangular.  L^{-1} is a descending product of embedded elimination blocks
-[[1, 0], [-f_k, I_r]], hence lower Green and upper banded of order r; the
-generators of A^{-1} = R^{-1} L^{-1} follow from R's panels and the
-multipliers by the same panel-blocked stage as in the QR path, where a
-panel's elimination steps act as one block and p(k) = A^{-1}[k, k:k+r].
+triangular, upper banded of order r_upper.  L^{-1} is a descending product
+of embedded elimination blocks [[1, 0], [-f_k, I_r]], hence lower Green and
+upper banded of order r; the generators of A^{-1} = R^{-1} L^{-1} follow
+from R's panels and the multipliers by the generator stage shared with the
+QR path (``generators.inverse_generators``), where p(k) = A^{-1}[k, k:k+r].
+The factorization is the panel loop shared with the QR path
+(``banded.factor_panels``), with R's rows stored max(r_lower, r_upper) wide.
 No pivoting is performed anywhere: the method requires strong regularity,
 and a pivot that is zero to working precision raises ZeroPivotError.  The
 factorization records its growth factor so instability on nearly-singular
 leading blocks is observable.
-
-R is upper banded of order r_upper, so the working window spans
-max(r_lower, r_upper) + 1 columns and the stored rows of R and the tail
-stacks max(r_lower, r_upper), clipped at the matrix edge: the inversion costs
-O(n r_lower max(r_lower, r_upper)) arithmetic in the factorization and
-O(n r^2) (two-sided band, r up to PANEL) or O(n^2 r) (full upper part,
-r_upper = n - 1) in the generator stage.
 """
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dgemm, dtrsm
 
-from .banded import PANEL, singularity_tol
+from .banded import PanelFactorization, factor_panels, require_two_sided, singularity_tol
 from .errors import ZeroPivotError
 from .generators import empty_generators, inverse_generators
 from .transforms import TransformProduct
@@ -38,34 +33,23 @@ __all__ = [
 ]
 
 
-class LuFactorization:
-    """A = L R in factored form.
+class LuFactorization(PanelFactorization):
+    """A = L R in factored form, R as in ``PanelFactorization``.
 
-    ``f[k-1]`` holds the r multipliers eliminating column k (they sit in
-    L(k+1:k+r, k), 1-based); ``f`` is (n, r), and the rows k > n-r, whose
-    columns of L shrink at the matrix edge, are zero-padded.  ``x[k-1] =
-    R(k, k)``.  ``tops`` holds R panel by panel: the panel's rows over the
-    columns of its window, exact zeros past each row's reach, with L's
-    multipliers below the diagonal of its leading block.  ``rows[k-1]``,
-    built from it on demand, is R(k, k+1:k+width), which holds every nonzero
-    of the row since ``width`` = max(r_lower, r_upper) is at least the upper
-    bandwidth of R; the last row is empty.  ``growth`` is
+    ``u`` is (n, r+1) with u[k, 0] = 0, and ``f``, its columns 1..,
+    holds in ``f[k-1]`` the r multipliers eliminating column k (they sit in
+    L(k+1:k+r, k), 1-based); the rows k > n-r, whose columns of L shrink at
+    the matrix edge, are zero-padded.  ``width`` = max(r_lower, r_upper) is
+    at least the upper bandwidth of R.  ``growth`` is
     max_k ||R(k, k:)||_1 / ||A||_inf, the largest absolute row sum of R
     against that of A; row k of R is the pivot row of step k.
     """
 
-    def __init__(self, n, r, f, x, tops, width, growth):
-        self.n = n
-        self.r = r
-        self.f = f
-        self.x = x
-        self.tops = tops
-        self.width = width
+    def __init__(self, n, r, u, x, tops, width, growth):
+        super().__init__(n, r, x, tops, width)
+        self.u = u
+        self.f = u[:, 1:]
         self.growth = growth
-
-    @property
-    def rows(self):
-        return [top[j, j + 1 : j + 1 + self.width] for top in self.tops for j in range(len(top))]
 
     def l_dense(self):
         """Entrywise unit lower triangular factor L."""
@@ -73,13 +57,6 @@ class LuFactorization:
         for k0 in range(self.n):
             col = out[k0 + 1 : k0 + 1 + self.r, k0]
             col[:] = self.f[k0, : col.size]
-        return out
-
-    def r_dense(self):
-        out = np.zeros((self.n, self.n))
-        out[np.arange(self.n), np.arange(self.n)] = self.x
-        for k0, row in enumerate(self.rows):
-            out[k0, k0 + 1 : k0 + 1 + row.size] = row
         return out
 
     def inverse_factors(self):
@@ -101,31 +78,17 @@ def lu_factor_lower_band(a):
     """Structured unpivoted LU of a strongly regular lower banded matrix of
     order r.
 
-    Each panel of PANEL columns reads its (PANEL + r) x (PANEL + width)
-    window, eliminates the panel one column at a time (pivot check, scaling
-    of the r multipliers, rank-one update inside the panel), then gets the
-    panel's rows of R right of it with one ``dtrsm`` and updates the r rows
-    below with one ``dgemm``; those rows carry over to the next panel, and
-    the last panel runs to column n.  R's rows reach max(r, r_upper) columns
-    past the diagonal, so the cost is O(n r max(r, r_upper)) up to the
-    panel's fill: O(n r^2) for a two-sided band and O(n^2 r) for a full upper
-    part.  Raises ZeroPivotError with the 1-based index of the first pivot
-    that is zero to working precision.
+    Each panel is eliminated one column at a time (pivot check, scaling of
+    the r multipliers, rank-one update inside the panel), then one ``dtrsm``
+    gives the panel's rows of R right of it and one ``dgemm`` updates the r
+    rows below.  Raises ZeroPivotError with the 1-based index of the first
+    pivot that is zero to working precision.
     """
     n, r = a.n, a.r_lower
-    m = n - r
-    width = max(r, a.r_upper)  # R's rows are stored this wide
     norm = a.norm_inf()
     tol = singularity_tol(n, norm)
-    x = np.empty(n)
-    tops = []
-    f = np.empty((n, r))
-    growth = 0.0
-    carried = None
-    for k0 in range(0, m, PANEL):
-        k1 = k0 + PANEL if k0 + PANEL < m else n  # the last panel runs to column n
-        b = k1 - k0
-        w = a.panel(k0, b + r, min(b + width, n - k0), carried)
+
+    def reduce(w, k0, b):
         for j in range(b):
             if abs(w[j, j]) <= tol:
                 raise ZeroPivotError(
@@ -137,24 +100,16 @@ def lu_factor_lower_band(a):
         if w.shape[1] > b:
             w[:b, b:] = dtrsm(1.0, w[:b, :b], w[:b, b:], lower=1, diag=1)
             w[b:, b:] = dgemm(-1.0, w[b:, :b], w[:b, b:], 1.0, w[b:, b:])
-        x[k0:k1] = np.diagonal(w[:b])
-        diag = np.arange(b)[:, None]
-        f[k0:k1] = w[diag + np.arange(1, r + 1), diag]  # below each pivot
-        tops.append(np.ascontiguousarray(w[:b]))  # the panel's rows of R, each contiguous
-        growth = max(growth, _max_row_sum(tops[-1], b))
-        carried = w[b:, b:]
-    return LuFactorization(n, r, f, x, tops, width, growth / (norm or 1.0))
 
-
-def _max_row_sum(top, b):
-    """Largest absolute row sum of R in a panel's ``top`` rows, whose left
-    b x b block holds L's multipliers below its diagonal: only that block is
-    masked.  A function, so that the b x (b + width) temporary is freed before
-    the next panel's window is read: kept alive into the next panel, it
-    raised the peak RSS of a loop of one-sided inversions (n = 2000, r = 6,
-    full upper part) by about 12 MB in most runs."""
-    mag = np.abs(top)
-    return (np.triu(mag[:, :b]).sum(axis=1) + mag[:, b:].sum(axis=1)).max()
+    width = max(r, a.r_upper)
+    x, tops, u = factor_panels(a, width, reduce)
+    u[:, 0] = 0.0
+    growth = 0.0
+    for top in tops:  # only the leading b x b block holds multipliers, below its diagonal
+        b = len(top)
+        sums = np.triu(np.abs(top[:, :b])).sum(axis=1) + np.abs(top[:, b:]).sum(axis=1)
+        growth = max(growth, sums.max())
+    return LuFactorization(n, r, u, x, tops, width, growth / (norm or 1.0))
 
 
 def invert_lower_band_lu(a):
@@ -166,9 +121,8 @@ def invert_lower_band_lu(a):
     identity and zero sub-blocks exact."""
     out = empty_generators(a.n, a.r_lower)
     fact = lu_factor_lower_band(a)
-    u = np.hstack((np.zeros((a.n, 1)), fact.f))
-    w = np.broadcast_to(np.eye(1, a.r_lower + 1), u.shape)
-    return inverse_generators(fact.tops, fact.width, u, w, out)
+    w = np.broadcast_to(np.eye(1, a.r_lower + 1), fact.u.shape)
+    return inverse_generators(fact.tops, fact.width, fact.u, w, out)
 
 
 def invert_two_sided_lu(a):
@@ -178,10 +132,7 @@ def invert_two_sided_lu(a):
     This is invert_lower_band_lu, whose window already follows r_upper,
     behind a check of the two-sided contract.
     """
-    if a.r_upper > a.r_lower:
-        raise ValueError(
-            f"two-sided path needs r_upper <= r_lower, got {a.r_upper} > {a.r_lower}"
-        )
+    require_two_sided(a)
     return invert_lower_band_lu(a)
 
 

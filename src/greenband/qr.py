@@ -3,19 +3,13 @@ generators of the inverse.
 
 A lower banded matrix of order r factors as A = U R where U is an ascending
 product of embedded (r+1) x (r+1) unitary blocks (one Householder reflection
-per row) and R is upper triangular.  U* is then a descending product, hence a
-lower Green, upper banded matrix whose generators are read off the transposed
-blocks, and the generators of A^{-1} = R^{-1} U* follow from R's rows and the
-reflections one panel at a time (``generators.inverse_generators``): each
-panel's reflections act as one compact block I - V T V^T, so a panel costs a
-few BLAS calls.
-
-R is upper banded of order r_lower + r_upper, so the working window, the
-stored rows of R and the tail stacks all have that width, clipped at the
-matrix edge: the inversion costs O(n r_lower (r_lower + r_upper)) arithmetic
-in the factorization and O(n r^2) (two-sided band, r up to PANEL) or
-O(n^2 r) (full upper part, r_upper = n - 1) in the generator stage.  The
-factorization runs over panels of PANEL columns: LAPACK's ``dgeqrf``
+per row) and R is upper triangular, upper banded of order
+r_lower + r_upper.  U* is then a descending product, hence a lower Green,
+upper banded matrix whose generators are read off the transposed blocks, and
+the generators of A^{-1} = R^{-1} U* follow from R's panels and the
+reflections by the generator stage shared with the LU path
+(``generators.inverse_generators``).  The factorization is the panel loop
+shared with the LU path (``banded.factor_panels``): LAPACK's ``dgeqrf``
 reduces each panel and ``dormqr`` applies its reflections to the columns
 right of it.
 """
@@ -23,7 +17,7 @@ right of it.
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dormqr
 
-from .banded import PANEL, singularity_tol
+from .banded import PANEL, PanelFactorization, factor_panels, require_two_sided, singularity_tol
 from .errors import SingularMatrixError
 from .generators import empty_generators, inverse_generators
 from .transforms import TransformProduct, expand_transform_product
@@ -38,8 +32,8 @@ __all__ = [
 SLAB = 4 * PANEL  # columns per dormqr call on the block right of a panel
 
 
-class QrFactorization:
-    """A = U R in factored form.
+class QrFactorization(PanelFactorization):
+    """A = U R in factored form, R as in ``PanelFactorization``.
 
     U = H_0 H_1 ... H_{n-1} (0-based), where the reflection
     H_k = I - tau[k] v[k] v[k]^T acts on rows k..k+r; ``v`` is (n, r+1) with
@@ -48,27 +42,14 @@ class QrFactorization:
     (r+1) x (r+1) blocks U_k = H_k, k = 1..n-r, 1-based), ``closing`` (the
     blocks of sizes n-k+1 that triangulate the trailing r x r window,
     k = n-r+1..n-1) and ``closing_unitary`` (their assembled r x r product)
-    are built from (v, tau) on demand, for assembling U.  ``x[k-1] = R(k, k)``.
-    ``tops`` holds R panel by panel: the panel's rows over the columns of its
-    window, exact zeros past each row's reach, with the reflections' entries
-    below the diagonal of its leading block, where ``dgeqrf`` leaves them.
-    ``rows[k-1]``, built from it on demand, is R(k, k+1:k+width), the part of
-    row k that can be nonzero, where ``width`` = min(r_lower + r_upper, n - 1)
-    is the upper bandwidth of R; there are n rows, the last one empty.
+    are built from (v, tau) on demand, for assembling U.  ``width`` =
+    min(r_lower + r_upper, n - 1) is the upper bandwidth of R.
     """
 
     def __init__(self, n, r, v, tau, x, tops, width):
-        self.n = n
-        self.r = r
+        super().__init__(n, r, x, tops, width)
         self.v = v
         self.tau = tau
-        self.x = x
-        self.tops = tops
-        self.width = width
-
-    @property
-    def rows(self):
-        return [top[j, j + 1 : j + 1 + self.width] for top in self.tops for j in range(len(top))]
 
     def _block(self, k, size):
         """H_k on its rows and columns k..k+size-1."""
@@ -109,50 +90,30 @@ class QrFactorization:
     def u_dense(self):
         return expand_transform_product(self.u_product())
 
-    def r_dense(self):
-        out = np.zeros((self.n, self.n))
-        out[np.arange(self.n), np.arange(self.n)] = self.x
-        for k0, row in enumerate(self.rows):
-            out[k0, k0 + 1 : k0 + 1 + row.size] = row
-        return out
-
 
 def qr_factor_lower_band(a):
     """Structured QR of a lower banded matrix of order r.
 
-    Each panel of PANEL columns reads its (PANEL + r) x (PANEL + width)
-    window, reduces the panel with ``dgeqrf`` and applies the reflections to
-    the rest of the window with ``dormqr``, SLAB columns per call; the
-    window's last r rows carry over to the next panel, and the last panel
-    also triangulates the trailing r x r window.  Column k's reflection spans
-    rows k..k+r, so the cost is O(n r (r + r_upper)) up to the panel's fill:
-    O(n r^2) for a two-sided band and O(n^2 r) for a full upper part.  Zero
-    columns simply produce x_k = 0, which the inversion stage rejects.
+    Each panel's ``dgeqrf`` call reduces it, and ``dormqr`` applies its
+    reflections to the rest of the window, SLAB columns per call; the last
+    panel also triangulates the trailing r x r window.  Zero columns simply
+    produce x_k = 0, which the inversion stage rejects.
     """
     n, r = a.n, a.r_lower
-    m = n - r
-    width = min(r + a.r_upper, n - 1)  # upper bandwidth of R
-    x = np.empty(n)
-    tops = []
-    v = np.ones((n, r + 1))
     tau = np.empty(n)
-    carried = None
-    for k0 in range(0, m, PANEL):
-        k1 = k0 + PANEL if k0 + PANEL < m else n  # the last panel runs to column n
-        b = k1 - k0
-        w = a.panel(k0, b + r, min(b + width, n - k0), carried)
+
+    def reduce(w, k0, b):
         # w is in Fortran order, so both calls work in place
-        tau[k0:k1] = dgeqrf(w[:, :b], lwork=PANEL * b, overwrite_a=1)[1]
+        tau[k0 : k0 + b] = dgeqrf(w[:, :b], lwork=PANEL * b, overwrite_a=1)[1]
         # the columns right of the panel, in slabs that each stay in cache and
         # under a threaded BLAS's threshold for splitting such thin products
         for c0 in range(b, w.shape[1], SLAB):
             c = w[:, c0 : c0 + SLAB]
-            dormqr("L", "T", w[:, :b], tau[k0:k1], c, lwork=PANEL * SLAB, overwrite_c=1)
-        x[k0:k1] = np.diagonal(w[:b])
-        diag = np.arange(b)[:, None]
-        v[k0:k1, 1:] = w[diag + np.arange(1, r + 1), diag]  # below each diagonal entry
-        tops.append(np.ascontiguousarray(w[:b]))  # the panel's rows of R, each contiguous
-        carried = w[b:, b:]
+            dormqr("L", "T", w[:, :b], tau[k0 : k0 + b], c, lwork=PANEL * SLAB, overwrite_c=1)
+
+    width = min(r + a.r_upper, n - 1)  # upper bandwidth of R
+    x, tops, v = factor_panels(a, width, reduce)
+    v[:, 0] = 1.0
     return QrFactorization(n, r, v, tau, x, tops, width)
 
 
@@ -186,8 +147,5 @@ def invert_two_sided_qr(a):
     This is invert_lower_band_qr, whose window already follows r_upper,
     behind a check of the two-sided contract.
     """
-    if a.r_upper > a.r_lower:
-        raise ValueError(
-            f"two-sided path needs r_upper <= r_lower, got {a.r_upper} > {a.r_lower}"
-        )
+    require_two_sided(a)
     return invert_lower_band_qr(a)

@@ -51,6 +51,24 @@ def test_gen_conflicting_flags_exit_2(tmp_path):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("r_upper", [0, 3, 8])
+def test_gen_cond_with_banded_upper_part_exit_2(tmp_path, capsys, r_upper):
+    # --cond always builds a full upper part, so a narrower one is refused
+    out = tmp_path / "x.txt"
+    assert run("gen", "--n", 10, "--r", 2, "--r-upper", r_upper, "--cond", 100.0,
+               "--out", out) == 2
+    assert "--r-upper" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("r_upper", ["full", 9])
+def test_gen_cond_with_full_upper_part(tmp_path, r_upper):
+    out = tmp_path / "x.txt"
+    assert run("gen", "--n", 10, "--r", 2, "--r-upper", r_upper, "--cond", 100.0,
+               "--out", out) == 0
+    assert read_matrix(out).r_upper == 9
+
+
 def test_invert_identity_reconstructs_identity(tmp_path):
     m, g, rec = tmp_path / "i.txt", tmp_path / "g.json", tmp_path / "rec.txt"
     write_matrix(m, BandedMatrix.from_dense(np.eye(8), 2, 7))

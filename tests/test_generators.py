@@ -78,6 +78,20 @@ def test_non_finite_entries_are_rejected(field, bad):
         GreenGenerators(n, r, **arrays)
 
 
+@pytest.mark.parametrize("field", ["p", "q", "a", "p_last"])
+def test_generators_share_the_callers_arrays_without_freezing_them(field):
+    n, r = 6, 2
+    arrays = {"p": np.ones((n - r, r)), "q": np.ones((n - r, r)),
+              "a": np.ones((n - r, r, r)), "p_last": np.ones((r, r))}
+    g = GreenGenerators(n, r, **arrays)
+    mine, held = arrays[field], getattr(g, field)
+    assert np.shares_memory(held, mine) and not held.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        held.flat[0] = 5.0
+    mine.flat[0] = 5.0
+    assert held.flat[0] == 5.0
+
+
 def test_entry_small_products():
     # n=3, r=1: entries are products like p3 * a2 * q1
     g = GreenGenerators(

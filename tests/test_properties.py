@@ -42,6 +42,10 @@ def shapes(draw):
 @example(shape=(2, 1, 0), seed=1, scale=1.0)  # n = r + 1, r = 1, r_upper = 0
 @example(shape=(9, 8, 8), seed=2, scale=1e150)
 @example(shape=(12, 1, 11), seed=3, scale=1e-150)
+# n = r + 1 with r > PANEL: one panel, both the first and the last, wider
+# than PANEL
+@example(shape=(36, 35, 0), seed=4, scale=1.0)
+@example(shape=(36, 35, 35), seed=5, scale=1e150)
 def test_inversions_match_dense_oracle(shape, seed, scale):
     n, r_lower, r_upper = shape
     a = instance(n, r_lower, r_upper, seed, scale)
@@ -63,6 +67,8 @@ def test_inversions_match_dense_oracle(shape, seed, scale):
 )
 @example(shape=(2, 1, 1), seed=0, scale=1.0, pick=1)
 @example(shape=(40, 4, 32), seed=0, scale=1.0, pick=17)
+@example(shape=(36, 35, 0), seed=1, scale=1.0, pick=34)  # one panel wider than PANEL
+@example(shape=(36, 35, 35), seed=2, scale=1e-150, pick=33)
 def test_planted_zero_pivot_is_named(shape, seed, scale, pick):
     # zeroing row and column j leaves the leading j x j block regular, makes
     # pivot j+1 of the elimination exactly zero and column j of A (hence
