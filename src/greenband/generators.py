@@ -15,12 +15,18 @@ Generator sequences are stored 0-based: ``p[k]``, ``q[k]``, ``a[k]`` hold the
 1-based parameters p(k+1), q(k+1), a(k+1).
 """
 
+import functools
+
 import numpy as np
 from scipy.linalg.blas import dtrsm
 
 from .dense_oracle import numerical_rank
 
-CHUNK = 2**15  # doubles in a chunk of the blocks a(k), 256 KB
+CHUNK = 2**15  # doubles in a chunk of a generator array, 256 KB
+TREE = 64  # blocks in a chain from which ``entry`` multiplies them pairwise
+TREE_MAX_R = 16  # past this order a block product costs more than the call it saves
+IMAGE_PANEL = 64  # block columns per panel of ``reconstruct_structured``
+TEXT_CHUNK = 2**13  # values formatted by one ``%`` in ``write_generators``
 
 __all__ = [
     "BlockPartitionMap",
@@ -111,10 +117,14 @@ class GreenGenerators:
             raise ValueError(f"a must have shape {(m, r, r)}")
         if self.p_last.shape != (r, r):
             raise ValueError(f"p_last must have shape {(r, r)}")
+        finite = np.empty(min(CHUNK, self.a.size), dtype=bool)
         for arr in (self.p, self.q, self.a, self.p_last):
-            # as isfinite, but without an array of the generators' size
-            if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-                raise ValueError("generator entries must be finite")
+            # one read, in chunks, without an array of the generators' size
+            flat = arr.reshape(-1)
+            for k in range(0, flat.size, CHUNK):
+                part = flat[k : k + CHUNK]
+                if not np.isfinite(part, out=finite[: part.size]).all():
+                    raise ValueError("generator entries must be finite")
             arr.setflags(write=False)
 
     def p_row(self, i):
@@ -127,8 +137,27 @@ class GreenGenerators:
         return f"GreenGenerators(n={self.n}, r={self.r})"
 
 
+def _tree(vec, blocks):
+    """vec . blocks[-1] ... blocks[0], the blocks multiplied pairwise: one
+    ``np.matmul`` per halving, with vec taking the leading block of an odd
+    count."""
+    while len(blocks) > 1:
+        if len(blocks) & 1:
+            vec = vec @ blocks[-1]
+            blocks = blocks[:-1]
+        blocks = np.matmul(blocks[1::2], blocks[0::2])
+    return vec @ blocks[0]
+
+
 def entry(g, i, j):
     """Single covered entry B[i, j] (0-based) from the generators.
+
+    The chain a(bi-1) ... a(s) between row and column is applied to p(i)
+    one block at a time.  From TREE blocks on (for r <= TREE_MAX_R) the
+    blocks are instead multiplied pairwise, log2 of the chain length calls
+    for O(d r^3) arithmetic instead of d calls for O(d r^2); LU blocks are
+    not bounded by 1, so when that product overflows the chain is walked
+    block by block after all.
 
     Raises ValueError when (i, j) lies outside the covered region
     ``j - i <= r - 1``.
@@ -139,37 +168,67 @@ def entry(g, i, j):
     if j - i > r - 1:
         raise ValueError(f"({i}, {j}) is outside the covered region j - i <= r - 1")
     bi = min(i, n - r) + 1  # 1-based block row; the bottom r rows share one
+    # block column 0 spans matrix columns 0..r-1 and carries q(0) = I_r; block
+    # column s-1 (1-based s = j - r + 2) is matrix column j
+    lo = 0 if j < r else j - r + 1
+    blocks = g.a[lo : bi - 1]  # a(lo+1) ... a(bi-1), 1-based
+
+    def close(vec):
+        return float(vec[j] if j < r else vec @ g.q[lo - 1])
+
+    if len(blocks) >= TREE and r <= TREE_MAX_R:
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = close(_tree(g.p_row(i), blocks))
+        if np.isfinite(val):
+            return val
     vec = g.p_row(i)
-    if j < r:
-        # block column 0 spans matrix columns 0..r-1 and carries q(0) = I_r
-        for t in range(bi - 2, -1, -1):  # a(bi-1) ... a(1), 1-based
-            vec = vec @ g.a[t]
-        return float(vec[j])
-    # block column s-1 (1-based s = j - r + 2) is matrix column j
-    s = j - r + 2
-    for t in range(bi - 2, s - 2, -1):  # a(bi-1) ... a(s), 1-based
-        vec = vec @ g.a[t]
-    return float(vec @ g.q[s - 2])
+    for blk in blocks[::-1]:
+        vec = vec @ blk
+    return close(vec)
 
 
 def reconstruct_structured(g):
-    """Dense n x n image of the covered region (zero above it).
+    """Dense n x n image of the covered region (zero above it), C-ordered.
 
-    Runs the tail-stack recursion once, emitting one column segment per block
-    column; cost O(n^2 r^2) for the full image, never O(n^3).
+    Walks panels of IMAGE_PANEL block columns k0..k1-1 (1-based) from the
+    right.  With P_k = [p(k); P_{k+1} a(k)] the tail stack of block row k,
+    column k holds P_k q(k-1) from row k-1 down.  In a panel the stack
+    E_k = [p(k); E_{k+1} a(k)] starting from E_{k1} = I_r walks only the
+    panel's rows and r more: its top rows give the panel's diagonal
+    triangle, its last r rows the products C_k = a(k1-1) ... a(k) q(k-1),
+    so the rows below the panel are one gemm P_{k1} [C_k0 ... C_k1-1], and
+    the stack moves on with one gemm by E_{k0}'s last r rows.  O(n^2 r)
+    arithmetic in O(n / IMAGE_PANEL) gemms, plus a walk of
+    O(IMAGE_PANEL r^2) per column; no n x n array besides the result.
     """
     n, r = g.n, g.r
+    m = n - r
     out = np.zeros((n, n))
-    stack = np.zeros((n, r))
-    stack[n - r :] = g.p_last
-    out[n - r :, n - 1] = stack[n - r :] @ g.q[n - r - 1]
-    for k in range(n - r, 0, -1):  # 1-based block row index
-        stack[k:] = stack[k:] @ g.a[k - 1]
-        stack[k - 1] = g.p[k - 1]
-        if k >= 2:
-            out[k - 1 :, r + k - 2] = stack[k - 1 :] @ g.q[k - 2]
-        else:
-            out[:, :r] = stack
+    stack = np.empty((n, r))  # P_k in rows k-1.., 1-based k
+    stack[m:] = g.p_last
+    out[m:, n - 1] = g.p_last @ g.q[m - 1]
+    b = IMAGE_PANEL
+    bufs = np.empty((2, b + r, r))  # each column writes the one it does not read
+    cols = np.zeros((b, b + r))  # row k - k0: E_k q(k-1) in the columns k - k0..
+    eye = np.eye(r)
+    for k1 in range(m + 1, 2, -b):
+        k0 = max(2, k1 - b)
+        w = k1 - k0
+        e = eye
+        for k in range(k1 - 1, k0 - 1, -1):
+            t = k - k0
+            nxt = bufs[k & 1]
+            np.dot(e, g.a[k - 1], out=nxt[t + 1 : w + r])
+            nxt[t] = g.p[k - 1]
+            e = nxt[t : w + r]
+            np.dot(e, g.q[k - 2], out=cols[t, t : w + r])
+        band = slice(r + k0 - 2, r + k1 - 2)
+        out[k0 - 1 : k1 - 1, band] = cols[:w, :w].T
+        np.matmul(stack[k1 - 1 :], cols[:w, w : w + r].T, out=out[k1 - 1 :, band])
+        stack[k1 - 1 :] = stack[k1 - 1 :] @ e[w:]
+        stack[k0 - 1 : k1 - 1] = e[:w]
+    out[0, :r] = g.p[0]
+    np.matmul(stack[1:], g.a[0], out=out[1:, :r])
     return out
 
 
@@ -418,8 +477,22 @@ def identity_residual(a, g):
     return float(np.abs(np.tril(prod, -1)).max() / scale)
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
+def _row(width):
+    """``%`` template of a JSON list of ``width`` values, 17 significant
+    digits each (the same text as ``format(x, ".17g")``)."""
+    return "[" + ", ".join(["%.17g"] * width) + "]"
+
+
+def _write_rows(fh, mat):
+    """Write a 2-D array as a JSON list of its rows, one ``%`` per chunk of
+    whole rows, about TEXT_CHUNK values."""
+    row = _row(mat.shape[1])
+    step = max(1, TEXT_CHUNK // mat.shape[1])
+    for k in range(0, len(mat), step):
+        chunk = mat[k : k + step]
+        fh.write(", " if k else "[")
+        fh.write(", ".join([row] * len(chunk)) % tuple(chunk.ravel().tolist()))
+    fh.write("]")
 
 
 def write_generators(path, g):
@@ -428,23 +501,17 @@ def write_generators(path, g):
     Fields: n, r, p (n-r rows of r values), q (n-r columns of r values),
     a (n-r blocks of r*r values, row-major), p_last (r*r, row-major).
     """
-    m = g.n - g.r
-
-    def row(vals):
-        return "[" + ", ".join(_fmt(v) for v in vals) + "]"
-
-    def rows(mat):
-        return "[" + ", ".join(row(v) for v in mat) + "]"
-
+    m, r = g.n - g.r, g.r
     with open(path, "w") as fh:
-        fh.write("{\n")
-        fh.write(f'  "n": {g.n},\n')
-        fh.write(f'  "r": {g.r},\n')
-        fh.write(f'  "p": {rows(g.p)},\n')
-        fh.write(f'  "q": {rows(g.q)},\n')
-        fh.write(f'  "a": {rows(g.a.reshape(m, g.r * g.r))},\n')
-        fh.write(f'  "p_last": {row(g.p_last.reshape(g.r * g.r))}\n')
-        fh.write("}\n")
+        fh.write(f'{{\n  "n": {g.n},\n  "r": {r},\n  "p": ')
+        _write_rows(fh, g.p)
+        fh.write(',\n  "q": ')
+        _write_rows(fh, g.q)
+        fh.write(',\n  "a": ')
+        _write_rows(fh, g.a.reshape(m, r * r))
+        fh.write(',\n  "p_last": ')
+        fh.write(_row(r * r) % tuple(g.p_last.ravel().tolist()))
+        fh.write("\n}\n")
 
 
 def read_generators(path):
@@ -452,7 +519,9 @@ def read_generators(path):
     import json
 
     with open(path) as fh:
-        data = json.load(fh)
+        # integers as floats, so that "-0" reads as -0.0; the cache keeps one
+        # float per distinct integer, as json keeps its small ints
+        data = json.load(fh, parse_int=functools.lru_cache(maxsize=None)(float))
     try:
         n = int(data["n"])
         r = int(data["r"])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from greenband import (
+    BandedMatrix,
     BlockPartitionMap,
     GreenGenerators,
     check_green_rank,
@@ -10,6 +12,7 @@ from greenband import (
     dense_invert,
     entry,
     identity_residual,
+    invert_lower_band_lu,
     invert_lower_band_qr,
     multiply_upper_triangular,
     random_band,
@@ -18,8 +21,8 @@ from greenband import (
     tail_stacks,
     write_generators,
 )
-from conftest import random_generators
-from greenband.generators import backward_recursion
+from conftest import instance, random_generators
+from greenband.generators import CHUNK, IMAGE_PANEL, TEXT_CHUNK, TREE, TREE_MAX_R, backward_recursion
 
 
 def ones_generators(n, r=1):
@@ -351,3 +354,195 @@ def test_inverse_generators_are_one_array_taken_first(monkeypatch, method, r_upp
     assert g.a.base.nbytes == sum(x.nbytes for x in arrays)
     ref = dense_invert(a.to_dense())
     assert covered_relative_error(reconstruct_structured(g), ref, 3) <= 1e-12
+
+
+def per_block_entry(g, i, j):
+    """``entry`` as a chain of vector-block products, one block at a time."""
+    n, r = g.n, g.r
+    bi = min(i, n - r) + 1
+    vec = g.p_row(i)
+    if j < r:
+        for t in range(bi - 2, -1, -1):
+            vec = vec @ g.a[t]
+        return float(vec[j])
+    s = j - r + 2
+    for t in range(bi - 2, s - 2, -1):
+        vec = vec @ g.a[t]
+    return float(vec @ g.q[s - 2])
+
+
+def per_column_image(g):
+    """``reconstruct_structured`` as one tail-stack update per block column."""
+    n, r = g.n, g.r
+    out = np.zeros((n, n))
+    stack = np.zeros((n, r))
+    stack[n - r :] = g.p_last
+    out[n - r :, n - 1] = stack[n - r :] @ g.q[n - r - 1]
+    for k in range(n - r, 0, -1):
+        stack[k:] = stack[k:] @ g.a[k - 1]
+        stack[k - 1] = g.p[k - 1]
+        if k >= 2:
+            out[k - 1 :, r + k - 2] = stack[k - 1 :] @ g.q[k - 2]
+        else:
+            out[:, :r] = stack
+    return out
+
+
+def per_value_write(path, g):
+    """``write_generators`` with one ``format(x, ".17g")`` per value."""
+    m, r = g.n - g.r, g.r
+
+    def row(vals):
+        return "[" + ", ".join(format(float(v), ".17g") for v in vals) + "]"
+
+    def rows(mat):
+        return "[" + ", ".join(row(v) for v in mat) + "]"
+
+    with open(path, "w") as fh:
+        fh.write(f'{{\n  "n": {g.n},\n  "r": {r},\n')
+        fh.write(f'  "p": {rows(g.p)},\n  "q": {rows(g.q)},\n')
+        fh.write(f'  "a": {rows(g.a.reshape(m, r * r))},\n')
+        fh.write(f'  "p_last": {row(g.p_last.reshape(r * r))}\n}}\n')
+
+
+def inverse_of(a, method):
+    return {"qr": invert_lower_band_qr, "lu": invert_lower_band_lu}[method](a)
+
+
+def column_scales(a, cols):
+    """Largest |B[k, j]| of each column j of B = A^{-1}, from LAPACK's banded
+    solver."""
+    rhs = np.zeros((a.n, len(cols)))
+    rhs[cols, np.arange(len(cols))] = 1.0
+    x = scipy.linalg.solve_banded((a.r_lower, a.r_upper), a.bands, rhs)
+    return np.abs(x).max(axis=0)
+
+
+def chain_positions(n, r, d):
+    """Covered positions whose ``entry`` chain has d blocks: one with a
+    column q(s-1), one in block column 0 (the chain down to a(1)) and one in
+    the bottom r rows (from p_last)."""
+    positions = [(d + 2, r + 1), (d, 0), (n - 1, n - 1 - d)]
+    for i, j in positions:
+        assert j - i <= r - 1 and min(i, n - r) - max(j - r + 1, 0) == d
+    return positions
+
+
+def assert_entries_agree(g, a, positions):
+    scales = column_scales(a, [j for _, j in positions])
+    for (i, j), scale in zip(positions, scales):
+        assert abs(entry(g, i, j) - per_block_entry(g, i, j)) <= 1e-12 * scale, (i, j)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+@pytest.mark.parametrize("method", ["qr", "lu"])
+@pytest.mark.parametrize("r", [1, 5])
+def test_entry_matches_per_block_chain_around_the_tree_crossover(r, method, scale):
+    # chain lengths on both sides of TREE, odd ones at several halvings
+    n = 3 * TREE + 2 * r + 8
+    a = instance(n, r, r, 40 + r, scale)
+    g = inverse_of(a, method)
+    lengths = [TREE - 1, TREE, TREE + 1, 2 * TREE - 1, 3 * TREE + 1, 5]
+    assert_entries_agree(g, a, [pos for d in lengths for pos in chain_positions(n, r, d)])
+
+
+@pytest.mark.parametrize("method", ["qr", "lu"])
+def test_entry_tree_on_a_slowly_decaying_inverse(method):
+    # tridiagonal (-1, 2 + 1e-5, -1): far entries decay by about
+    # exp(-0.0032 d), so at d = 2000 they are still 1e-5 of their column's
+    # largest entry or more, far from underflow, and the two products must
+    # agree there too
+    n = 2400
+    bands = np.empty((3, n))
+    bands[0], bands[1], bands[2] = -1.0, 2.0 + 1e-5, -1.0
+    bands[0, 0] = bands[2, -1] = 0.0
+    a = BandedMatrix(n, 1, 1, bands)
+    g = inverse_of(a, method)
+    positions = [pos for d in (TREE, 501, 1200, 2001) for pos in chain_positions(n, 1, d)]
+    scales = column_scales(a, [j for _, j in positions])
+    far = [abs(per_block_entry(g, i, j)) / s for (i, j), s in zip(positions, scales)]
+    assert min(far) > 1e-6
+    assert_entries_agree(g, a, positions)
+
+
+def test_entry_falls_back_to_the_chain_when_the_block_product_overflows():
+    # lower triangular blocks with entries of 1e10, not bounded by 1 as LU's
+    # blocks need not be: the second row of a product of 2 TREE of them
+    # overflows, but p picks the first row, which stays [1, 0]
+    n, r = 2 * TREE + 10, 2
+    m = n - r
+    a = np.tile(np.array([[1.0, 0.0], [1e10, 1.0]]), (m, 1, 1))
+    a[:, 1, 1] = 1e10
+    p = np.tile([1.0, 0.0], (m, 1))
+    q = np.tile([0.5, 0.25], (m, 1))
+    g = GreenGenerators(n, r, p, q, a, np.eye(r))
+    for i, j in [(2 * TREE + 3, r + 1), (2 * TREE, 0)]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            product = np.linalg.multi_dot(list(g.a[: 2 * TREE]))
+        assert not np.all(np.isfinite(product))
+        assert entry(g, i, j) == per_block_entry(g, i, j) == {0: 1.0}.get(j, 0.5)
+
+
+def test_entry_keeps_the_chain_for_wide_blocks():
+    # past TREE_MAX_R a pairwise product costs more than the call it saves
+    n, r = TREE + 2 * (TREE_MAX_R + 1) + 4, TREE_MAX_R + 1
+    g = random_generators(n, r, seed=44)
+    for i, j in chain_positions(n, r, TREE + 1):
+        assert entry(g, i, j) == per_block_entry(g, i, j)
+
+
+def image_sizes(r):
+    # the panels cover block columns 2..n-r, n - r - 1 of them
+    full = r + 1 + 2 * IMAGE_PANEL
+    return [r + 1, r + 2, r + 1 + IMAGE_PANEL // 2, full - 1, full, full + 1, full + 37]
+
+
+@pytest.mark.parametrize("source", ["qr", "lu", "random"])
+@pytest.mark.parametrize("r", [1, 3])
+def test_reconstruct_matches_per_column_image(r, source):
+    for n in image_sizes(r):
+        if source == "random":
+            g = random_generators(n, r, seed=n)
+        else:
+            g = inverse_of(instance(n, r, r, n, 1.0), source)
+        want = per_column_image(g)
+        got = reconstruct_structured(g)
+        assert got.shape == (n, n) and got.flags.c_contiguous
+        assert np.all(np.triu(got, r) == 0.0)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), n
+
+
+def test_generator_file_matches_per_value_format(tmp_path):
+    # more than one chunk of rows for p, q and a; values whose text is easy
+    # to get wrong: signed zero, the smallest subnormal, the largest finite
+    # values and integral values
+    r = 2
+    n = 2 * TEXT_CHUNK // r + r + 3
+    g = random_generators(n, r, seed=45)
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               3.0, -7.0, 1e16, 2.0**60, 0.1]
+    arrays = {f: getattr(g, f).copy() for f in ("p", "q", "a", "p_last")}
+    for t, field in enumerate(arrays):
+        flat = arrays[field].reshape(-1)
+        for k in range(0, flat.size, max(1, flat.size // 40)):
+            flat[k] = special[(k + t) % len(special)]
+    g = GreenGenerators(n, r, **arrays)
+    path, want = tmp_path / "g.json", tmp_path / "want.json"
+    write_generators(path, g)
+    per_value_write(want, g)
+    assert path.read_bytes() == want.read_bytes()
+    h = read_generators(path)
+    for field, arr in arrays.items():
+        assert getattr(h, field).tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("at", ["first", "chunk start", "last"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entries_are_found_in_every_chunk(bad, at):
+    n, r = CHUNK // 16 + 12, 4
+    arrays = {"p": np.ones((n - r, r)), "q": np.ones((n - r, r)),
+              "a": np.ones((n - r, r, r)), "p_last": np.ones((r, r))}
+    assert arrays["a"].size > CHUNK + 1
+    arrays["a"].flat[{"first": 0, "chunk start": CHUNK, "last": -1}[at]] = bad
+    with pytest.raises(ValueError, match="finite"):
+        GreenGenerators(n, r, **arrays)
