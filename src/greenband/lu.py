@@ -8,8 +8,10 @@ upper banded of order r; the generators of A^{-1} = R^{-1} L^{-1} follow
 from R's panels and the multipliers by the generator stage shared with the
 QR path (``generators.inverse_generators``), where p(k) = A^{-1}[k, k:k+r].
 The factorization is the panel loop shared with the QR path
-(``banded.factor_panels``), with R's rows stored max(r_lower, r_upper) wide.
-No pivoting is performed anywhere: the method requires strong regularity,
+(``banded.factor_panels``), with R's rows stored max(r_lower, r_upper) wide:
+LAPACK's ``dgetrf`` reduces each panel, and a panel on which its partial
+pivoting would swap rows is restored and eliminated column by column
+instead.  No row is ever swapped: the method requires strong regularity,
 and a pivot that is zero to working precision raises ZeroPivotError.  The
 factorization records its growth factor so instability on nearly-singular
 leading blocks is observable.
@@ -18,8 +20,9 @@ leading blocks is observable.
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dgemm, dtrsm
+from scipy.linalg.lapack import dgetrf
 
-from .banded import PanelFactorization, factor_panels, require_two_sided, singularity_tol
+from .banded import PANEL, PanelFactorization, factor_panels, require_two_sided, singularity_tol
 from .errors import ZeroPivotError
 from .generators import empty_generators, inverse_generators
 from .transforms import TransformProduct
@@ -78,38 +81,65 @@ def lu_factor_lower_band(a):
     """Structured unpivoted LU of a strongly regular lower banded matrix of
     order r.
 
-    Each panel is eliminated one column at a time (pivot check, scaling of
-    the r multipliers, rank-one update inside the panel), then one ``dtrsm``
-    gives the panel's rows of R right of it and one ``dgemm`` updates the r
-    rows below.  Raises ZeroPivotError with the 1-based index of the first
-    pivot that is zero to working precision.
+    One ``dgetrf`` call reduces each panel in place.  If its partial
+    pivoting swapped no row, that is the unpivoted factorization up to
+    rounding; otherwise the panel is restored from a copy and eliminated
+    one column at a time (``_eliminate``), as the unpivoted method
+    requires.  Then one ``dtrsm`` gives the panel's rows of R right of it,
+    one ``dgemm`` updates the r rows below, and the panel's absolute row
+    sums of R update the growth factor.  Raises ZeroPivotError with the
+    1-based index of the first pivot that is zero to working precision.
     """
     n, r = a.n, a.r_lower
     norm = a.norm_inf()
     tol = singularity_tol(n, norm)
+    width = max(r, a.r_upper)
+    b_max = min(n, PANEL + r)  # columns of the widest panel, the last one
+    saved = np.empty((b_max + r, b_max), order="F")
+    mag = np.empty((b_max, min(b_max + width, n)), order="F")
+    upper = np.triu(np.ones((b_max, b_max)))
+    growth = 0.0
 
     def reduce(w, k0, b):
-        for j in range(b):
-            if abs(w[j, j]) <= tol:
-                raise ZeroPivotError(
-                    f"pivot {k0 + j + 1} is zero to working precision", pivot_index=k0 + j + 1
-                )
-            mult = w[j + 1 : j + 1 + r, j]
-            mult /= w[j, j]
-            w[j + 1 : j + 1 + r, j + 1 : b] -= mult[:, None] * w[j, j + 1 : b]
+        nonlocal growth
+        panel = w[:, :b]
+        saved[: b + r, :b] = panel
+        # in place, as the window is in Fortran order; an exactly zero
+        # column (info > 0) is caught by the pivot check below
+        piv = dgetrf(panel, overwrite_a=1)[1]
+        if (piv != np.arange(b)).any():
+            panel[...] = saved[: b + r, :b]
+            _eliminate(panel, k0, r, tol)
+        else:
+            small = np.abs(panel.diagonal()) <= tol
+            if small.any():
+                raise _zero_pivot(k0 + int(small.argmax()))
         if w.shape[1] > b:
             w[:b, b:] = dtrsm(1.0, w[:b, :b], w[:b, b:], lower=1, diag=1)
             w[b:, b:] = dgemm(-1.0, w[b:, :b], w[:b, b:], 1.0, w[b:, b:])
+        rows = np.abs(w[:b], out=mag[:b, : w.shape[1]])
+        rows[:, :b] *= upper[:b, :b]  # the multipliers below the diagonal are L's
+        growth = max(growth, rows.sum(axis=1).max())
 
-    width = max(r, a.r_upper)
     x, tops, u = factor_panels(a, width, reduce)
     u[:, 0] = 0.0
-    growth = 0.0
-    for top in tops:  # only the leading b x b block holds multipliers, below its diagonal
-        b = len(top)
-        sums = np.triu(np.abs(top[:, :b])).sum(axis=1) + np.abs(top[:, b:]).sum(axis=1)
-        growth = max(growth, sums.max())
     return LuFactorization(n, r, u, x, tops, width, growth / (norm or 1.0))
+
+
+def _eliminate(panel, k0, r, tol):
+    """Unpivoted elimination of a panel starting at column k0, one column at
+    a time: pivot check, scaling of the r multipliers, rank-one update of
+    the panel's columns right of it."""
+    for j in range(panel.shape[1]):
+        if abs(panel[j, j]) <= tol:
+            raise _zero_pivot(k0 + j)
+        mult = panel[j + 1 : j + 1 + r, j]
+        mult /= panel[j, j]
+        panel[j + 1 : j + 1 + r, j + 1 :] -= mult[:, None] * panel[j, j + 1 :]
+
+
+def _zero_pivot(k):
+    return ZeroPivotError(f"pivot {k + 1} is zero to working precision", pivot_index=k + 1)
 
 
 def invert_lower_band_lu(a):

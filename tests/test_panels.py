@@ -1,7 +1,8 @@
 """The panel-blocked factorizations and generator stage at their panel
 boundaries: sizes that end just before, on and just after a panel edge,
 planted zero pivots on either side of the first edge, planted columns that
-need no reflection, and a count of the LAPACK/BLAS calls per inversion (one
+need no reflection, planted entries that LU's partial pivoting in LAPACK
+would swap up, and a count of the LAPACK/BLAS calls per inversion (one
 panel of PANEL columns per call, never one per row)."""
 
 import math
@@ -28,7 +29,8 @@ from greenband import (
     random_band,
     reconstruct_structured,
 )
-from greenband.banded import PANEL
+from greenband.banded import PANEL, factor_panels
+from greenband.bench import instability_matrix
 from greenband.generators import backward_recursion, empty_generators, inverse_generators
 
 SCALES = (1.0, 1e150, 1e-150)
@@ -105,17 +107,121 @@ def test_one_lapack_call_per_panel(monkeypatch, r_upper):
     counting(monkeypatch, qr_module.QrFactorization, "_block", calls)
     for name in ("dgeqrf", "dormqr"):
         counting(monkeypatch, qr_module, name, calls)
-    for name in ("dtrsm", "dgemm", "dtrtri"):
+    for name in ("dgetrf", "_eliminate", "dtrsm", "dgemm", "dtrtri"):
         counting(monkeypatch, lu_module, name, calls)
 
     for run in (qr_factor_lower_band, invert_lower_band_qr):
         calls.clear()
         run(a)
         assert calls == {"panel": panels, "dgeqrf": panels, "dormqr": slabs}, run.__name__
+    # the diagonal shift leaves dgetrf nothing to swap: no panel takes the column loop
     for run in (lu_factor_lower_band, invert_lower_band_lu):
         calls.clear()
         run(a)
-        assert calls == {"panel": panels, "dtrsm": panels - 1, "dgemm": panels - 1}, run.__name__
+        expected = {"panel": panels, "dgetrf": panels, "dtrsm": panels - 1, "dgemm": panels - 1}
+        assert calls == expected, run.__name__
+
+
+def column_loop_factorization(a):
+    """x, tops and the multipliers of the LU factorization with every panel
+    eliminated one column at a time, the elimination that a panel which
+    dgetrf would pivot must reproduce bit for bit (the reference)."""
+    r = a.r_lower
+
+    def reduce(w, k0, b):
+        for j in range(b):
+            mult = w[j + 1 : j + 1 + r, j]
+            mult /= w[j, j]
+            w[j + 1 : j + 1 + r, j + 1 : b] -= mult[:, None] * w[j, j + 1 : b]
+        if w.shape[1] > b:
+            w[:b, b:] = scipy.linalg.blas.dtrsm(1.0, w[:b, :b], w[:b, b:], lower=1, diag=1)
+            w[b:, b:] = scipy.linalg.blas.dgemm(-1.0, w[b:, :b], w[:b, b:], 1.0, w[b:, b:])
+
+    x, tops, below = factor_panels(a, max(r, a.r_upper), reduce)
+    return x, tops, below[:, 1:]
+
+
+def same_bits(fact, reference):
+    x, tops, f = reference
+    return (
+        fact.x.tobytes() == x.tobytes()
+        and fact.f.tobytes() == f.tobytes()
+        and [t.tobytes() for t in fact.tops] == [t.tobytes() for t in tops]
+    )
+
+
+@pytest.mark.parametrize("planted", ["middle", "every"])
+@pytest.mark.parametrize("upper", ["zero", "equal", "full"])
+@pytest.mark.parametrize("r", [4, PANEL + 8])
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_lu_panels_that_dgetrf_would_pivot_take_the_column_loop(
+    monkeypatch, offset, r, upper, planted
+):
+    # an entry three times its pivot below the diagonal, in the middle of
+    # the second panel or of every panel, makes dgetrf's partial pivoting
+    # swap rows there; the instance stays strongly regular, so exactly those
+    # panels are restored and eliminated one column at a time
+    n = r + 3 * PANEL + offset
+    r_upper = {"zero": 0, "equal": r, "full": n - 1}[upper]
+    m = n - r
+    panels = [(k0, k0 + PANEL if k0 + PANEL < m else n) for k0 in range(0, m, PANEL)]
+    dense = instance(n, r, r_upper, seed=n + r, scale=1.0).to_dense()
+    planted_in = panels[1:2] if planted == "middle" else panels
+    for j in ((k0 + k1) // 2 for k0, k1 in planted_in):
+        dense[j + 1, j] = 3.0 * dense[j, j]
+    a = BandedMatrix.from_dense(dense, r, r_upper)
+    calls = {}
+    for name in ("dgetrf", "_eliminate"):
+        counting(monkeypatch, lu_module, name, calls)
+    fact = lu_factor_lower_band(a)
+    assert calls == {"dgetrf": len(panels), "_eliminate": len(planted_in)}
+    low, up = dense_unpivoted_lu(dense)
+    np.testing.assert_allclose(fact.l_dense(), low, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(fact.r_dense(), up, rtol=1e-13, atol=1e-13)
+    if planted == "every":
+        assert same_bits(fact, column_loop_factorization(a))
+    ref = dense_invert(dense)
+    err = covered_relative_error(reconstruct_structured(invert_lower_band_lu(a)), ref, r)
+    assert err <= 1e-12
+
+
+def test_instability_witness_takes_the_column_loop(monkeypatch):
+    # the witness's leading 3 x 3 block has entries below its first pivot
+    # that partial pivoting would swap up, so its one panel is the column loop's
+    calls = {}
+    counting(monkeypatch, lu_module, "_eliminate", calls)
+    for c in range(9):
+        calls.clear()
+        a = instability_matrix(10.0**-c)
+        fact = lu_factor_lower_band(a)
+        assert calls == {"_eliminate": 1}
+        assert same_bits(fact, column_loop_factorization(a))
+
+
+@pytest.mark.parametrize("upper", ["zero", "equal", "full"])
+@pytest.mark.parametrize("r_lower", R_LOWERS)
+@pytest.mark.parametrize("column", [PANEL - 1, PANEL])
+@pytest.mark.parametrize("plant", ["row and column", "row up to the diagonal"])
+def test_lu_zero_pivot_is_named_on_both_branches(monkeypatch, plant, column, r_lower, upper):
+    # both plants make pivot j+1 exactly zero (1-based).  Zeroing row and
+    # column j leaves nothing to swap up, so dgetrf's own result names it;
+    # zeroing row j up to its diagonal leaves a nonzero entry below the
+    # pivot that dgetrf would swap up, so the column loop names it, without
+    # dividing by it (pytest.ini turns a RuntimeWarning into an error)
+    n = r_lower + 3 * PANEL
+    r_upper = {"zero": 0, "equal": r_lower, "full": n - 1}[upper]
+    dense = instance(n, r_lower, r_upper, seed=column, scale=1.0).to_dense()
+    if plant == "row and column":
+        dense[column, :] = dense[:, column] = 0.0
+    else:
+        dense[column, : column + 1] = 0.0
+    a = BandedMatrix.from_dense(dense, r_lower, r_upper)
+    calls = {}
+    counting(monkeypatch, lu_module, "_eliminate", calls)
+    with pytest.raises(ZeroPivotError) as info:
+        lu_factor_lower_band(a)
+    assert info.value.pivot_index == column + 1
+    assert calls == ({} if plant == "row and column" else {"_eliminate": 1})
 
 
 @pytest.mark.parametrize("upper", ["zero", "equal", "full"])
