@@ -3,14 +3,20 @@ generators and the matrix text format.
 
 A matrix A is *lower banded of order r* when ``A[i, j] == 0`` for
 ``i - j > r`` (the upper part may be full), and *two-sided banded* when in
-addition ``A[i, j] == 0`` for ``j - i > r_upper``.  Storage is by diagonals
-(LAPACK band layout): ``bands[r_upper + i - j, j] == A[i, j]``, which gives
-O(1) entry access and O(length) row/column gathers.
+addition ``A[i, j] == 0`` for ``j - i > r_upper``.  Storage is LAPACK's
+band layout (the ``AB`` array of ``dgbtrf`` and ``dgbmv``): the
+(r_lower + r_upper + 1) x n array ``bands[r_upper + i - j, j] == A[i, j]``
+in Fortran order, so each column's band cells are contiguous.  Entry access
+is O(1), a block of A is one strided view of the array (a copy of column
+segments), and BLAS's banded routines read the array as it is.
 
 All indices in this module are 0-based.
 """
 
+import functools
+
 import numpy as np
+from scipy.linalg.blas import dgbmv
 
 from .errors import BandPatternError
 
@@ -28,16 +34,20 @@ __all__ = [
 ]
 
 PANEL = 32  # columns per panel of the blocked QR and LU factorizations
+TILE = 128  # diagonals per tile of the constructor's copy and checks
+CHUNK = 2**15  # cells per chunk of ``all_finite``, 256 KB of doubles
+NORM_CHUNK = 2**18  # doubles per chunk of ``norm_inf``, 2 MB
 
 
 class BandedMatrix:
     """N x N real matrix with lower bandwidth ``r_lower`` and upper bandwidth
     ``r_upper`` (``r_upper == n - 1`` means the upper part is unconstrained).
 
-    ``bands`` is copied, and its cells outside the matrix (the corner
-    triangles of the band layout) must be zero.  Instances are immutable after
-    construction; the band array is marked read-only so they can be shared
-    freely between threads.
+    ``bands`` is copied into Fortran order, and its cells outside the matrix
+    (the corner triangles of the band layout) must be zero.  Instances are
+    immutable after construction; the band array is marked read-only so they
+    can be shared freely between threads (``norm_inf``, computed on first
+    use, is the same value whichever thread computes it).
     """
 
     def __init__(self, n, r_lower, r_upper, bands):
@@ -45,25 +55,27 @@ class BandedMatrix:
             raise ValueError(f"need n > r_lower > 0, got n={n}, r_lower={r_lower}")
         if not 0 <= r_upper <= n - 1:
             raise ValueError(f"r_upper must be in [0, n-1], got {r_upper}")
-        bands = np.array(bands, dtype=float, order="C")
-        if bands.shape != (r_lower + r_upper + 1, n):
-            raise ValueError(
-                f"bands must have shape {(r_lower + r_upper + 1, n)}, got {bands.shape}"
-            )
-        if not np.all(np.isfinite(bands)):
+        src = np.asarray(bands, dtype=float)
+        d = r_lower + r_upper + 1
+        if src.shape != (d, n):
+            raise ValueError(f"bands must have shape {(d, n)}, got {src.shape}")
+        # the transposing copy goes TILE diagonals at a time, a third faster
+        # than in one call
+        self.bands = np.empty((d, n), order="F")
+        for d0 in range(0, d, TILE):
+            self.bands[d0 : d0 + TILE] = src[d0 : d0 + TILE]
+        if not all_finite(self.bands):
             raise ValueError("band entries must be finite")
         # cell (d, j) holds A[j + d - r_upper, j], so the first r_upper - d
         # cells of a superdiagonal and the last d - r_upper cells of a
         # subdiagonal lie outside the matrix
-        corners = [bands[d, : r_upper - d] for d in range(r_upper)]
-        corners += [bands[d, n + r_upper - d :] for d in range(r_upper + 1, bands.shape[0])]
-        if any(c.any() for c in corners):
+        if _corner_nonzero(src, r_upper) or _corner_nonzero(src[::-1, ::-1], r_lower):
             raise ValueError("bands has nonzero cells outside the matrix")
         self.n = int(n)
         self.r_lower = int(r_lower)
         self.r_upper = int(r_upper)
-        self.bands = bands
         self.bands.setflags(write=False)
+        self._norm = None
 
     @property
     def full_upper(self):
@@ -77,7 +89,7 @@ class BandedMatrix:
         n = dense.shape[0]
         if dense.shape != (n, n):
             raise ValueError("dense input must be square")
-        bands = np.zeros((r_lower + r_upper + 1, n))
+        bands = np.zeros((r_lower + r_upper + 1, n), order="F")
         for off in range(-r_upper, r_lower + 1):
             diag = np.diagonal(dense, offset=-off)
             j0 = max(0, -off)
@@ -109,25 +121,6 @@ class BandedMatrix:
             return self.bands[d, j]
         return 0.0
 
-    def _row_band(self):
-        """Read-only (n, r_lower + r_upper + 1) strided view of ``bands`` whose
-        row i holds A[i, i - r_lower : i + r_upper + 1].
-
-        Every cell of the view lies inside the band array.  A cell whose
-        column falls outside the matrix reads one of the zero corner cells,
-        except in row 0 (columns before 0) and row n - 1 (columns past n - 1),
-        where it wraps onto entries of row n - 1 and row 0.
-        """
-        d, n = self.bands.shape
-        step = self.bands.strides[1]
-        # A[i, i - r_lower + t] sits at flat offset (d-1-t) n + i - r_lower + t
-        return np.lib.stride_tricks.as_strided(
-            self.bands.ravel()[(d - 1) * n - self.r_lower :],
-            shape=(n, d),
-            strides=(step, (1 - n) * step),
-            writeable=False,
-        )
-
     def row_segment(self, i, j0, j1):
         """Values A[i, j0:j1] as a dense vector (zeros outside the band)."""
         return self.rows_block(i, i + 1, j0, j1)[0]
@@ -140,27 +133,29 @@ class BandedMatrix:
         """Dense block A[i0:i1, j0:j1] in Fortran order, zero outside the band;
         rows past the last one read as zero (0 <= i0, 0 <= j0 <= j1 <= n).
 
-        One strided copy moves the band cells of all rows at once: row i0 + a
-        of the row-band view is written along a skewed view of a buffer
-        padded on both sides, and the pads take the cells outside the block's
-        columns, the wrapped cells of rows 0 and n - 1 among them.
+        A[i, j] sits at offset r_upper + i + j (d - 1) of the Fortran-ordered
+        band array of d diagonals, so the block is one strided view, copied
+        as each column's contiguous band cells.  The view's cells above or
+        below the band read other columns' cells; they are zeroed after the
+        copy, at indices cached per window shape (``_outside``).
         """
-        d = self.bands.shape[0]
+        d, n = self.bands.shape
         rows, cols = i1 - i0, j1 - j0
-        live = max(0, min(i1, self.n) - i0)
-        s = i0 - self.r_lower - j0  # block column of row-band cell (a, t) is a + t + s
-        t_lo = max(0, -s - max(live - 1, 0))
-        t_hi = min(d, cols - s)
-        pad = max(0, -(t_lo + s))
-        buf = np.zeros((rows, pad + max(cols, live + t_hi + s - 1)), order="F")
-        if live and t_hi > t_lo:
-            skew = np.lib.stride_tricks.as_strided(
-                buf[:, pad + t_lo + s :],
-                shape=(live, t_hi - t_lo),
-                strides=(buf.strides[0] + buf.strides[1], buf.strides[1]),
+        live = max(0, min(i1, n) - i0)
+        out = np.empty((rows, cols), order="F")
+        if live and cols:
+            step = self.bands.itemsize
+            out[:live] = np.ndarray(
+                (live, cols),
+                buffer=self.bands,
+                offset=(self.r_upper + i0 + j0 * (d - 1)) * step,
+                strides=(step, (d - 1) * step),
             )
-            skew[...] = self._row_band()[i0 : i0 + live, t_lo:t_hi]
-        return buf[:, pad : pad + cols]
+        out[live:] = 0.0
+        above = min(max(self.r_upper + i0 - j0, -rows), cols)
+        below = min(max(self.r_lower - i0 + j0, -cols), rows)
+        out.T.reshape(-1)[_outside(rows, cols, above, below)] = 0.0
+        return out
 
     def panel(self, k0, rows, cols, carried=None):
         """Working window of a panel factorization: A[k0:k0+rows, k0:k0+cols]
@@ -173,22 +168,27 @@ class BandedMatrix:
         return w
 
     def norm_inf(self):
-        """Max absolute row sum, computed from the compressed band.
+        """Max absolute row sum, computed once per matrix from the
+        compressed band.
 
-        The row sums accumulate over blocks of 32 diagonals of the row-band
-        view; rows 0 and n - 1, whose cells outside the matrix wrap around,
-        are summed on their own.
+        Columns j0:j1 of the band array, read as stored, are the band of a
+        lower banded (j1 - j0 + d - 1) x (j1 - j0) matrix of order d - 1
+        (d diagonals) whose row t is row j0 - r_upper + t of A, so one
+        ``dgbmv`` per chunk of columns adds their absolute values into the
+        row sums; the rows outside A collect the zero corner cells.
         """
-        band = self._row_band().T  # band[t, i] = A[i, i - r_lower + t]
-        chunk = 32
-        sums = np.zeros(self.n)
-        buf = np.empty((min(chunk, len(band)), self.n))
-        for t0 in range(0, len(band), chunk):
-            blk = band[t0 : t0 + chunk]
-            sums += np.abs(blk, out=buf[: len(blk)]).sum(axis=0)
-        sums[0] = np.abs(band[self.r_lower : self.r_lower + self.n, 0]).sum()
-        sums[-1] = np.abs(band[max(0, self.r_lower + 1 - self.n) : self.r_lower + 1, -1]).sum()
-        return float(sums.max())
+        if self._norm is None:
+            d, n = self.bands.shape
+            step = max(1, NORM_CHUNK // d)
+            buf = np.empty((d, min(step, n)), order="F")
+            ones = np.ones(buf.shape[1])
+            sums = np.zeros(n + d - 1)  # rows -r_upper .. n - 1 + r_lower of A
+            for j0 in range(0, n, step):
+                blk = np.abs(self.bands[:, j0 : j0 + step], out=buf[:, : min(step, n - j0)])
+                c = blk.shape[1]
+                dgbmv(c + d - 1, c, d - 1, 0, 1.0, blk, ones, beta=1.0, y=sums, offy=j0, overwrite_y=1)
+            self._norm = float(sums[self.r_upper : self.r_upper + n].max())
+        return self._norm
 
     def __eq__(self, other):
         if not isinstance(other, BandedMatrix):
@@ -204,17 +204,65 @@ class BandedMatrix:
         return f"BandedMatrix(n={self.n}, r_lower={self.r_lower}, r_upper={self.r_upper})"
 
 
+def all_finite(arr):
+    """True if every entry of the contiguous array ``arr`` is finite, read
+    in chunks of CHUNK cells, without a boolean array of its size."""
+    flat = arr.reshape(-1, order="A")
+    finite = np.empty(min(CHUNK, flat.size), dtype=bool)
+    for k in range(0, flat.size, CHUNK):
+        part = flat[k : k + CHUNK]
+        if not np.isfinite(part, out=finite[: part.size]).all():
+            return False
+    return True
+
+
+def _corner_nonzero(bands, k):
+    """True if a cell (d, j) of ``bands`` with d + j < k, in the top-left
+    triangle of the band layout, is nonzero.
+
+    Per tile of diagonals d0..d1-1, the columns before k - d1 + 1 lie in the
+    triangle on every diagonal; the t x (t - 1) block right of them does
+    where a + c < t - 1 (``_triangle``).
+    """
+    for d0 in range(0, k, TILE):
+        d1 = min(d0 + TILE, k)
+        tile = bands[d0:d1]
+        if tile[:, : k - d1 + 1].any() or tile[:, k - d1 + 1 : k - d0][_triangle(d1 - d0)].any():
+            return True
+    return False
+
+
+@functools.lru_cache(maxsize=TILE)
+def _triangle(t):
+    a, c = np.indices((t, t - 1))
+    mask = a + c < t - 1
+    mask.setflags(write=False)
+    return mask
+
+
+@functools.lru_cache(maxsize=256)
+def _outside(rows, cols, above, below):
+    """Fortran-order flat indices of the cells (a, c) of a rows x cols window
+    with c - a > above or a - c > below, the cells outside the band."""
+    a = np.arange(rows)[:, None]
+    c = np.arange(cols)
+    idx = np.flatnonzero(((c - a > above) | (a - c > below)).T)
+    idx.setflags(write=False)
+    return idx
+
+
 class PanelFactorization:
     """R of a factorization A = G R made by ``factor_panels``, with the
     method's record of G left to the subclass.
 
-    ``x[k-1] = R(k, k)``.  ``tops`` holds R panel by panel: the panel's rows
-    over the columns of its window, exact zeros past each row's reach, with
-    the method's entries (reflection vectors or L's multipliers) below the
-    diagonal of its leading block.  ``rows[k-1]``, built from it on demand,
-    is R(k, k+1:k+width), which holds every nonzero of the row since
-    ``width`` is at least the upper bandwidth of R; there are n rows, the
-    last one empty.
+    ``x[k-1] = R(k, k)``.  ``tops`` holds R panel by panel, one
+    Fortran-ordered array per panel: the panel's rows over the columns of
+    its window, exact zeros past each row's reach, with the method's
+    entries (reflection vectors or L's multipliers) below the diagonal of
+    its leading block.  ``rows[k-1]``, built from it on demand, is
+    R(k, k+1:k+width), which holds every nonzero of the row since ``width``
+    is at least the upper bandwidth of R; there are n rows, the last one
+    empty.
     """
 
     def __init__(self, n, r, x, tops, width):
@@ -250,7 +298,7 @@ def factor_panels(a, width, reduce):
     to the panel's fill, O(n r^2) for a two-sided band and O(n^2 r) for a
     full upper part.
 
-    Returns x (R's diagonal), the panels' contiguous ``tops`` and an
+    Returns x (R's diagonal), the panels' Fortran-ordered ``tops`` and an
     (n, r + 1) array whose columns 1.. hold the entries below each diagonal
     entry, zero past the matrix edge; column 0 is left to the method.
     """
@@ -268,7 +316,7 @@ def factor_panels(a, width, reduce):
         x[k0:k1] = np.diagonal(w[:b])
         diag = np.arange(b)[:, None]
         below[k0:k1, 1:] = w[diag + np.arange(1, r + 1), diag]
-        tops.append(np.ascontiguousarray(w[:b]))
+        tops.append(w[:b].copy(order="F"))
         carried = w[b:, b:]
     return x, tops, below
 

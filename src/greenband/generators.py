@@ -20,6 +20,7 @@ import functools
 import numpy as np
 from scipy.linalg.blas import dtrsm
 
+from .banded import all_finite
 from .dense_oracle import numerical_rank
 
 CHUNK = 2**15  # doubles in a chunk of a generator array, 256 KB
@@ -117,14 +118,9 @@ class GreenGenerators:
             raise ValueError(f"a must have shape {(m, r, r)}")
         if self.p_last.shape != (r, r):
             raise ValueError(f"p_last must have shape {(r, r)}")
-        finite = np.empty(min(CHUNK, self.a.size), dtype=bool)
         for arr in (self.p, self.q, self.a, self.p_last):
-            # one read, in chunks, without an array of the generators' size
-            flat = arr.reshape(-1)
-            for k in range(0, flat.size, CHUNK):
-                part = flat[k : k + CHUNK]
-                if not np.isfinite(part, out=finite[: part.size]).all():
-                    raise ValueError("generator entries must be finite")
+            if not all_finite(arr):
+                raise ValueError("generator entries must be finite")
             arr.setflags(write=False)
 
     def p_row(self, i):
@@ -402,14 +398,18 @@ def inverse_generators(tops, width, u, w, out):
     n, r = u.shape[0], u.shape[1] - 1
     m = n - r
     p, q, a, p_last = out
-    shift = np.eye(r + 1)[1:]  # [E | e_r]
     np.multiply(u[:m, 1:], w[:m, r:], out=q)
-    np.subtract(shift[:, r], q, out=q)
+    np.subtract(np.eye(r)[-1], q, out=q)  # e_r - q
     step = max(1, CHUNK // (r * r))
     for k0 in range(0, m, step):
         k1 = min(k0 + step, m)
-        np.einsum("ki,kj->kij", u[k0:k1, 1:], w[k0:k1, :r], out=a[k0:k1])  # faster than a broadcast multiply
-        np.subtract(shift[:, :r], a[k0:k1], out=a[k0:k1])
+        chunk = a[k0:k1]
+        np.einsum("ki,kj->kij", u[k0:k1, 1:], w[k0:k1, :r], out=chunk)  # faster than a broadcast multiply
+        # a(k) = S - u w^T, S the r x r shift (ones on its superdiagonal):
+        # negated, then S's ones added through one strided view, with no
+        # broadcast over the chunk's short r x r blocks
+        np.subtract(0.0, chunk, out=chunk)
+        chunk.reshape(k1 - k0, r * r)[:, 1 :: r + 1] += 1.0
     stacks = np.empty((2, width, r))  # each panel writes the one it does not read
     t = stacks[1, :0]
     scratch = {}

@@ -97,6 +97,7 @@ def lu_factor_lower_band(a):
     b_max = min(n, PANEL + r)  # columns of the widest panel, the last one
     saved = np.empty((b_max + r, b_max), order="F")
     mag = np.empty((b_max, min(b_max + width, n)), order="F")
+    ones = np.ones(mag.shape[1])
     upper = np.triu(np.ones((b_max, b_max)))
     growth = 0.0
 
@@ -119,7 +120,7 @@ def lu_factor_lower_band(a):
             w[b:, b:] = dgemm(-1.0, w[b:, :b], w[:b, b:], 1.0, w[b:, b:])
         rows = np.abs(w[:b], out=mag[:b, : w.shape[1]])
         rows[:, :b] *= upper[:b, :b]  # the multipliers below the diagonal are L's
-        growth = max(growth, rows.sum(axis=1).max())
+        growth = max(growth, (rows @ ones[: rows.shape[1]]).max())  # one dgemv
 
     x, tops, u = factor_panels(a, width, reduce)
     u[:, 0] = 0.0

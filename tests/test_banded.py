@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
+from conftest import instance
 from hypothesis import given, strategies as st
 
+import greenband.banded as banded_module
 from greenband import (
     BandedMatrix,
     BandPatternError,
+    invert_lower_band_lu,
+    invert_lower_band_qr,
     prescribed_condition_band,
     random_band,
     read_matrix,
     write_matrix,
 )
+
+# (n, r_lower, r_upper): r_upper 0, below, equal to and above r_lower, and
+# n - 1 (a full upper part); the last two have n = r_lower + 1
+KINDS = [(11, 3, 0), (11, 3, 2), (11, 3, 3), (11, 3, 5), (11, 3, 10), (4, 3, 3), (4, 3, 0)]
 
 
 def test_to_dense_identity_case():
@@ -52,6 +60,36 @@ def test_constructor_copies_the_band_array():
     assert not a.bands.flags.writeable
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n,r_lower,r_upper", KINDS)
+def test_bands_in_lapack_layout(n, r_lower, r_upper, order):
+    # shape (r_l + r_u + 1, n), bands[r_u + i - j, j] = A[i, j], Fortran
+    # order (each column's band cells contiguous), a read-only copy of
+    # either layout of the input
+    dense = random_band(n, r_lower, r_upper, seed=n + r_upper, diag_shift=1.0).to_dense()
+    given_bands = np.zeros((r_lower + r_upper + 1, n), order=order)
+    for i, j in zip(*np.nonzero(dense)):
+        given_bands[r_upper + i - j, j] = dense[i, j]
+    a = BandedMatrix(n, r_lower, r_upper, given_bands)
+    assert a.bands.shape == given_bands.shape
+    assert a.bands.flags.f_contiguous and not a.bands.flags.writeable
+    assert not np.shares_memory(a.bands, given_bands)
+    np.testing.assert_array_equal(a.bands, given_bands)
+    np.testing.assert_array_equal(a.to_dense(), dense)
+    with pytest.raises(ValueError):
+        a.bands[r_upper, 0] = 1.0
+
+
+def test_constructor_rejects_nonfinite_cells():
+    bands = random_band(300, 2, 299, seed=6, diag_shift=1.0).bands.copy()
+    for cell in [(0, 299), (150, 170), (301, 0)]:
+        for bad in (np.nan, np.inf):
+            wrong = bands.copy()
+            wrong[cell] = bad
+            with pytest.raises(ValueError, match="finite"):
+                BandedMatrix(300, 2, 299, wrong)
+
+
 def test_cells_outside_the_matrix_are_rejected():
     # a 30 x 30 band of order 3 has 3 + 2 + 1 cells outside the matrix in
     # each corner of its band array
@@ -65,6 +103,28 @@ def test_cells_outside_the_matrix_are_rejected():
         with pytest.raises(ValueError):
             BandedMatrix(30, 3, 3, bad)
     BandedMatrix(30, 3, 3, bands)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("r_lower,r_upper", [(2, 299), (299, 0), (140, 150)])
+def test_corner_cells_across_diagonal_tiles(r_lower, r_upper, order):
+    # corners of more than one tile of diagonals: every cell just outside
+    # the matrix on its diagonal, and every first and last cell inside
+    n = 300
+    bands = random_band(n, r_lower, r_upper, seed=7, diag_shift=1.0).bands.copy(order=order)
+    d = np.arange(r_lower + r_upper + 1)
+    first = np.maximum(0, r_upper - d)  # first column of diagonal d inside the matrix
+    last = np.minimum(n, n + r_upper - d) - 1
+    bands[d, first] = bands[d, last] = 1.0
+    BandedMatrix(n, r_lower, r_upper, bands)
+    outside = [(k, first[k] - 1) for k in d if first[k] > 0]
+    outside += [(k, last[k] + 1) for k in d if last[k] < n - 1]
+    assert len(outside) == r_lower + r_upper
+    for cell in outside:
+        bad = bands.copy(order="K")
+        bad[cell] = -1e-300
+        with pytest.raises(ValueError, match="outside the matrix"):
+            BandedMatrix(n, r_lower, r_upper, bad)
 
 
 def test_band_pattern_enforced():
@@ -137,9 +197,43 @@ def test_entry_and_segments():
     np.testing.assert_array_equal(a.rows_block(2, 5, 1, 7), dense[2:5, 1:7])
 
 
+@pytest.mark.parametrize("n,r_lower,r_upper", KINDS)
+def test_rows_block_matches_dense(n, r_lower, r_upper):
+    # every window whose corner lies at either edge or inside, rows past n
+    # included: the strided view reads other columns' cells around the band,
+    # which must come out zero
+    a = random_band(n, r_lower, r_upper, seed=n * r_upper + 1, diag_shift=1.0)
+    dense = np.vstack([a.to_dense(), np.zeros((r_lower + 2, n))])
+    for i0 in range(n + 1):
+        for i1 in range(i0, n + r_lower + 2):
+            for j0 in range(n + 1):
+                for j1 in {j0, min(j0 + 1, n), (j0 + n) // 2, n}:
+                    block = a.rows_block(i0, i1, j0, j1)
+                    assert block.flags.f_contiguous
+                    np.testing.assert_array_equal(block, dense[i0:i1, j0:j1])
+
+
+@pytest.mark.parametrize("n,r_lower,r_upper", KINDS)
+def test_panel_matches_dense(n, r_lower, r_upper):
+    # factor_panels' windows: (b + r) rows from k0, clipped columns, the
+    # last ones past the matrix edge, with and without carried rows
+    a = random_band(n, r_lower, r_upper, seed=n + 2 * r_upper, diag_shift=1.0)
+    dense = np.vstack([a.to_dense(), np.zeros((r_lower, n))])
+    carried = np.full((r_lower, r_lower), -7.0)
+    for k0 in range(n - r_lower):
+        for b in range(1, n - k0 + 1):
+            rows, cols = b + r_lower, n - k0
+            w = a.panel(k0, rows, cols)
+            np.testing.assert_array_equal(w, dense[k0 : k0 + rows, k0:n])
+            w = a.panel(k0, rows, cols, carried[: min(rows, cols), : min(rows, cols)])
+            expected = dense[k0 : k0 + rows, k0:n].copy()
+            expected[:r_lower, :r_lower] = -7.0
+            np.testing.assert_array_equal(w, expected)
+
+
 def test_norm_inf_matches_dense():
-    # r_u in {0, r_l, n - 1} and between; rows 0 and n - 1, where the
-    # row-band view wraps around, take their turn as the largest row
+    # r_u in {0, r_l, n - 1} and between; rows 0 and n - 1, whose sums take
+    # the corner cells of the band array, take their turn as the largest row
     shapes = [(25, 3, 6), (25, 3, 0), (25, 3, 3), (25, 3, 24), (40, 39, 39), (2, 1, 0)]
     for n, r_lower, r_upper in shapes:
         for hot in (0, n - 1, n // 2):
@@ -147,6 +241,33 @@ def test_norm_inf_matches_dense():
             dense[hot] *= 10.0
             a = BandedMatrix.from_dense(dense, r_lower, r_upper)
             assert a.norm_inf() == pytest.approx(np.linalg.norm(a.to_dense(), np.inf))
+
+
+@pytest.mark.parametrize("chunk", [banded_module.NORM_CHUNK, 64])
+@pytest.mark.parametrize("scale", [1e150, 1e-150])
+@pytest.mark.parametrize("n,r_lower,r_upper", KINDS + [(300, 2, 299), (300, 200, 50)])
+def test_norm_inf_at_extreme_scales(monkeypatch, n, r_lower, r_upper, scale, chunk):
+    # chunks of 64 cells split every band array here into several chunks of
+    # columns, one column each when d > 32
+    monkeypatch.setattr(banded_module, "NORM_CHUNK", chunk)
+    a = instance(n, r_lower, r_upper, seed=3, scale=scale)
+    expected = np.linalg.norm(a.to_dense(), np.inf)
+    assert np.isfinite(expected) and expected > 0.0
+    assert a.norm_inf() == pytest.approx(expected, rel=1e-13)
+
+
+def test_norm_inf_is_computed_once_per_matrix(monkeypatch):
+    # one QR and one LU inversion of the same matrix (both use ||A||_inf)
+    # pay for it once: one dgbmv per chunk of columns, one chunk here
+    calls = []
+    dgbmv = banded_module.dgbmv
+    monkeypatch.setattr(banded_module, "dgbmv", lambda *a, **k: calls.append(1) or dgbmv(*a, **k))
+    a = random_band(60, 3, 5, seed=1, diag_shift=9.0)
+    invert_lower_band_qr(a)
+    invert_lower_band_lu(a)
+    assert len(calls) == 1
+    assert a.norm_inf() == pytest.approx(np.linalg.norm(a.to_dense(), np.inf))
+    assert len(calls) == 1
 
 
 def test_matrix_file_round_trip(tmp_path):
