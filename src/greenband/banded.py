@@ -252,8 +252,8 @@ def _outside(rows, cols, above, below):
 
 
 class PanelFactorization:
-    """R of a factorization A = G R made by ``factor_panels``, with the
-    method's record of G left to the subclass.
+    """A factorization A = G R made by ``factor_panels``: R, and the one
+    record of G that both methods keep.
 
     ``x[k-1] = R(k, k)``.  ``tops`` holds R panel by panel, one
     Fortran-ordered array per panel: the panel's rows over the columns of
@@ -263,14 +263,26 @@ class PanelFactorization:
     R(k, k+1:k+width), which holds every nonzero of the row since ``width``
     is at least the upper bandwidth of R; there are n rows, the last one
     empty.
+
+    Every factorization carries its inverse factor G^{-1} (U^T for QR,
+    L^{-1} for LU) as (u, w): G^{-1} = G_{n-1} ... G_0 is a descending
+    product of the blocks G_k = I - u_k w_k^T on rows and columns k..k+r,
+    with ``u`` and ``w`` (n, r+1), zero past the matrix edge.  The
+    inversions read only (u, w); ``factors`` (the (r+1) x (r+1) blocks
+    G_0 .. G_{n-r-1}), ``closing`` (G_{n-r} .. G_{n-2}, shrunk to sizes
+    r..2 at the matrix edge; G_{n-1} is the identity) and
+    ``closing_product`` (their descending product on the trailing r x r
+    window) are built from it on demand.
     """
 
-    def __init__(self, n, r, x, tops, width):
+    def __init__(self, n, r, x, tops, width, u, w):
         self.n = n
         self.r = r
         self.x = x
         self.tops = tops
         self.width = width
+        self.u = u
+        self.w = w
 
     @property
     def rows(self):
@@ -281,6 +293,25 @@ class PanelFactorization:
         out[np.arange(self.n), np.arange(self.n)] = self.x
         for k0, row in enumerate(self.rows):
             out[k0, k0 + 1 : k0 + 1 + row.size] = row
+        return out
+
+    def _block(self, k, size):
+        """G_k on its rows and columns k..k+size-1."""
+        return np.eye(size) - np.outer(self.u[k, :size], self.w[k, :size])
+
+    @property
+    def factors(self):
+        return [self._block(k, self.r + 1) for k in range(self.n - self.r)]
+
+    @property
+    def closing(self):
+        return [self._block(k, self.n - k) for k in range(self.n - self.r, self.n - 1)]
+
+    def closing_product(self):
+        """G_{n-2} ... G_{n-r} on the trailing r x r window."""
+        out = np.eye(self.r)
+        for j, blk in enumerate(self.closing):
+            out[j:] = blk @ out[j:]
         return out
 
 

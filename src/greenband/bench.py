@@ -10,6 +10,7 @@ inverse, and only for sizes up to ``oracle_cutoff``.
 """
 
 import csv
+import functools
 import gc
 import time
 from dataclasses import dataclass
@@ -41,7 +42,15 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 
-METHODS = ("qr", "lu", "qr-lower", "lu-lower", "dense")
+# method -> inversion; "dense" takes the dense image, built before timing
+_INVERTERS = {
+    "qr": invert_two_sided_qr,
+    "lu": invert_two_sided_lu,
+    "qr-lower": invert_lower_band_qr,
+    "lu-lower": invert_lower_band_lu,
+    "dense": dense_invert,
+}
+METHODS = tuple(_INVERTERS)
 
 
 @dataclass
@@ -117,18 +126,6 @@ def _timed_region():
     return contextlib.nullcontext()
 
 
-def _invert_fn(method, a):
-    if method == "qr":
-        return lambda: invert_two_sided_qr(a)
-    if method == "lu":
-        return lambda: invert_two_sided_lu(a)
-    if method == "qr-lower":
-        return lambda: invert_lower_band_qr(a)
-    if method == "lu-lower":
-        return lambda: invert_lower_band_lu(a)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def run_bench(sizes, r, method, trials=3, seed=0, diag_shift=None, oracle_cutoff=1000):
     """Benchmark one method over a list of sizes; returns BenchRecords.
 
@@ -144,11 +141,7 @@ def run_bench(sizes, r, method, trials=3, seed=0, diag_shift=None, oracle_cutoff
     cells = []
     for n in sizes:
         a = random_band(n, r, r if two_sided else n - 1, seed + n, diag_shift=shift)
-        if method == "dense":
-            dense = a.to_dense()
-            fn = (lambda d: lambda: dense_invert(d))(dense)
-        else:
-            fn = _invert_fn(method, a)
+        fn = functools.partial(_INVERTERS[method], a.to_dense() if method == "dense" else a)
         cells.append((n, a, fn))
     with _timed_region():
         seconds = _interleaved_times([fn for _, _, fn in cells], trials)
@@ -175,6 +168,18 @@ def write_bench_csv(path, records):
         for rec in sorted(records, key=lambda rc: (rc.n, rc.method)):
             err = "" if rec.rel_err is None else format(rec.rel_err, ".17g")
             writer.writerow([rec.n, rec.method, format(rec.seconds, ".17g"), err])
+
+
+def _write_table(path, rows):
+    """CSV of a list of dicts, the first one's keys as header, floats at 17
+    significant digits."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        for row in rows:
+            writer.writerow(
+                {k: (format(v, ".17g") if isinstance(v, float) else v) for k, v in row.items()}
+            )
 
 
 def fit_records(records):
@@ -296,13 +301,7 @@ def _example_4(out_dir, trials):
                 "rejected": rejected,
             }
         )
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(
-                {k: (format(v, ".17g") if isinstance(v, float) else v) for k, v in row.items()}
-            )
+    _write_table(path, rows)
     return {"files": [path], "rows": rows}
 
 
@@ -323,11 +322,7 @@ def _example_5(out_dir, trials):
             reconstruct_structured(invert_lower_band_qr(a)), ref, a.r_lower
         )
         rows.append({"delta": delta, "lu_rel_err": lu_err, "qr_rel_err": qr_err})
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: format(v, ".17g") for k, v in row.items()})
+    _write_table(path, rows)
     return {"files": [path], "rows": rows}
 
 

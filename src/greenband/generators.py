@@ -268,8 +268,8 @@ def multiply_upper_triangular(s, g):
     """Generators of C = S B for upper triangular S and lower Green B.
 
     The product is again lower Green of the same order: q and a carry over
-    unchanged, the closing block becomes S[n-r:, n-r:] p_last, and each p row
-    picks up the action of the corresponding row of S on the tail stack.
+    unchanged, the closing block becomes S[n-r:, n-r:] p_last, and p(k)
+    becomes S[k-1, k-1:] P_k, the row of S on the tail stack of B.
     """
     s = np.asarray(s, dtype=float)
     n, r = g.n, g.r
@@ -277,14 +277,9 @@ def multiply_upper_triangular(s, g):
         raise ValueError(f"S must be {n} x {n}")
     if np.any(np.tril(s, -1) != 0.0):
         raise ValueError("S must be upper triangular")
-    p_last = s[n - r :, n - r :] @ g.p_last
-    p_out = np.empty_like(g.p)
-    stack = g.p_last  # tail stack of B, grown downward from the closing block
-    for k in range(n - r, 0, -1):
-        sa = stack @ g.a[k - 1]
-        p_out[k - 1] = s[k - 1, k - 1] * g.p[k - 1] + s[k - 1, k:] @ sa
-        stack = np.vstack([g.p[k - 1], sa])
-    return GreenGenerators(n, r, p_out, g.q, g.a, p_last)
+    stacks = tail_stacks(g)
+    p_out = np.array([s[k, k:] @ stacks[k] for k in range(n - r)])
+    return GreenGenerators(n, r, p_out, g.q, g.a, s[n - r :, n - r :] @ g.p_last)
 
 
 def empty_generators(n, r):
@@ -523,8 +518,11 @@ def read_generators(path):
         # float per distinct integer, as json keeps its small ints
         data = json.load(fh, parse_int=functools.lru_cache(maxsize=None)(float))
     try:
-        n = int(data["n"])
-        r = int(data["r"])
+        n, r = data["n"], data["r"]
+        # json reads every integer as a float here, and a bool is no float
+        if not all(isinstance(v, float) and v.is_integer() for v in (n, r)):
+            raise ValueError(f"n and r must be integers, got {n!r} and {r!r}")
+        n, r = int(n), int(r)
         m = n - r
         p = np.array(data["p"], dtype=float).reshape(m, r)
         q = np.array(data["q"], dtype=float).reshape(m, r)

@@ -37,20 +37,20 @@ __all__ = [
 
 
 class LuFactorization(PanelFactorization):
-    """A = L R in factored form, R as in ``PanelFactorization``.
+    """A = L R in factored form, R and (u, w) as in ``PanelFactorization``.
 
-    ``u`` is (n, r+1) with u[k, 0] = 0, and ``f``, its columns 1..,
-    holds in ``f[k-1]`` the r multipliers eliminating column k (they sit in
-    L(k+1:k+r, k), 1-based); the rows k > n-r, whose columns of L shrink at
-    the matrix edge, are zero-padded.  ``width`` = max(r_lower, r_upper) is
-    at least the upper bandwidth of R.  ``growth`` is
-    max_k ||R(k, k:)||_1 / ||A||_inf, the largest absolute row sum of R
+    L^{-1} is the descending product of the elimination blocks
+    [[1, 0], [-f_k, I_r]], kept as (u, w) = ([0 | f], e_1): ``f``, the
+    columns 1.. of ``u``, holds in ``f[k-1]`` the r multipliers eliminating
+    column k (they sit in L(k+1:k+r, k), 1-based); the rows k > n-r, whose
+    columns of L shrink at the matrix edge, are zero-padded.  ``width`` =
+    max(r_lower, r_upper) is at least the upper bandwidth of R.  ``growth``
+    is max_k ||R(k, k:)||_1 / ||A||_inf, the largest absolute row sum of R
     against that of A; row k of R is the pivot row of step k.
     """
 
     def __init__(self, n, r, u, x, tops, width, growth):
-        super().__init__(n, r, x, tops, width)
-        self.u = u
+        super().__init__(n, r, x, tops, width, u, np.broadcast_to(np.eye(1, r + 1), u.shape))
         self.f = u[:, 1:]
         self.growth = growth
 
@@ -63,18 +63,8 @@ class LuFactorization(PanelFactorization):
         return out
 
     def inverse_factors(self):
-        """L^{-1} as a descending TransformProduct of the elimination blocks
-        [[1, 0], [-f_k, I_r]], with the trailing block the product of the
-        last r of them, shrunk at the matrix edge."""
-        factors = []
-        for k0 in range(self.n - self.r):
-            blk = np.eye(self.r + 1)
-            blk[1:, 0] = -self.f[k0]
-            factors.append(blk)
-        last = np.eye(self.r)
-        for j in range(self.r - 1, -1, -1):  # times the block of column n-r+j, shrunk
-            last[:, j] -= last[:, j + 1 :] @ self.f[self.n - self.r + j, : self.r - 1 - j]
-        return TransformProduct(self.n, self.r, factors, last, order="descending")
+        """L^{-1} as a descending TransformProduct of the elimination blocks."""
+        return TransformProduct(self.n, self.r, self.factors, self.closing_product())
 
 
 def lu_factor_lower_band(a):
@@ -147,13 +137,12 @@ def invert_lower_band_lu(a):
     """Green generators of A^{-1} for a strongly regular lower banded matrix
     of order r and any upper bandwidth, via unpivoted structured
     elimination.  L^{-1}'s blocks are I - [0 | f_k] e_1^T, so
-    ``inverse_generators`` takes R's panels, u = [0 | f] and w = e_1, and
-    a(k) = [-f_k | e_1 .. e_{r-1}] and q(k) = e_r come out with their
-    identity and zero sub-blocks exact."""
+    ``inverse_generators`` takes R's panels and the factorization's
+    (u, w) = ([0 | f], e_1), and a(k) = [-f_k | e_1 .. e_{r-1}] and
+    q(k) = e_r come out with their identity and zero sub-blocks exact."""
     out = empty_generators(a.n, a.r_lower)
     fact = lu_factor_lower_band(a)
-    w = np.broadcast_to(np.eye(1, a.r_lower + 1), fact.u.shape)
-    return inverse_generators(fact.tops, fact.width, fact.u, w, out)
+    return inverse_generators(fact.tops, fact.width, fact.u, fact.w, out)
 
 
 def invert_two_sided_lu(a):

@@ -5,9 +5,10 @@ A lower banded matrix of order r factors as A = U R where U is an ascending
 product of embedded (r+1) x (r+1) unitary blocks (one Householder reflection
 per row) and R is upper triangular, upper banded of order
 r_lower + r_upper.  U* is then a descending product, hence a lower Green,
-upper banded matrix whose generators are read off the transposed blocks, and
-the generators of A^{-1} = R^{-1} U* follow from R's panels and the
-reflections by the generator stage shared with the LU path
+upper banded matrix whose generators are read off its blocks.  The
+factorization carries U* as (u, w) = (tau v, v), its blocks I - u_k w_k^T,
+and the generators of A^{-1} = R^{-1} U* follow from R's panels and (u, w)
+by the generator stage shared with the LU path
 (``generators.inverse_generators``).  The factorization is the panel loop
 shared with the LU path (``banded.factor_panels``): LAPACK's ``dgeqrf``
 reduces each panel and ``dormqr`` applies its reflections to the columns
@@ -33,62 +34,33 @@ SLAB = 4 * PANEL  # columns per dormqr call on the block right of a panel
 
 
 class QrFactorization(PanelFactorization):
-    """A = U R in factored form, R as in ``PanelFactorization``.
+    """A = U R in factored form, R and (u, w) as in ``PanelFactorization``.
 
     U = H_0 H_1 ... H_{n-1} (0-based), where the reflection
     H_k = I - tau[k] v[k] v[k]^T acts on rows k..k+r; ``v`` is (n, r+1) with
     v[k, 0] = 1, and the rows k >= n-r, whose reflections shrink at the
-    matrix edge, are zero-padded (tau[n-1] = 0).  ``factors`` (the
-    (r+1) x (r+1) blocks U_k = H_k, k = 1..n-r, 1-based), ``closing`` (the
-    blocks of sizes n-k+1 that triangulate the trailing r x r window,
-    k = n-r+1..n-1) and ``closing_unitary`` (their assembled r x r product)
-    are built from (v, tau) on demand, for assembling U.  ``width`` =
-    min(r_lower + r_upper, n - 1) is the upper bandwidth of R.
+    matrix edge, are zero-padded (tau[n-1] = 0).  U^T is the descending
+    product of the same reflections, kept as (u, w) = (tau v, v).
+    ``closing_unitary`` is the r x r trailing block of U, the transposed
+    ``closing_product``.  ``width`` = min(r_lower + r_upper, n - 1) is the
+    upper bandwidth of R.
     """
 
     def __init__(self, n, r, v, tau, x, tops, width):
-        super().__init__(n, r, x, tops, width)
+        super().__init__(n, r, x, tops, width, tau[:, None] * v, v)
         self.v = v
         self.tau = tau
 
-    def _block(self, k, size):
-        """H_k on its rows and columns k..k+size-1."""
-        w = self.v[k, :size]
-        return np.eye(size) - self.tau[k] * np.outer(w, w)
-
-    @property
-    def factors(self):
-        return [self._block(k, self.r + 1) for k in range(self.n - self.r)]
-
-    @property
-    def closing(self):
-        return [self._block(k, self.n - k) for k in range(self.n - self.r, self.n - 1)]
-
     @property
     def closing_unitary(self):
-        uhat = np.eye(self.r)
-        for idx, u in enumerate(self.closing):
-            uhat[:, idx:] = uhat[:, idx:] @ u
-        return uhat
-
-    def u_product(self):
-        """U as an ascending TransformProduct of the stored blocks."""
-        return TransformProduct(
-            self.n, self.r, self.factors, self.closing_unitary, order="ascending"
-        )
+        return self.closing_product().T
 
     def ustar_product(self):
         """U* as a descending TransformProduct (the Green factor)."""
-        return TransformProduct(
-            self.n,
-            self.r,
-            [f.T for f in self.factors],
-            self.closing_unitary.T,
-            order="descending",
-        )
+        return TransformProduct(self.n, self.r, self.factors, self.closing_product())
 
     def u_dense(self):
-        return expand_transform_product(self.u_product())
+        return expand_transform_product(self.ustar_product()).T
 
 
 def qr_factor_lower_band(a):
@@ -122,10 +94,10 @@ def invert_lower_band_qr(a):
     upper bandwidth.
 
     U^T = H_{n-1} ... H_0 is a descending product of the symmetric blocks
-    H_k = I - tau_k v_k v_k^T, so ``inverse_generators`` takes R's panels,
-    u = tau v and w = v.  The produced generators are in right normal form:
-    a(k) a(k)^T + q(k) q(k)^T = I_r, since [a(k) q(k)] are orthonormal rows of
-    a unitary block.  Raises SingularMatrixError (naming the failing diagonal
+    H_k = I - tau_k v_k v_k^T, so ``inverse_generators`` takes R's panels
+    and the factorization's (u, w) = (tau v, v).  The produced generators
+    are in right normal form: a(k) a(k)^T + q(k) q(k)^T = I_r, since
+    [a(k) q(k)] are orthonormal rows of a unitary block.  Raises SingularMatrixError (naming the failing diagonal
     index of R) when A is singular to working precision.
     """
     out = empty_generators(a.n, a.r_lower)
@@ -137,7 +109,7 @@ def invert_lower_band_qr(a):
             f"matrix is singular to working precision (diagonal entry {k} of R)",
             pivot_index=k,
         )
-    return inverse_generators(fact.tops, fact.width, fact.tau[:, None] * fact.v, fact.v, out)
+    return inverse_generators(fact.tops, fact.width, fact.u, fact.w, out)
 
 
 def invert_two_sided_qr(a):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -304,9 +306,16 @@ def test_generator_file_round_trip(tmp_path):
 
 def test_generator_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"n": 5, "r": 2, "p": [[1.0]]}')
-    with pytest.raises(ValueError):
-        read_generators(path)
+    texts = ['{"n": 5, "r": 2, "p": [[1.0]]}']
+    # a non-integral or boolean n or r, with arrays sized for its integer part
+    for n, r, field, bad in [(5, 2, '"n": 5', '"n": 5.5'), (5, 2, '"r": 2', '"r": 2.5'),
+                             (5, 2, '"n": 5', '"n": true'), (2, 1, '"r": 1', '"r": true')]:
+        write_generators(path, random_generators(n, r, seed=n + r))
+        texts.append(path.read_text().replace(field, bad, 1))
+    for text in texts:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed generator file")):
+            read_generators(path)
 
 
 def test_block_partition_sizes_sum_to_n():

@@ -29,9 +29,10 @@ from greenband import (
     random_band,
     reconstruct_structured,
 )
-from greenband.banded import PANEL, factor_panels
+from greenband.banded import PANEL, PanelFactorization, factor_panels
 from greenband.bench import instability_matrix
 from greenband.generators import backward_recursion, empty_generators, inverse_generators
+from greenband.transforms import expand_transform_product
 
 SCALES = (1.0, 1e150, 1e-150)
 R_LOWERS = (1, 4, PANEL + 3)
@@ -74,15 +75,18 @@ def test_zero_pivot_at_panel_edge_is_named(column, r_lower, upper):
 
 
 def counting(monkeypatch, owner, name, calls):
-    """Replace ``owner.name`` by a wrapper that counts its calls (the name
-    need not exist: a call to it is then counted if any code makes one)."""
+    """Replace ``owner.name`` by a wrapper that counts its calls, or the
+    reads of a property (the name need not exist: a call to it is then
+    counted if any code makes one)."""
     fn = getattr(owner, name, None)
+    prop = isinstance(fn, property)
+    fn = fn.fget if prop else fn
 
     def wrapper(*args, **kwargs):
         calls[name] = calls.get(name, 0) + 1
         return fn(*args, **kwargs)
 
-    monkeypatch.setattr(owner, name, wrapper, raising=False)
+    monkeypatch.setattr(owner, name, property(wrapper) if prop else wrapper, raising=False)
 
 
 @pytest.mark.parametrize("r_upper", [4, 999])
@@ -92,7 +96,8 @@ def test_one_lapack_call_per_panel(monkeypatch, r_upper):
     # plus the trailing-block calls on every panel but the last (QR: one per
     # SLAB columns right of the panel); the whole inversions add none, since
     # their bottom r rows are steps of the one backward recursion (no closing
-    # QR blocks, no triangular inverse or solve for LU's trailing block)
+    # blocks, no triangular inverse or solve for LU's trailing block), and
+    # they read the factorizations' (u, w), never a block of G built from it
     n, r = 1000, 4
     panels = math.ceil((n - r) / PANEL)
     qr_width = min(r + r_upper, n - 1)
@@ -104,7 +109,8 @@ def test_one_lapack_call_per_panel(monkeypatch, r_upper):
     calls = {}
     for name in ("panel", "row_segment", "col_segment"):
         counting(monkeypatch, BandedMatrix, name, calls)
-    counting(monkeypatch, qr_module.QrFactorization, "_block", calls)
+    for name in ("_block", "factors", "closing", "closing_product"):
+        counting(monkeypatch, PanelFactorization, name, calls)
     for name in ("dgeqrf", "dormqr"):
         counting(monkeypatch, qr_module, name, calls)
     for name in ("dgetrf", "_eliminate", "dtrsm", "dgemm", "dtrtri"):
@@ -294,6 +300,29 @@ def stage_inputs(fact):
         return fact.tau[:, None] * fact.v, fact.v
     u = np.hstack((np.zeros((fact.n, 1)), fact.f))
     return u, np.broadcast_to(np.eye(1, fact.r + 1), u.shape)
+
+
+@pytest.mark.parametrize("upper", ["zero", "equal", "full"])
+@pytest.mark.parametrize("extra", [1, PANEL - 1, PANEL + 1])
+@pytest.mark.parametrize("r", [1, 5])
+@pytest.mark.parametrize("factor", [qr_factor_lower_band, lu_factor_lower_band])
+def test_one_record_of_the_inverse_factor(factor, r, extra, upper):
+    # both factorizations keep G^{-1} (U^T or L^{-1}) as (u, w), equal bit
+    # for bit to the derivation from their own fields (stage_inputs), and
+    # build its blocks and dense product from it: n - r full blocks, closing
+    # blocks of sizes r..2, and a product that takes A to R; n = r + 1 and
+    # n = r + PANEL +- 1, one column short of and past the first panel edge
+    n = r + extra
+    r_upper = {"zero": 0, "equal": r, "full": n - 1}[upper]
+    a = instance(n, r, r_upper, seed=n + r, scale=1.0)
+    fact = factor(a)
+    u, w = stage_inputs(fact)
+    assert fact.u.tobytes() == u.tobytes() and fact.w.tobytes() == w.tobytes()
+    assert fact.u.shape == fact.w.shape == (n, r + 1)
+    assert [blk.shape for blk in fact.factors] == [(r + 1, r + 1)] * (n - r)
+    assert [blk.shape[0] for blk in fact.closing] == list(range(r, 1, -1))
+    inverse = fact.ustar_product() if factor is qr_factor_lower_band else fact.inverse_factors()
+    assert rel(expand_transform_product(inverse) @ a.to_dense(), fact.r_dense()) <= 1e-13
 
 
 def recursion_generators(fact, u, w):
