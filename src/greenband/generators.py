@@ -37,7 +37,6 @@ __all__ = [
     "tail_stacks",
     "check_green_rank",
     "multiply_upper_triangular",
-    "backward_recursion",
     "covered_relative_error",
     "identity_residual",
     "write_generators",
@@ -98,30 +97,82 @@ class GreenGenerators:
     p : (n - r, r) rows, q : (n - r, r) columns, a : (n - r, r, r) blocks,
     p_last : (r, r) closing block.  Any finite parameter set defines a valid
     lower Green matrix; no further constraints are imposed.  C-contiguous
-    float arrays are shared with the caller, not copied (the generators of a
-    wide band are tens of MB); the instance holds read-only views of them so
-    it can be shared across threads, and the caller's arrays stay writable.
+    float arrays are shared with the caller, not copied; the instance holds
+    read-only views of them so it can be shared across threads, and the
+    caller's arrays stay writable.
+
+    The generators of an inverse hold the factors (u, w) of their blocks
+    instead of a: a(k) = S - u_k[1:] w_k[:r]^T, S the r x r shift, is an
+    outer product off S, so such an instance takes O(n r) memory where a
+    takes (n - r) r^2 numbers (17.5 MB of an 18.3 MB set at n = 1000,
+    r = 48).  ``a`` is then built on first read, kept and read-only; reads
+    from several threads at once all return the array stored first.
     """
 
     def __init__(self, n, r, p, q, a, p_last):
+        self._hold(n, r, p, q, p_last)
+        m = self.n - self.r
+        self._a = np.ascontiguousarray(a, dtype=float).view()
+        if self._a.shape != (m, r, r):
+            raise ValueError(f"a must have shape {(m, r, r)}")
+        if not all_finite(self._a):
+            raise ValueError("generator entries must be finite")
+        self._a.setflags(write=False)
+
+    @classmethod
+    def _compact(cls, n, r, p, q, p_last, u, w):
+        """Generators with a(k) = S - u_k[1:] w_k[:r]^T for k < n - r, from
+        the (n, r + 1) factors of an inverse's blocks I - u_k w_k^T.
+
+        max |a(k) - S| is max |u_k[1:]| max |w_k[:r]| (a rounded product is
+        monotone in each factor), and S - x is finite for finite x, so that
+        product being finite for every k is exactly every a(k) being finite:
+        an O(n r) check.  The bound over all k decides first, as reductions
+        along rows of r values cost several times more; only when it is not
+        finite does the bound of each k."""
+        g = cls.__new__(cls)
+        g._hold(n, r, p, q, p_last)
+        m = g.n - g.r
+        u, w = u[:m, 1:].view(), w[:m, :r].view()
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(np.abs(u).max() * np.abs(w).max()) or all_finite(
+                np.abs(u).max(1) * np.abs(w).max(1)
+            )
+        if not finite:
+            raise ValueError("generator entries must be finite")
+        for arr in (u, w):
+            arr.setflags(write=False)
+        g._u, g._w = u, w
+        return g
+
+    def _hold(self, n, r, p, q, p_last):
         if not n > r > 0:
             raise ValueError(f"need n > r > 0, got n={n}, r={r}")
         self.n = int(n)
         self.r = int(r)
-        self.p, self.q, self.a, self.p_last = (
-            np.ascontiguousarray(arr, dtype=float).view() for arr in (p, q, a, p_last)
+        self.p, self.q, self.p_last = (
+            np.ascontiguousarray(arr, dtype=float).view() for arr in (p, q, p_last)
         )
         m = self.n - self.r
         if self.p.shape != (m, r) or self.q.shape != (m, r):
             raise ValueError(f"p and q must have shape {(m, r)}")
-        if self.a.shape != (m, r, r):
-            raise ValueError(f"a must have shape {(m, r, r)}")
         if self.p_last.shape != (r, r):
             raise ValueError(f"p_last must have shape {(r, r)}")
-        for arr in (self.p, self.q, self.a, self.p_last):
+        for arr in (self.p, self.q, self.p_last):
             if not all_finite(arr):
                 raise ValueError("generator entries must be finite")
             arr.setflags(write=False)
+
+    @property
+    def a(self):
+        a = self.__dict__.get("_a")
+        if a is None:
+            a = _blocks(self._u, self._w)
+            a.setflags(write=False)
+            # threads that read a first at the same time each build the
+            # same bytes, and setdefault, atomic, keeps the first array stored
+            a = self.__dict__.setdefault("_a", a)
+        return a
 
     def p_row(self, i):
         """The generator row attached to 0-based matrix row i (from p_last for
@@ -131,6 +182,23 @@ class GreenGenerators:
 
     def __repr__(self):
         return f"GreenGenerators(n={self.n}, r={self.r})"
+
+
+def _blocks(u, w):
+    """The blocks a(k) = S - u_k w_k^T, S the r x r shift (ones on its
+    superdiagonal), for the rows of u and w (m x r each), in chunks of CHUNK
+    doubles, so that each chunk's second pass finds it in cache."""
+    m, r = u.shape
+    a = np.empty((m, r, r))
+    step = max(1, CHUNK // (r * r))
+    for k0 in range(0, m, step):
+        chunk = a[k0 : k0 + step]
+        np.einsum("ki,kj->kij", u[k0 : k0 + step], w[k0 : k0 + step], out=chunk)  # faster than a broadcast multiply
+        # negated, then S's ones added through one strided view, with no
+        # broadcast over the chunk's short r x r blocks
+        np.subtract(0.0, chunk, out=chunk)
+        chunk.reshape(len(chunk), r * r)[:, 1 :: r + 1] += 1.0
+    return a
 
 
 def _tree(vec, blocks):
@@ -197,7 +265,7 @@ def reconstruct_structured(g):
     arithmetic in O(n / IMAGE_PANEL) gemms, plus a walk of
     O(IMAGE_PANEL r^2) per column; no n x n array besides the result.
     """
-    n, r = g.n, g.r
+    n, r, a = g.n, g.r, g.a
     m = n - r
     out = np.zeros((n, n))
     stack = np.empty((n, r))  # P_k in rows k-1.., 1-based k
@@ -214,7 +282,7 @@ def reconstruct_structured(g):
         for k in range(k1 - 1, k0 - 1, -1):
             t = k - k0
             nxt = bufs[k & 1]
-            np.dot(e, g.a[k - 1], out=nxt[t + 1 : w + r])
+            np.dot(e, a[k - 1], out=nxt[t + 1 : w + r])
             nxt[t] = g.p[k - 1]
             e = nxt[t : w + r]
             np.dot(e, g.q[k - 2], out=cols[t, t : w + r])
@@ -224,7 +292,7 @@ def reconstruct_structured(g):
         stack[k1 - 1 :] = stack[k1 - 1 :] @ e[w:]
         stack[k0 - 1 : k1 - 1] = e[:w]
     out[0, :r] = g.p[0]
-    np.matmul(stack[1:], g.a[0], out=out[1:, :r])
+    np.matmul(stack[1:], a[0], out=out[1:, :r])
     return out
 
 
@@ -235,11 +303,11 @@ def tail_stacks(g):
     P_{n-r+1} = p_last and P_k = [p(k); P_{k+1} a(k)]; each P_k has n-k+1
     rows and satisfies ``P_k q(k-1) = B[k-1:, column of block k-1]``.
     """
-    n, r = g.n, g.r
+    n, r, a = g.n, g.r, g.a
     stacks = [g.p_last]
     cur = g.p_last
     for k in range(n - r, 0, -1):
-        cur = np.vstack([g.p[k - 1], cur @ g.a[k - 1]])
+        cur = np.vstack([g.p[k - 1], cur @ a[k - 1]])
         stacks.append(cur)
     stacks.reverse()
     return stacks
@@ -283,61 +351,25 @@ def multiply_upper_triangular(s, g):
 
 
 def empty_generators(n, r):
-    """Uninitialized p (n - r, r), q (n - r, r), a (n - r, r, r) and p_last
-    (r, r) for the generators of an inverse, as views of one array.
+    """Uninitialized p (n - r, r), q (n - r, r) and p_last (r, r) for the
+    generators of an inverse, as views of one array.
 
     The inversions take it before any working array, so the generators they
     return are a single allocation, made first.  Repeated inversions then
     reuse the space earlier, freed generators left.  With separate arrays, or
     with this one taken after the factorization, working arrays or a small
     p_last could land in that space first, and the process grew by a whole
-    set of blocks once more: on n = 1000, r = 48, peak RSS of a loop keeping
-    two inversions alive was 135 MB in some runs and 149 MB in others
-    (glibc 2.36).
+    set of generators once more: on n = 1000, r = 48, peak RSS of a loop
+    keeping two inversions alive was 135 MB in some runs and 149 MB in others
+    (glibc 2.36), measured when the (n - r, r, r) blocks a, 17.5 of the set's
+    18.3 MB, were part of this array.  Since a is built from the inverse's
+    (u, w) only when it is read, the array holds p, q and p_last, 0.75 MB there.
     """
     m = n - r
-    buf = np.empty(m * r * (r + 2) + r * r)
+    buf = np.empty(2 * m * r + r * r)
     p = buf[: m * r].reshape(m, r)
     q = buf[m * r : 2 * m * r].reshape(m, r)
-    a = buf[2 * m * r : -r * r].reshape(m, r, r)
-    return p, q, a, buf[-r * r :].reshape(r, r)
-
-
-def backward_recursion(x, rows, width, a, t, p):
-    """Rows p(k) of the generators of B = R^{-1} V, by back substitution.
-
-    R is upper triangular with diagonal ``x``; ``rows[k]`` holds the at most
-    ``width`` entries of R(k, k+1:) that can be nonzero.  V is lower Green
-    with generator rows c(k), held in ``p`` on entry, and blocks ``a``; B
-    shares ``a`` and V's columns q, and ``t`` is B's tail stack at the row
-    below the last one walked.  Then
-
-        p(k) = (c(k) - R(k, k+1:) P_{k+1} a(k)) / x_k,
-
-    where the tail stack P_k = [p(k); P_{k+1} a(k)] is kept to its first
-    ``width`` rows, all that a row of R reaches.  Overwrites ``p``, last row
-    to first, and returns the final stack as a new array.
-
-    The stack lives in two buffers allocated once per call: each row writes
-    P_{k+1} a(k) straight into rows 1.. of the buffer the previous row did
-    not, updates p(k) in place and stores it as row 0, so no row allocates.
-    The inversions use the panel-blocked ``inverse_generators``; this per-row
-    form is the reference it is tested against.
-    """
-    h, r = t.shape
-    bufs = np.empty((2, max(h, width) + 1, r))
-    prod = np.empty(r)
-    for k0 in range(len(a) - 1, -1, -1):
-        nxt = bufs[k0 & 1]
-        ta = np.dot(t, a[k0], out=nxt[1 : h + 1])
-        row = rows[k0]
-        pk = p[k0]
-        pk -= np.dot(row, ta[: row.size], out=prod)
-        pk /= x[k0]
-        nxt[0] = pk
-        h = min(h + 1, width)
-        t = nxt[:h]
-    return t.copy()
+    return p, q, buf[2 * m * r :].reshape(r, r)
 
 
 def _skewed(b, r, count):
@@ -362,7 +394,9 @@ def inverse_generators(tops, width, u, w, out):
     G_k = I - u_k w_k^T = [[c(k), d(k)], [a(k), q(k)]] at rows and columns
     k..k+r, with ``u``, ``w`` (n, r+1) zero past the matrix edge, where each
     G_k is a reflection (G_k^2 = I) or an elimination step (w_k = e_1).  B
-    shares a and q.  Writes into ``out``, the arrays of ``empty_generators``.
+    shares a and q.  Writes p, q and p_last into ``out``, the arrays of
+    ``empty_generators``, and returns generators that keep the blocks a(k)
+    as their factors (u, w) (``GreenGenerators``): the stage builds no a.
 
     With Z_k = R^{-1} G_{n-1} ... G_k, row k of the generators is
     p(k) = Z_k[k, k:k+r] and the tail stack at row k is Z_k[k:, k:k+r], of
@@ -386,25 +420,13 @@ def inverse_generators(tops, width, u, w, out):
     A panel costs about ten BLAS calls, three of them ``dtrsm``, and
     O(b (b + r)^2 + h r (b + r)) arithmetic for a stack of h <= width rows:
     O(n r^2) in all for a two-sided band (width <= 2r, r up to b) and
-    O(n^2 r) for a full upper part (width n - 1).  The blocks a(k) are built
-    first, in chunks of CHUNK doubles, so that each chunk's second pass finds
-    it in cache.
+    O(n^2 r) for a full upper part (width n - 1).
     """
     n, r = u.shape[0], u.shape[1] - 1
     m = n - r
-    p, q, a, p_last = out
+    p, q, p_last = out
     np.multiply(u[:m, 1:], w[:m, r:], out=q)
     np.subtract(np.eye(r)[-1], q, out=q)  # e_r - q
-    step = max(1, CHUNK // (r * r))
-    for k0 in range(0, m, step):
-        k1 = min(k0 + step, m)
-        chunk = a[k0:k1]
-        np.einsum("ki,kj->kij", u[k0:k1, 1:], w[k0:k1, :r], out=chunk)  # faster than a broadcast multiply
-        # a(k) = S - u w^T, S the r x r shift (ones on its superdiagonal):
-        # negated, then S's ones added through one strided view, with no
-        # broadcast over the chunk's short r x r blocks
-        np.subtract(0.0, chunk, out=chunk)
-        chunk.reshape(k1 - k0, r * r)[:, 1 :: r + 1] += 1.0
     stacks = np.empty((2, width, r))  # each panel writes the one it does not read
     t = stacks[1, :0]
     scratch = {}
@@ -438,7 +460,7 @@ def inverse_generators(tops, width, u, w, out):
         p[j0 : j0 + e] = bands[2, :e, :r]
         if e < b:
             p_last[:] = z[e:, e : e + r]
-    return GreenGenerators(n, r, p, q, a, p_last)
+    return GreenGenerators._compact(n, r, p, q, p_last, u, w)
 
 
 def covered_relative_error(b, reference, r):
@@ -452,12 +474,18 @@ def covered_relative_error(b, reference, r):
 
 
 def identity_residual(a, g):
-    """Self-contained consistency check of generators against their matrix.
+    """Consistency check of p, a and p_last against their matrix, not of q.
 
     For B = A^{-1} every strictly-lower entry of A @ B equals zero and is a
     combination of covered entries of B only, so it can be evaluated from the
     reconstruction without knowing A^{-1}.  Returns the largest strictly-lower
     entry of A @ reconstruct(g), scaled by ||A||_inf ||B||_inf.
+
+    It certifies p, a and p_last only.  Every covered entry of a column
+    j >= r of B ends in the factor ``q[j - r]``, so a strictly lower entry
+    of A @ B in that column is a row vector made of A, p, a and p_last times
+    q[j - r].  When p, a and p_last are those of A^{-1} that vector is zero,
+    so any q passes.  Check q against exact columns of A^{-1} instead.
     """
     b = reconstruct_structured(g)
     n = a.n

@@ -1,3 +1,4 @@
+import functools
 import re
 
 import numpy as np
@@ -24,7 +25,7 @@ from greenband import (
     write_generators,
 )
 from conftest import instance, random_generators
-from greenband.generators import CHUNK, IMAGE_PANEL, TEXT_CHUNK, TREE, TREE_MAX_R, backward_recursion
+from greenband.generators import CHUNK, IMAGE_PANEL, TEXT_CHUNK, TREE, TREE_MAX_R
 
 
 def ones_generators(n, r=1):
@@ -32,6 +33,43 @@ def ones_generators(n, r=1):
     return GreenGenerators(
         n, r, np.ones((m, r)), np.ones((m, r)), np.ones((m, r, r)), np.ones((r, r))
     )
+
+
+def backward_recursion(x, rows, width, a, t, p):
+    """Rows p(k) of the generators of B = R^{-1} V, by back substitution.
+
+    R is upper triangular with diagonal ``x``; ``rows[k]`` holds the at most
+    ``width`` entries of R(k, k+1:) that can be nonzero.  V is lower Green
+    with generator rows c(k), held in ``p`` on entry, and blocks ``a``; B
+    shares ``a`` and V's columns q, and ``t`` is B's tail stack at the row
+    below the last one walked.  Then
+
+        p(k) = (c(k) - R(k, k+1:) P_{k+1} a(k)) / x_k,
+
+    where the tail stack P_k = [p(k); P_{k+1} a(k)] is kept to its first
+    ``width`` rows, all that a row of R reaches.  Overwrites ``p``, last row
+    to first, and returns the final stack as a new array.
+
+    The stack lives in two buffers allocated once per call: each row writes
+    P_{k+1} a(k) straight into rows 1.. of the buffer the previous row did
+    not, updates p(k) in place and stores it as row 0, so no row allocates.
+    The inversions use the panel-blocked ``inverse_generators``; this per-row
+    form is the reference that the tests compare it against.
+    """
+    h, r = t.shape
+    bufs = np.empty((2, max(h, width) + 1, r))
+    prod = np.empty(r)
+    for k0 in range(len(a) - 1, -1, -1):
+        nxt = bufs[k0 & 1]
+        ta = np.dot(t, a[k0], out=nxt[1 : h + 1])
+        row = rows[k0]
+        pk = p[k0]
+        pk -= np.dot(row, ta[: row.size], out=prod)
+        pk /= x[k0]
+        nxt[0] = pk
+        h = min(h + 1, width)
+        t = nxt[:h]
+    return t.copy()
 
 
 def per_row_recursion(x, rows, width, a, t, p):
@@ -81,6 +119,43 @@ def test_non_finite_entries_are_rejected(field, bad):
     arrays[field].flat[-1] = bad
     with pytest.raises(ValueError, match="finite"):
         GreenGenerators(n, r, **arrays)
+
+
+@pytest.mark.parametrize(
+    "entries, finite",
+    [
+        ({}, True),
+        ({("u", 1, 1): 1e200, ("w", 1, 0): 1e200}, False),  # a(k) overflows
+        ({("u", 1, 1): 1e200, ("w", 2, 0): 1e200}, True),  # huge in different blocks
+        ({("u", 1, 1): 1e154, ("w", 1, 0): 1.79e154}, True),  # just below the largest double
+        ({("u", 1, 1): 1e154, ("w", 1, 0): 1.8e154}, False),  # just above it
+        ({("u", 1, 0): 1e300}, True),  # u_k[0] enters neither a nor q
+        ({("w", 2, 2): 1e300}, True),  # w_k[r]: q(k) = e_r - u_k[1:] w_k[r] stays finite
+        ({("w", 2, 2): 1e300, ("u", 2, 2): 1e10}, False),  # q(k) overflows
+        ({("u", 3, 1): 0.0, ("u", 3, 2): 0.0, ("w", 3, 0): np.inf}, False),  # a(k) holds 0 * inf
+        ({("w", 3, 1): np.nan}, False),
+    ],
+)
+def test_compact_generators_check_finiteness_exactly(entries, finite):
+    # generators of an inverse keep a(k) = S - u_k[1:] w_k[:r]^T as (u, w)
+    # and bound it by max |u_k[1:]| max |w_k[:r]|, which is exact: they are
+    # accepted if and only if q and the built a are finite
+    n, r = 7, 2
+    m = n - r
+    arrays = {"u": np.full((n, r + 1), 0.5), "w": np.full((n, r + 1), 0.5)}
+    for (name, k, j), val in entries.items():
+        arrays[name][k, j] = val
+    u, w = arrays["u"], arrays["w"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.eye(r)[-1] - u[:m, 1:] * w[:m, r:]
+        a = np.eye(r, k=1) - u[:m, 1:, None] * w[:m, None, :r]
+    assert (np.isfinite(q).all() and np.isfinite(a).all()) == finite
+    make = functools.partial(GreenGenerators._compact, n, r, np.ones((m, r)), q, np.ones((r, r)), u, w)
+    if finite:
+        assert make().a.tobytes() == a.tobytes()
+    else:
+        with pytest.raises(ValueError, match="finite"):
+            make()
 
 
 @pytest.mark.parametrize("field", ["p", "q", "a", "p_last"])
@@ -292,6 +367,24 @@ def test_identity_residual_detects_corruption():
     assert identity_residual(a, bad) > 100 * identity_residual(a, g)
 
 
+@pytest.mark.parametrize("method", ["qr", "lu"])
+def test_identity_residual_cannot_see_q(method):
+    # the strictly lower part of A B does not depend on q: with q(21) scaled
+    # by 1.5 the residual stays at rounding level while the covered part is
+    # 7% off the inverse; the same scaling of p(21) reads 2e-2
+    a = random_band(60, 3, 3, seed=1, diag_shift=4.0)
+    g = inverse_of(a, method)
+    ref = dense_invert(a.to_dense())
+    scaled = {}
+    for field in ("q", "p"):
+        arrays = {f: getattr(g, f).copy() for f in ("p", "q", "a", "p_last")}
+        arrays[field][20] *= 1.5
+        scaled[field] = GreenGenerators(g.n, g.r, **arrays)
+    assert identity_residual(a, scaled["q"]) <= 1e-15
+    assert covered_relative_error(reconstruct_structured(scaled["q"]), ref, 3) >= 0.05
+    assert identity_residual(a, scaled["p"]) >= 1e-2
+
+
 def test_generator_file_round_trip(tmp_path):
     g = random_generators(9, 3, seed=18)
     path = tmp_path / "g.json"
@@ -345,24 +438,38 @@ def test_block_partition_scalar_mapping():
 @pytest.mark.parametrize("r_upper", [3, 59])
 def test_inverse_generators_are_one_array_taken_first(monkeypatch, method, r_upper):
     # a loop of inversions reuses the space of freed generators only when the
-    # new ones are one array, allocated before the factorization's working
-    # arrays (see empty_generators)
+    # new p, q and p_last are one array, allocated before the factorization's
+    # working arrays (see empty_generators); the blocks a are not part of it,
+    # and the inversion allocates no (n - r, r, r) array at all: with r = 48
+    # one such array is more than twice the inversion's traced peak
+    import tracemalloc
+
     import greenband.lu as lu_module
     import greenband.qr as qr_module
 
     module = {"qr": qr_module, "lu": lu_module}[method]
+    n, r = 240, 48
+    a = random_band(n, r, r_upper, seed=4, diag_shift=1.0 + r + r_upper)
+    invert = getattr(module, f"invert_lower_band_{method}")
+    invert(a)  # first-call costs
+    tracemalloc.start()
+    try:
+        invert(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (n - r) * r * r * 8
     order = []
     for name in ("empty_generators", f"{method}_factor_lower_band"):
         fn = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name: order.append(name) or fn(*args))
-    a = random_band(60, 3, r_upper, seed=4, diag_shift=4.0 + r_upper)
-    g = getattr(module, f"invert_lower_band_{method}")(a)
+    g = invert(a)
     assert order == ["empty_generators", f"{method}_factor_lower_band"]
-    arrays = (g.p, g.q, g.a, g.p_last)
+    arrays = (g.p, g.q, g.p_last)
     assert len({id(x.base) for x in arrays}) == 1
-    assert g.a.base.nbytes == sum(x.nbytes for x in arrays)
+    assert g.p.base.nbytes == sum(x.nbytes for x in arrays)
     ref = dense_invert(a.to_dense())
-    assert covered_relative_error(reconstruct_structured(g), ref, 3) <= 1e-12
+    assert covered_relative_error(reconstruct_structured(g), ref, r) <= 1e-12
 
 
 def per_block_entry(g, i, j):

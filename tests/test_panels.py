@@ -6,11 +6,14 @@ would swap up, and a count of the LAPACK/BLAS calls per inversion (one
 panel of PANEL columns per call, never one per row)."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 import scipy.linalg
 from conftest import instance, inverters
+from test_generators import backward_recursion
 from test_lu import dense_unpivoted_lu
 
 import greenband.generators as generators_module
@@ -18,6 +21,7 @@ import greenband.lu as lu_module
 import greenband.qr as qr_module
 from greenband import (
     BandedMatrix,
+    GreenGenerators,
     SingularMatrixError,
     ZeroPivotError,
     covered_relative_error,
@@ -28,10 +32,11 @@ from greenband import (
     qr_factor_lower_band,
     random_band,
     reconstruct_structured,
+    write_generators,
 )
 from greenband.banded import PANEL, PanelFactorization, factor_panels
 from greenband.bench import instability_matrix
-from greenband.generators import backward_recursion, empty_generators, inverse_generators
+from greenband.generators import empty_generators, inverse_generators
 from greenband.transforms import expand_transform_product
 
 SCALES = (1.0, 1e150, 1e-150)
@@ -302,6 +307,12 @@ def stage_inputs(fact):
     return u, np.broadcast_to(np.eye(1, fact.r + 1), u.shape)
 
 
+def stage_blocks(u, w):
+    """a(k) = S - u_k[1:] w_k[:r]^T for every row of (u, w), S the r x r shift."""
+    r = u.shape[1] - 1
+    return np.subtract(np.eye(r + 1)[1:, :r], u[:, 1:, None] * w[:, None, :r])
+
+
 @pytest.mark.parametrize("upper", ["zero", "equal", "full"])
 @pytest.mark.parametrize("extra", [1, PANEL - 1, PANEL + 1])
 @pytest.mark.parametrize("r", [1, 5])
@@ -325,15 +336,59 @@ def test_one_record_of_the_inverse_factor(factor, r, extra, upper):
     assert rel(expand_transform_product(inverse) @ a.to_dense(), fact.r_dense()) <= 1e-13
 
 
+@pytest.mark.parametrize("extra", [1, PANEL - 1, PANEL + 1])
+@pytest.mark.parametrize("r", [1, 5])
+@pytest.mark.parametrize("method", ["qr", "lu"])
+def test_inversions_build_a_on_first_read(tmp_path, method, r, extra):
+    # an inversion keeps a(k) as (u, w) and builds it when it is first read:
+    # the bytes of stage_inputs' blocks, read-only, one array for every later
+    # read and for threads that read it first at the same time, and the same
+    # file as a dense copy; n = r + 1 and n = r + PANEL +- 1
+    n = r + extra
+    a = instance(n, r, r, seed=n + r, scale=1.0)
+    factor, invert = {
+        "qr": (qr_factor_lower_band, invert_lower_band_qr),
+        "lu": (lu_factor_lower_band, invert_lower_band_lu),
+    }[method]
+    blocks = stage_blocks(*stage_inputs(factor(a)))[: n - r]
+    g = invert(a)
+    assert g.a.tobytes() == blocks.tobytes() and g.a is g.a
+    assert not g.a.flags.writeable
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            g = invert(a)
+            start = threading.Barrier(4)
+            reads = [None] * 4
+
+            def read(t, g=g, start=start, reads=reads):
+                start.wait(timeout=10)
+                reads[t] = g.a
+
+            threads = [threading.Thread(target=read, args=(t,)) for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=10)
+            assert not any(th.is_alive() for th in threads)
+            assert all(x is g.a for x in reads) and g.a.tobytes() == blocks.tobytes()
+    finally:
+        sys.setswitchinterval(switch)
+    g = invert(a)
+    write_generators(tmp_path / "compact.json", g)
+    write_generators(tmp_path / "dense.json", GreenGenerators(g.n, g.r, g.p, g.q, g.a, g.p_last))
+    assert (tmp_path / "compact.json").read_bytes() == (tmp_path / "dense.json").read_bytes()
+
+
 def recursion_generators(fact, u, w):
     """p, q, a and p_last by the per-row backward recursion over all n rows
     of R, started from an empty stack at the last row (the reference)."""
     n, r = u.shape[0], u.shape[1] - 1
     m = n - r
-    shift = np.eye(r + 1)[1:]
     c = np.eye(1, r) - u[:, :1] * w[:, :r]  # becomes p
-    blocks = np.subtract(shift[:, :r], u[:, 1:, None] * w[:, None, :r])
-    q = np.subtract(shift[:, r], u[:m, 1:] * w[:m, r:])
+    blocks = stage_blocks(u, w)
+    q = np.subtract(np.eye(r + 1)[1:, r], u[:m, 1:] * w[:m, r:])
     rows = fact.rows
     p_last = backward_recursion(fact.x[m:], rows[m:], fact.width, blocks[m:], np.empty((0, r)), c[m:])
     backward_recursion(fact.x[:m], rows[:m], fact.width, blocks[:m], p_last, c[:m])
@@ -430,8 +485,7 @@ def test_generator_stage_calls_blas_per_panel(monkeypatch, r_upper):
     panels = math.ceil((n - r) / PANEL)
     a = random_band(n, r, r_upper, seed=0, diag_shift=r + 1.0)
     calls = {}
-    for name in ("backward_recursion", "dtrsm"):
-        counting(monkeypatch, generators_module, name, calls)
+    counting(monkeypatch, generators_module, "dtrsm", calls)
     for invert in (invert_lower_band_qr, invert_lower_band_lu):
         calls.clear()
         invert(a)
