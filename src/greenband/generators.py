@@ -20,7 +20,7 @@ import functools
 import numpy as np
 from scipy.linalg.blas import dtrsm
 
-from .banded import all_finite
+from .banded import all_finite, compact_transform
 from .dense_oracle import numerical_rank
 
 CHUNK = 2**15  # doubles in a chunk of a generator array, 256 KB
@@ -404,7 +404,8 @@ def inverse_generators(tops, width, u, w, out):
     and W its u_k and w_k as (b+r) x b banded matrices and X = W^T U:
 
     - F = I - U (I + stril X)^{-1} W^T is G_{j1-1} ... G_{j0} on the rows
-      and columns j0..j1+r-1 (Schreiber & Van Loan's compact form);
+      and columns j0..j1+r-1 (Schreiber & Van Loan's compact form,
+      ``banded.compact_transform``, which the factorizations use too);
     - Z = R(J, J)^{-1} (F[:b] - R(J, j1:) P F[b:]) is Z_{j0} there, where P
       is the stack below J (none below the last panel);
     - the stack at row j0 is [Z[:, :r]; P F[b:, :r]], cut to ``width`` rows;
@@ -435,14 +436,13 @@ def inverse_generators(tops, width, u, w, out):
         b, h = len(top), len(t)
         j0 -= b
         if b not in scratch:
-            scratch[b] = _skewed(b, r, 3) + (np.eye(b + r), np.tri(b, b, -1))
-        (ut, wt, z), bands, eye, low = scratch[b]
+            scratch[b] = _skewed(b, r, 3) + (np.tri(b, b, -1),)
+        (ut, wt, z), bands, low = scratch[b]
         bands[0] = u[j0 : j0 + b]
         bands[1] = w[j0 : j0 + b]
         # ut = U^T, wt = W^T and z are C-ordered, so dtrsm solves with their
         # transposes, uncopied, from the right
-        x = wt @ ut.T
-        f = np.subtract(eye, ut.T @ dtrsm(1.0, x.T, wt.T, side=1, diag=1).T)
+        x, f = compact_transform(ut.T, wt.T)
         np.dot(top[:, b : b + h] @ t, f[b:], out=z)
         np.subtract(f[:b], z, out=z)
         z[:] = dtrsm(1.0, top[:, :b], z.T, side=1, trans_a=1, overwrite_b=1).T

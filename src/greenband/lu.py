@@ -11,10 +11,12 @@ The factorization is the panel loop shared with the QR path
 (``banded.factor_panels``), with R's rows stored max(r_lower, r_upper) wide:
 LAPACK's ``dgetrf`` reduces each panel, and a panel on which its partial
 pivoting would swap rows is restored and eliminated column by column
-instead.  No row is ever swapped: the method requires strong regularity,
-and a pivot that is zero to working precision raises ZeroPivotError.  The
-factorization records its growth factor so instability on nearly-singular
-leading blocks is observable.
+instead.  The panel's elimination reaches the columns right of it through
+``dtrsm`` and ``dgemm`` or, on a right block wider than 2 (b + r) columns,
+as its explicit transform, one ``dgemm``.  No row is ever swapped: the
+method requires strong regularity, and a pivot that is zero to working
+precision raises ZeroPivotError.  The factorization records its growth
+factor so instability on nearly-singular leading blocks is observable.
 """
 
 import numpy as np
@@ -22,7 +24,15 @@ import scipy.linalg
 from scipy.linalg.blas import dgemm, dtrsm
 from scipy.linalg.lapack import dgetrf
 
-from .banded import PANEL, PanelFactorization, factor_panels, require_two_sided, singularity_tol
+from .banded import (
+    PANEL,
+    PanelFactorization,
+    compact_transform,
+    factor_panels,
+    require_two_sided,
+    singularity_tol,
+    wide_right_block,
+)
 from .errors import ZeroPivotError
 from .generators import empty_generators, inverse_generators
 from .transforms import TransformProduct
@@ -75,10 +85,10 @@ def lu_factor_lower_band(a):
     pivoting swapped no row, that is the unpivoted factorization up to
     rounding; otherwise the panel is restored from a copy and eliminated
     one column at a time (``_eliminate``), as the unpivoted method
-    requires.  Then one ``dtrsm`` gives the panel's rows of R right of it,
-    one ``dgemm`` updates the r rows below, and the panel's absolute row
-    sums of R update the growth factor.  Raises ZeroPivotError with the
-    1-based index of the first pivot that is zero to working precision.
+    requires.  Then ``_update`` gives the panel's rows of R right of it and
+    updates the r rows below, and the panel's absolute row sums of R update
+    the growth factor.  Raises ZeroPivotError with the 1-based index of the
+    first pivot that is zero to working precision.
     """
     n, r = a.n, a.r_lower
     norm = a.norm_inf()
@@ -105,9 +115,7 @@ def lu_factor_lower_band(a):
             small = np.abs(panel.diagonal()) <= tol
             if small.any():
                 raise _zero_pivot(k0 + int(small.argmax()))
-        if w.shape[1] > b:
-            w[:b, b:] = dtrsm(1.0, w[:b, :b], w[:b, b:], lower=1, diag=1)
-            w[b:, b:] = dgemm(-1.0, w[b:, :b], w[:b, b:], 1.0, w[b:, b:])
+        _update(w, b)
         rows = np.abs(w[:b], out=mag[:b, : w.shape[1]])
         rows[:, :b] *= upper[:b, :b]  # the multipliers below the diagonal are L's
         growth = max(growth, (rows @ ones[: rows.shape[1]]).max())  # one dgemv
@@ -115,6 +123,21 @@ def lu_factor_lower_band(a):
     x, tops, u = factor_panels(a, width, reduce)
     u[:, 0] = 0.0
     return LuFactorization(n, r, u, x, tops, width, growth / (norm or 1.0))
+
+
+def _update(w, b):
+    """Apply the elimination of the panel in the first b columns of the
+    window ``w`` (unit lower triangular L11 over L21) to the columns right
+    of it: a wide block (``banded.factor_panels``) by the explicit
+    [[L11^{-1}, 0], [-L21 L11^{-1}, I]] from (u, w) = ([0 | f], e_1) in one
+    ``dgemm``, a narrower one by one ``dtrsm`` for the panel's rows of R and
+    one ``dgemm`` for the r rows below."""
+    if wide_right_block(w, b):
+        u = np.tril(w[:, :b], -1)
+        w[:, b:] = dgemm(1.0, compact_transform(u, np.eye(len(w), b))[1], w[:, b:])
+    elif w.shape[1] > b:
+        w[:b, b:] = dtrsm(1.0, w[:b, :b], w[:b, b:], lower=1, diag=1)
+        w[b:, b:] = dgemm(-1.0, w[b:, :b], w[:b, b:], 1.0, w[b:, b:])
 
 
 def _eliminate(panel, k0, r, tol):

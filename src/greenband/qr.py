@@ -11,14 +11,24 @@ and the generators of A^{-1} = R^{-1} U* follow from R's panels and (u, w)
 by the generator stage shared with the LU path
 (``generators.inverse_generators``).  The factorization is the panel loop
 shared with the LU path (``banded.factor_panels``): LAPACK's ``dgeqrf``
-reduces each panel and ``dormqr`` applies its reflections to the columns
-right of it.
+reduces each panel, and its reflections reach the columns right of it
+either through ``dormqr`` or, on a right block wider than 2 (b + r)
+columns, as their explicit product, one ``dgemm``.
 """
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dgeqrf, dormqr
 
-from .banded import PANEL, PanelFactorization, factor_panels, require_two_sided, singularity_tol
+from .banded import (
+    PANEL,
+    PanelFactorization,
+    compact_transform,
+    factor_panels,
+    require_two_sided,
+    singularity_tol,
+    wide_right_block,
+)
 from .errors import SingularMatrixError
 from .generators import empty_generators, inverse_generators
 from .transforms import TransformProduct, expand_transform_product
@@ -29,9 +39,6 @@ __all__ = [
     "invert_lower_band_qr",
     "invert_two_sided_qr",
 ]
-
-SLAB = 4 * PANEL  # columns per dormqr call on the block right of a panel
-
 
 class QrFactorization(PanelFactorization):
     """A = U R in factored form, R and (u, w) as in ``PanelFactorization``.
@@ -66,27 +73,39 @@ class QrFactorization(PanelFactorization):
 def qr_factor_lower_band(a):
     """Structured QR of a lower banded matrix of order r.
 
-    Each panel's ``dgeqrf`` call reduces it, and ``dormqr`` applies its
-    reflections to the rest of the window, SLAB columns per call; the last
-    panel also triangulates the trailing r x r window.  Zero columns simply
-    produce x_k = 0, which the inversion stage rejects.
+    Each panel's ``dgeqrf`` call reduces it, and ``_update`` applies its
+    reflections to the rest of the window; the last panel also triangulates
+    the trailing r x r window.  Zero columns simply produce x_k = 0, which
+    the inversion stage rejects.
     """
     n, r = a.n, a.r_lower
     tau = np.empty(n)
 
     def reduce(w, k0, b):
-        # w is in Fortran order, so both calls work in place
+        # w is in Fortran order, so dgeqrf works in place
         tau[k0 : k0 + b] = dgeqrf(w[:, :b], lwork=PANEL * b, overwrite_a=1)[1]
-        # the columns right of the panel, in slabs that each stay in cache and
-        # under a threaded BLAS's threshold for splitting such thin products
-        for c0 in range(b, w.shape[1], SLAB):
-            c = w[:, c0 : c0 + SLAB]
-            dormqr("L", "T", w[:, :b], tau[k0 : k0 + b], c, lwork=PANEL * SLAB, overwrite_c=1)
+        _update(w, b, tau[k0 : k0 + b])
 
     width = min(r + a.r_upper, n - 1)  # upper bandwidth of R
     x, tops, v = factor_panels(a, width, reduce)
     v[:, 0] = 1.0
     return QrFactorization(n, r, v, tau, x, tops, width)
+
+
+def _update(w, b, tau):
+    """Apply the reflections of the panel in the first b columns of the
+    window ``w`` (``dgeqrf``'s vectors below its diagonal, scalars ``tau``)
+    to the columns right of it: a wide block (``banded.factor_panels``)
+    by their explicit product from (u, w) = (tau v, v) in one ``dgemm``,
+    a narrower one in one ``dormqr`` call."""
+    c = w[:, b:]
+    if wide_right_block(w, b):
+        v = np.tril(w[:, :b], -1)
+        np.fill_diagonal(v, 1.0)
+        w[:, b:] = dgemm(1.0, compact_transform(v * tau, v)[1], c)
+    elif c.shape[1]:
+        # c is a column slice of the Fortran-ordered window: in place
+        dormqr("L", "T", w[:, :b], tau, c, lwork=PANEL * c.shape[1], overwrite_c=1)
 
 
 def invert_lower_band_qr(a):

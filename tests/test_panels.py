@@ -94,49 +94,124 @@ def counting(monkeypatch, owner, name, calls):
     monkeypatch.setattr(owner, name, property(wrapper) if prop else wrapper, raising=False)
 
 
+def right_blocks(n, r, width):
+    """Columns right of the panel in the window of each panel but the last
+    (the last one's window ends at its own last column)."""
+    m = n - r
+    return [min(PANEL + width, n - k0) - PANEL for k0 in range(0, m, PANEL) if k0 + PANEL < m]
+
+
 @pytest.mark.parametrize("r_upper", [4, 999])
 def test_one_lapack_call_per_panel(monkeypatch, r_upper):
     # a deterministic guard against per-row dispatch: n = 1000, r = 4 takes
-    # ceil((n - r) / PANEL) panels, each one window read and one panel call,
-    # plus the trailing-block calls on every panel but the last (QR: one per
-    # SLAB columns right of the panel); the whole inversions add none, since
-    # their bottom r rows are steps of the one backward recursion (no closing
-    # blocks, no triangular inverse or solve for LU's trailing block), and
-    # they read the factorizations' (u, w), never a block of G built from it
+    # ceil((n - r) / PANEL) = 32 panels, each one window read and one panel
+    # call, plus the trailing-block calls on every panel but the last: one
+    # explicit transform and one dgemm where the block right of the panel is
+    # wider than 2 (PANEL + r) = 72 columns, else one dormqr (QR) or one
+    # dtrsm and one dgemm (LU).  With r_upper = 999 the first 28 blocks are
+    # 1000 - 32 (k + 1) columns wide, the last three 72, 40 and 8 columns.
+    # The whole inversions add none, since their bottom r rows are steps of
+    # the one backward recursion (no closing blocks, no triangular inverse or
+    # solve for LU's trailing block), and they read the factorizations'
+    # (u, w), never a block of G built from it
     n, r = 1000, 4
     panels = math.ceil((n - r) / PANEL)
-    qr_width = min(r + r_upper, n - 1)
-    slabs = sum(
-        math.ceil((min(PANEL + qr_width, n - k0) - PANEL) / qr_module.SLAB)
-        for k0 in range(0, (panels - 1) * PANEL, PANEL)
-    )
+    if r_upper == 4:
+        qr_calls = {"dormqr": 31}
+        lu_calls = {"dtrsm": 31, "dgemm": 31}
+    else:
+        assert right_blocks(n, r, n - 1)[-4:] == [104, 72, 40, 8]
+        qr_calls = {"dormqr": 3, "dgemm": 28, "compact_transform": 28}
+        lu_calls = {"dtrsm": 3, "dgemm": 31, "compact_transform": 28}
     a = random_band(n, r, r_upper, seed=0, diag_shift=r + 1.0)
     calls = {}
     for name in ("panel", "row_segment", "col_segment"):
         counting(monkeypatch, BandedMatrix, name, calls)
     for name in ("_block", "factors", "closing", "closing_product"):
         counting(monkeypatch, PanelFactorization, name, calls)
-    for name in ("dgeqrf", "dormqr"):
+    for name in ("dgeqrf", "dormqr", "dgemm", "compact_transform"):
         counting(monkeypatch, qr_module, name, calls)
-    for name in ("dgetrf", "_eliminate", "dtrsm", "dgemm", "dtrtri"):
+    for name in ("dgetrf", "_eliminate", "dtrsm", "dgemm", "dtrtri", "compact_transform"):
         counting(monkeypatch, lu_module, name, calls)
 
     for run in (qr_factor_lower_band, invert_lower_band_qr):
         calls.clear()
         run(a)
-        assert calls == {"panel": panels, "dgeqrf": panels, "dormqr": slabs}, run.__name__
+        assert calls == {"panel": panels, "dgeqrf": panels, **qr_calls}, run.__name__
     # the diagonal shift leaves dgetrf nothing to swap: no panel takes the column loop
     for run in (lu_factor_lower_band, invert_lower_band_lu):
         calls.clear()
         run(a)
-        expected = {"panel": panels, "dgetrf": panels, "dtrsm": panels - 1, "dgemm": panels - 1}
-        assert calls == expected, run.__name__
+        assert calls == {"panel": panels, "dgetrf": panels, **lu_calls}, run.__name__
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("method", ["qr", "lu"])
+def test_trailing_update_switches_past_twice_the_window_height(monkeypatch, method, extra):
+    # r_upper makes the right block of every unclipped window exactly
+    # 2 (PANEL + r) columns, which keep the blocked update, or one more,
+    # which take the explicit transform (QR's window is r + r_upper wide,
+    # LU's max(r, r_upper)); n = r + 8 PANEL + 1 has five such windows.  An
+    # entry three times its pivot in the middle of every panel sends each
+    # LU panel through the column loop, whose reference takes the same
+    # trailing update, so LU must match it bit for bit on both sides
+    r = 4
+    block = 2 * (PANEL + r) + extra
+    n = r + 8 * PANEL + 1
+    r_upper = block - r if method == "qr" else block
+    blocks = right_blocks(n, r, block)
+    assert blocks.count(block) == 5
+    dense = instance(n, r, r_upper, seed=n + extra, scale=1.0).to_dense()
+    for k0 in range(0, n - r, PANEL):
+        j = (k0 + min(k0 + PANEL, n)) // 2
+        dense[j + 1, j] = 3.0 * dense[j, j]
+    a = BandedMatrix.from_dense(dense, r, r_upper)
+    factor, invert, module = {
+        "qr": (qr_factor_lower_band, invert_lower_band_qr, qr_module),
+        "lu": (lu_factor_lower_band, invert_lower_band_lu, lu_module),
+    }[method]
+    calls = {}
+    counting(monkeypatch, module, "compact_transform", calls)
+    counting(monkeypatch, lu_module, "_eliminate", calls)
+    fact = factor(a)
+    assert calls.get("compact_transform", 0) == (5 if extra else 0)
+    assert calls.get("_eliminate", 0) == (len(blocks) + 1 if method == "lu" else 0)
+    for top in fact.tops:
+        rows, cols = np.indices(top.shape)
+        assert np.all(top[cols > rows + fact.width] == 0.0)
+    if method == "lu":
+        assert same_bits(fact, column_loop_factorization(a))
+    err = covered_relative_error(reconstruct_structured(invert(a)), dense_invert(dense), r)
+    assert err <= 1e-12
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("r_lower", R_LOWERS)
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_one_sided_inversions_with_wide_right_blocks(monkeypatch, offset, r_lower, scale):
+    # n = r_l + 8 b + {-1, 0, 1} with a full upper part: the right blocks of
+    # the first panels are wider than 2 (b + r) columns and take the
+    # explicit transform, those of the last ones the blocked update
+    n = r_lower + 8 * PANEL + offset
+    wide = sum(c > 2 * (PANEL + r_lower) for c in right_blocks(n, r_lower, n - 1))
+    assert wide >= 4
+    a = instance(n, r_lower, n - 1, seed=n + r_lower, scale=scale)
+    ref = dense_invert(a.to_dense())
+    calls = {}
+    for module in (qr_module, lu_module):
+        counting(monkeypatch, module, "compact_transform", calls)
+    for invert in inverters(a):
+        calls.clear()
+        err = covered_relative_error(reconstruct_structured(invert(a)), ref, r_lower)
+        assert err <= 1e-12, (invert.__name__, err)
+        assert calls == {"compact_transform": wide}, invert.__name__
 
 
 def column_loop_factorization(a):
     """x, tops and the multipliers of the LU factorization with every panel
     eliminated one column at a time, the elimination that a panel which
-    dgetrf would pivot must reproduce bit for bit (the reference)."""
+    dgetrf would pivot must reproduce bit for bit (the reference); the
+    columns right of each panel take the library's own trailing update."""
     r = a.r_lower
 
     def reduce(w, k0, b):
@@ -144,9 +219,7 @@ def column_loop_factorization(a):
             mult = w[j + 1 : j + 1 + r, j]
             mult /= w[j, j]
             w[j + 1 : j + 1 + r, j + 1 : b] -= mult[:, None] * w[j, j + 1 : b]
-        if w.shape[1] > b:
-            w[:b, b:] = scipy.linalg.blas.dtrsm(1.0, w[:b, :b], w[:b, b:], lower=1, diag=1)
-            w[b:, b:] = scipy.linalg.blas.dgemm(-1.0, w[b:, :b], w[:b, b:], 1.0, w[b:, b:])
+        lu_module._update(w, b)
 
     x, tops, below = factor_panels(a, max(r, a.r_upper), reduce)
     return x, tops, below[:, 1:]
@@ -465,9 +538,11 @@ def test_generator_stage_against_recursion_and_dense(panels, offset, r, upper):
 def test_panels_of_r_are_zero_past_each_rows_reach(factor, offset, upper):
     # the generator stage multiplies a panel's whole right block of R by the
     # stack below it, unmasked, so the cells past each row's reach of width
-    # columns must be exact zeros, as the window's arithmetic leaves them
+    # columns must be exact zeros, as the window's arithmetic leaves them;
+    # with a full upper part the first five panels' right blocks are wider
+    # than 2 (PANEL + r) columns and take the explicit transform
     r = 5
-    n = r + 3 * PANEL + offset
+    n = r + 8 * PANEL + offset
     r_upper = {"equal": r, "full": n - 1}[upper]
     dense = instance(n, r, r_upper, seed=offset + 2, scale=1.0).to_dense()
     fact = factor(BandedMatrix.from_dense(plant_reduced_columns(dense, [PANEL]), r, r_upper))
@@ -480,13 +555,15 @@ def test_panels_of_r_are_zero_past_each_rows_reach(factor, offset, upper):
 @pytest.mark.parametrize("r_upper", [4, 999])
 def test_generator_stage_calls_blas_per_panel(monkeypatch, r_upper):
     # no per-row recursion: the stage takes three triangular solves per
-    # panel of the factorization, never one per row
+    # panel of the factorization, never one per row: one in the panel's
+    # explicit transform and two of its own
     n, r = 1000, 4
     panels = math.ceil((n - r) / PANEL)
     a = random_band(n, r, r_upper, seed=0, diag_shift=r + 1.0)
     calls = {}
-    counting(monkeypatch, generators_module, "dtrsm", calls)
+    for name in ("dtrsm", "compact_transform"):
+        counting(monkeypatch, generators_module, name, calls)
     for invert in (invert_lower_band_qr, invert_lower_band_lu):
         calls.clear()
         invert(a)
-        assert calls == {"dtrsm": 3 * panels}, invert.__name__
+        assert calls == {"dtrsm": 2 * panels, "compact_transform": panels}, invert.__name__

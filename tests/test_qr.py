@@ -9,6 +9,7 @@ from greenband import (
     identity_residual,
     invert_lower_band_qr,
     invert_two_sided_qr,
+    prescribed_condition_band,
     qr_factor_lower_band,
     random_band,
     reconstruct_structured,
@@ -148,6 +149,20 @@ def test_forward_error_tracks_conditioning():
         reconstruct_structured(invert_two_sided_qr(a)), dense_invert(dense), 3
     )
     assert err <= 100 * EPS * np.linalg.cond(dense, 2)
+
+
+@pytest.mark.parametrize("c", range(1, 9))
+def test_error_tracks_prescribed_condition_on_wide_panels(c):
+    # acceptance criterion 7's bound and rule (no rejection) at n = 300,
+    # where the right blocks of the first seven panels are wider than
+    # 2 (PANEL + r) columns and take the explicit transform; criterion 7 runs
+    # n = 100, where no panel does.  Each instance, not the mean, is bounded
+    n, r = 300, 5
+    for seed in range(3):
+        a = prescribed_condition_band(n, r, 10.0**c, 1000 * c + seed)
+        ref = dense_invert(a.to_dense())
+        err = covered_relative_error(reconstruct_structured(invert_lower_band_qr(a)), ref, r)
+        assert err <= 100 * EPS * 10.0**c, (seed, err)
 
 
 def test_product_identity_residual_without_oracle():
