@@ -251,6 +251,16 @@ def _outside(rows, cols, above, below):
     return idx
 
 
+@functools.lru_cache(maxsize=256)
+def _diagonals(b, rows):
+    """Fortran-order flat indices of the cells (l + t, l), l < b and
+    t = 0..rows - b, of a window of ``rows`` rows: row l holds the
+    diagonal cell of column l and the rows - b cells below it."""
+    idx = np.arange(b)[:, None] * (rows + 1) + np.arange(rows - b + 1)
+    idx.setflags(write=False)
+    return idx
+
+
 class PanelFactorization:
     """A factorization A = G R made by ``factor_panels``: R, and the one
     record of G that both methods keep.
@@ -331,7 +341,9 @@ def factor_panels(a, width, reduce):
 
     Returns x (R's diagonal), the panels' Fortran-ordered ``tops`` and an
     (n, r + 1) array whose columns 1.. hold the entries below each diagonal
-    entry, zero past the matrix edge; column 0 is left to the method.
+    entry, zero past the matrix edge; column 0, a copy of x, is left to the
+    method.  Each panel's diagonal and the entries below it are one gather
+    from its window, at indices cached per window height (``_diagonals``).
 
     ``reduce`` also applies the panel's transform to the columns right of
     it.  A right block wider than 2 (b + r) columns (``wide_right_block``:
@@ -342,7 +354,6 @@ def factor_panels(a, width, reduce):
     """
     n, r = a.n, a.r_lower
     m = n - r
-    x = np.empty(n)
     tops = []
     below = np.empty((n, r + 1))
     carried = None
@@ -351,12 +362,10 @@ def factor_panels(a, width, reduce):
         b = k1 - k0
         w = a.panel(k0, b + r, min(b + width, n - k0), carried)
         reduce(w, k0, b)
-        x[k0:k1] = np.diagonal(w[:b])
-        diag = np.arange(b)[:, None]
-        below[k0:k1, 1:] = w[diag + np.arange(1, r + 1), diag]
+        below[k0:k1] = w.T.reshape(-1)[_diagonals(b, b + r)]
         tops.append(w[:b].copy(order="F"))
         carried = w[b:, b:]
-    return x, tops, below
+    return below[:, 0].copy(), tops, below
 
 
 def wide_right_block(w, b):

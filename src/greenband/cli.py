@@ -42,7 +42,8 @@ def _fmt(x):
 
 
 def _cmd_gen(args):
-    r_upper = args.n - 1 if args.r_upper in (None, "full") else int(args.r_upper)
+    full = args.r_upper is None or args.r_upper.lower() == "full"
+    r_upper = args.n - 1 if full else int(args.r_upper)
     if args.cond is not None:
         if r_upper != args.n - 1:
             raise ValueError("--cond builds a full upper part: --r-upper must be 'full' or n-1")
@@ -131,7 +132,7 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True, help="lower bandwidth")
     p.add_argument("--r-upper", default=None,
-                   help="upper bandwidth (integer or 'full'; default full)")
+                   help="upper bandwidth (integer or 'full', in any case; default full)")
     p.add_argument("--seed", type=int, default=0)
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--diag-shift", type=float, default=0.0)

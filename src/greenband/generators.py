@@ -412,16 +412,19 @@ def inverse_generators(tops, width, u, w, out):
     - row k of Z_k is row k of Z times G_{j0} ... G_{k-1}, the compact form
       of the panel's first k - j0 blocks in ascending order, that is
       Z - tril(Z U (I + striu X)^{-1}, -1) W^T.  For reflections that
-      product is the inverse of G_{k-1} ... G_{j0}; for elimination steps
-      it is not, but the correction then changes only columns left of k.
+      product is the inverse of G_{k-1} ... G_{j0}.  For elimination steps
+      it is not, but G_j = I - u_j e_j^T then changes only column j, so the
+      correction changes only columns left of k, and p(k) reads columns
+      k..k+r-1: when every w_k is e_1 (the LU inverse, or a QR one that
+      reflected nothing) the stage skips the correction, an O(n r) check.
 
     The last panel holds the bottom r rows too.  Their prefix stops at
     G_{m-1} (m = n - r): the closing block p_last is Z_m[m:, m:m+r].
 
-    A panel costs about ten BLAS calls, three of them ``dtrsm``, and
-    O(b (b + r)^2 + h r (b + r)) arithmetic for a stack of h <= width rows:
-    O(n r^2) in all for a two-sided band (width <= 2r, r up to b) and
-    O(n^2 r) for a full upper part (width n - 1).
+    A panel costs about ten BLAS calls, two of them ``dtrsm`` (one without
+    the correction), and O(b (b + r)^2 + h r (b + r)) arithmetic for a stack
+    of h <= width rows: O(n r^2) in all for a two-sided band (width <= 2r,
+    r up to b) and O(n^2 r) for a full upper part (width n - 1).
     """
     n, r = u.shape[0], u.shape[1] - 1
     m = n - r
@@ -430,6 +433,8 @@ def inverse_generators(tops, width, u, w, out):
     np.subtract(np.eye(r)[-1], q, out=q)  # e_r - q
     stacks = np.empty((2, width, r))  # each panel writes the one it does not read
     t = stacks[1, :0]
+    # elimination steps only (every w_k = e_1): no correction reaches p
+    correct = w[:, 1:].any() or not (w[:, 0] == 1.0).all()
     scratch = {}
     j0 = n
     for i, top in enumerate(reversed(tops)):
@@ -452,11 +457,13 @@ def inverse_generators(tops, width, u, w, out):
         height = min(b + h, width)
         np.dot(t[: height - keep], f[b:, :r], out=nxt[keep:height])
         t = nxt[:height]
-        prefix = dtrsm(1.0, x.T, (ut @ z.T).T, side=1, lower=1, trans_a=1, diag=1, overwrite_b=1)
-        prefix *= low
-        e = min(m - j0, b)  # rows e.. of the last panel are the bottom r rows,
-        prefix[:, e:] = 0.0  # whose prefix stops at row m
-        z -= prefix @ wt
+        e = min(m - j0, b)  # rows e.. of the last panel are the bottom r rows
+        if correct:
+            prefix = (ut @ z.T).T
+            prefix = dtrsm(1.0, x.T, prefix, side=1, lower=1, trans_a=1, diag=1, overwrite_b=1)
+            prefix *= low
+            prefix[:, e:] = 0.0  # the bottom rows' prefix stops at row m
+            z -= prefix @ wt
         p[j0 : j0 + e] = bands[2, :e, :r]
         if e < b:
             p_last[:] = z[e:, e : e + r]

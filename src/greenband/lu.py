@@ -86,9 +86,9 @@ def lu_factor_lower_band(a):
     rounding; otherwise the panel is restored from a copy and eliminated
     one column at a time (``_eliminate``), as the unpivoted method
     requires.  Then ``_update`` gives the panel's rows of R right of it and
-    updates the r rows below, and the panel's absolute row sums of R update
-    the growth factor.  Raises ZeroPivotError with the 1-based index of the
-    first pivot that is zero to working precision.
+    updates the r rows below.  The growth factor is summed after the loop,
+    over R's contiguous panels (``_growth``).  Raises ZeroPivotError with
+    the 1-based index of the first pivot that is zero to working precision.
     """
     n, r = a.n, a.r_lower
     norm = a.norm_inf()
@@ -96,13 +96,8 @@ def lu_factor_lower_band(a):
     width = max(r, a.r_upper)
     b_max = min(n, PANEL + r)  # columns of the widest panel, the last one
     saved = np.empty((b_max + r, b_max), order="F")
-    mag = np.empty((b_max, min(b_max + width, n)), order="F")
-    ones = np.ones(mag.shape[1])
-    upper = np.triu(np.ones((b_max, b_max)))
-    growth = 0.0
 
     def reduce(w, k0, b):
-        nonlocal growth
         panel = w[:, :b]
         saved[: b + r, :b] = panel
         # in place, as the window is in Fortran order; an exactly zero
@@ -116,13 +111,28 @@ def lu_factor_lower_band(a):
             if small.any():
                 raise _zero_pivot(k0 + int(small.argmax()))
         _update(w, b)
-        rows = np.abs(w[:b], out=mag[:b, : w.shape[1]])
-        rows[:, :b] *= upper[:b, :b]  # the multipliers below the diagonal are L's
-        growth = max(growth, (rows @ ones[: rows.shape[1]]).max())  # one dgemv
 
     x, tops, u = factor_panels(a, width, reduce)
     u[:, 0] = 0.0
-    return LuFactorization(n, r, u, x, tops, width, growth / (norm or 1.0))
+    return LuFactorization(n, r, u, x, tops, width, _growth(tops) / (norm or 1.0))
+
+
+def _growth(tops):
+    """The largest absolute row sum of R, from its panels ``tops``: one
+    ``dgemv`` per panel on its contiguous absolute values, in one buffer,
+    with L's multipliers below the panel's diagonal masked out."""
+    b_max = max(len(top) for top in tops)
+    cols = max(top.shape[1] for top in tops)
+    buf = np.empty(b_max * cols)
+    ones = np.ones(cols)
+    upper = np.triu(np.ones((b_max, b_max)))
+    growth = 0.0
+    for top in tops:
+        b, c = top.shape
+        rows = np.abs(top, out=buf[: b * c].reshape((b, c), order="F"))
+        rows[:, :b] *= upper[:b, :b]
+        growth = max(growth, (rows @ ones[:c]).max())
+    return growth
 
 
 def _update(w, b):

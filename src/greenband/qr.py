@@ -40,6 +40,7 @@ __all__ = [
     "invert_two_sided_qr",
 ]
 
+
 class QrFactorization(PanelFactorization):
     """A = U R in factored form, R and (u, w) as in ``PanelFactorization``.
 
@@ -116,8 +117,9 @@ def invert_lower_band_qr(a):
     H_k = I - tau_k v_k v_k^T, so ``inverse_generators`` takes R's panels
     and the factorization's (u, w) = (tau v, v).  The produced generators
     are in right normal form: a(k) a(k)^T + q(k) q(k)^T = I_r, since
-    [a(k) q(k)] are orthonormal rows of a unitary block.  Raises SingularMatrixError (naming the failing diagonal
-    index of R) when A is singular to working precision.
+    [a(k) q(k)] are orthonormal rows of a unitary block.  Raises
+    SingularMatrixError (naming the failing diagonal index of R) when A is
+    singular to working precision.
     """
     out = empty_generators(a.n, a.r_lower)
     fact = qr_factor_lower_band(a)

@@ -69,6 +69,14 @@ def test_gen_cond_with_full_upper_part(tmp_path, r_upper):
     assert read_matrix(out).r_upper == 9
 
 
+@pytest.mark.parametrize("word", ["full", "FULL", "Full"])
+def test_gen_accepts_full_in_any_case(tmp_path, word):
+    # as the header of a matrix file does
+    out = tmp_path / "x.txt"
+    assert run("gen", "--n", 6, "--r", 2, "--r-upper", word, "--out", out) == 0
+    assert read_matrix(out).r_upper == 5
+
+
 def test_invert_identity_reconstructs_identity(tmp_path):
     m, g, rec = tmp_path / "i.txt", tmp_path / "g.json", tmp_path / "rec.txt"
     write_matrix(m, BandedMatrix.from_dense(np.eye(8), 2, 7))

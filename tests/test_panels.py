@@ -12,10 +12,12 @@ import threading
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.blas import dtrsm
 from conftest import instance, inverters
 from test_generators import backward_recursion
 from test_lu import dense_unpivoted_lu
 
+import greenband.banded as banded_module
 import greenband.generators as generators_module
 import greenband.lu as lu_module
 import greenband.qr as qr_module
@@ -34,7 +36,7 @@ from greenband import (
     reconstruct_structured,
     write_generators,
 )
-from greenband.banded import PANEL, PanelFactorization, factor_panels
+from greenband.banded import PANEL, PanelFactorization, compact_transform, factor_panels
 from greenband.bench import instability_matrix
 from greenband.generators import empty_generators, inverse_generators
 from greenband.transforms import expand_transform_product
@@ -308,17 +310,32 @@ def test_lu_zero_pivot_is_named_on_both_branches(monkeypatch, plant, column, r_l
     assert calls == ({} if plant == "row and column" else {"_eliminate": 1})
 
 
-@pytest.mark.parametrize("upper", ["zero", "equal", "full"])
-@pytest.mark.parametrize("offset", [-1, 1])
-def test_lu_growth_is_the_largest_row_sum_of_r(offset, upper):
+@pytest.mark.parametrize(
+    "offset, upper, last",
+    [
+        pytest.param(offset, upper, last, id=f"{offset}-{upper}" + ("-last panel" if last else ""))
+        for last in (False, True)
+        for offset in (-1, 1)
+        for upper in ("zero", "equal", "full")
+    ],
+)
+def test_lu_growth_is_the_largest_row_sum_of_r(offset, upper, last):
     # growth = max_k ||R(k, k:)||_1 / ||A||_inf, summed panel by panel with
-    # the multipliers below each panel's diagonal masked out
+    # the multipliers below each panel's diagonal masked out; scaling the
+    # rows of the last panel (PANEL + r - 1 or PANEL + r + 1 rows) by 8
+    # scales those rows of R, so its largest row sum sits there
     r = 5
     n = r + 2 * PANEL + offset
     a = instance(n, r, {"zero": 0, "equal": r, "full": n - 1}[upper], seed=6, scale=1.0)
     dense = a.to_dense()
+    if last:
+        dense[PANEL:] *= 8.0
+        a = BandedMatrix.from_dense(dense, r, a.r_upper)
     _, up = dense_unpivoted_lu(dense)
-    expected = np.abs(up).sum(axis=1).max() / np.abs(dense).sum(axis=1).max()
+    sums = np.abs(up).sum(axis=1)
+    if last:
+        assert sums.argmax() >= PANEL
+    expected = sums.max() / np.abs(dense).sum(axis=1).max()
     assert lu_factor_lower_band(a).growth == pytest.approx(expected, rel=1e-13)
 
 
@@ -554,16 +571,143 @@ def test_panels_of_r_are_zero_past_each_rows_reach(factor, offset, upper):
 
 @pytest.mark.parametrize("r_upper", [4, 999])
 def test_generator_stage_calls_blas_per_panel(monkeypatch, r_upper):
-    # no per-row recursion: the stage takes three triangular solves per
-    # panel of the factorization, never one per row: one in the panel's
-    # explicit transform and two of its own
+    # no per-row recursion: the stage takes one explicit transform per
+    # panel of the factorization, never one per row, and triangular solves
+    # of its own: two per panel for QR, and one for LU, whose elimination
+    # steps (every w_k = e_1) skip the prefix correction
     n, r = 1000, 4
     panels = math.ceil((n - r) / PANEL)
     a = random_band(n, r, r_upper, seed=0, diag_shift=r + 1.0)
     calls = {}
     for name in ("dtrsm", "compact_transform"):
         counting(monkeypatch, generators_module, name, calls)
-    for invert in (invert_lower_band_qr, invert_lower_band_lu):
+    for invert, solves in ((invert_lower_band_qr, 2 * panels), (invert_lower_band_lu, panels)):
         calls.clear()
         invert(a)
-        assert calls == {"dtrsm": 2 * panels, "compact_transform": panels}, invert.__name__
+        assert calls == {"dtrsm": solves, "compact_transform": panels}, invert.__name__
+
+
+def corrected_stage(tops, width, u, w, out):
+    """``inverse_generators`` with the prefix correction applied on every
+    panel, whatever its (u, w): the stage as it was before elimination
+    steps skipped it (the reference)."""
+    n, r = u.shape[0], u.shape[1] - 1
+    m = n - r
+    p, q, p_last = out
+    np.multiply(u[:m, 1:], w[:m, r:], out=q)
+    np.subtract(np.eye(r)[-1], q, out=q)
+    stacks = np.empty((2, width, r))
+    t = stacks[1, :0]
+    j0 = n
+    for i, top in enumerate(reversed(tops)):
+        b, h = len(top), len(t)
+        j0 -= b
+        (ut, wt, z), bands = generators_module._skewed(b, r, 3)
+        bands[0] = u[j0 : j0 + b]
+        bands[1] = w[j0 : j0 + b]
+        x, f = compact_transform(ut.T, wt.T)
+        np.dot(top[:, b : b + h] @ t, f[b:], out=z)
+        np.subtract(f[:b], z, out=z)
+        z[:] = dtrsm(1.0, top[:, :b], z.T, side=1, trans_a=1, overwrite_b=1).T
+        nxt = stacks[i & 1]
+        keep = min(b, width)
+        nxt[:keep] = z[:keep, :r]
+        height = min(b + h, width)
+        np.dot(t[: height - keep], f[b:, :r], out=nxt[keep:height])
+        t = nxt[:height]
+        prefix = dtrsm(1.0, x.T, (ut @ z.T).T, side=1, lower=1, trans_a=1, diag=1, overwrite_b=1)
+        prefix *= np.tri(b, b, -1)
+        e = min(m - j0, b)
+        prefix[:, e:] = 0.0
+        z -= prefix @ wt
+        p[j0 : j0 + e] = bands[2, :e, :r]
+        if e < b:
+            p_last[:] = z[e:, e : e + r]
+    return GreenGenerators._compact(n, r, p, q, p_last, u, w)
+
+
+@pytest.mark.parametrize("upper", ["zero", "equal", "equal + 2", "full"])
+@pytest.mark.parametrize("r", R_LOWERS)
+@pytest.mark.parametrize("extra", [1, PANEL - 1, PANEL + 1, 3 * PANEL - 1, 3 * PANEL + 1])
+def test_skipped_correction_keeps_every_bit(monkeypatch, extra, r, upper):
+    # LU's elimination steps change only columns left of each p(k), so the
+    # stage that skips their correction writes the reference's bytes; QR
+    # keeps it, and with it the reference's bytes too.  n = r + 1 and
+    # n = r + k PANEL +- 1 for one and three panels, at 1e+-150 scales
+    n = r + extra
+    r_upper = min({"zero": 0, "equal": r, "equal + 2": r + 2, "full": n - 1}[upper], n - 1)
+    calls = {}
+    counting(monkeypatch, generators_module, "dtrsm", calls)
+    for scale in SCALES:
+        a = instance(n, r, r_upper, seed=n + r, scale=scale)
+        for factor, solves in ((qr_factor_lower_band, 2), (lu_factor_lower_band, 1)):
+            fact = factor(a)
+            calls.clear()
+            g = inverse_generators(fact.tops, fact.width, fact.u, fact.w, empty_generators(n, r))
+            assert calls == {"dtrsm": solves * len(fact.tops)}, factor.__name__
+            ref = corrected_stage(fact.tops, fact.width, fact.u, fact.w, empty_generators(n, r))
+            for name in ("p", "q", "p_last"):
+                got, want = getattr(g, name), getattr(ref, name)
+                assert got.tobytes() == want.tobytes(), (factor.__name__, name)
+
+
+@pytest.mark.parametrize("upper", ["equal", "full"])
+@pytest.mark.parametrize("r", [1, 4])
+def test_qr_that_reflects_nothing_skips_the_correction(monkeypatch, r, upper):
+    # an upper triangular A leaves dgeqrf nothing to reflect: every tau is
+    # 0 and every v_k, and so w_k, is e_1, the test that the stage applies,
+    # so it skips the correction, which is exactly zero there
+    n = r + 3 * PANEL + 1
+    r_upper = {"equal": r, "full": n - 1}[upper]
+    dense = np.triu(instance(n, r, r_upper, seed=n + r, scale=1.0).to_dense())
+    a = BandedMatrix.from_dense(dense, r, r_upper)
+    fact = qr_factor_lower_band(a)
+    assert np.all(fact.tau == 0.0)
+    assert np.all(fact.w[:, 0] == 1.0) and np.all(fact.w[:, 1:] == 0.0)
+    calls = {}
+    counting(monkeypatch, generators_module, "dtrsm", calls)
+    g = invert_lower_band_qr(a)
+    assert calls == {"dtrsm": len(fact.tops)}
+    err = covered_relative_error(reconstruct_structured(g), dense_invert(dense), r)
+    assert err <= 1e-12
+
+
+def arange_gather(w, b):
+    """R's diagonal and the r entries below it in each of a panel's b
+    columns of its window ``w``, by the per-panel fancy index."""
+    diag = np.arange(b)[:, None]
+    return w[diag + np.arange(len(w) - b + 1), diag]
+
+
+@pytest.mark.parametrize("r", [1, 4, PANEL + 3])
+def test_cached_gather_matches_the_index_arithmetic(r):
+    # every window shape that factor_panels makes: b = 1..PANEL + r rows of
+    # R over b + r rows, as wide as its b columns (clipped at the matrix
+    # edge, n = r + 1 among them) or wider
+    rng = np.random.Generator(np.random.PCG64(r))
+    for b in range(1, PANEL + r + 1):
+        for cols in (b, b + 1, b + r, 2 * (b + r) + 1):
+            w = np.asfortranarray(rng.standard_normal((b + r, cols)))
+            got = w.T.reshape(-1)[banded_module._diagonals(b, b + r)]
+            assert got.tobytes() == arange_gather(w, b).tobytes(), (b, cols)
+
+
+@pytest.mark.parametrize("upper", ["zero", "equal", "full"])
+@pytest.mark.parametrize("r", [1, 4, PANEL + 3])
+@pytest.mark.parametrize("extra", [1, PANEL - 1, PANEL + 1, 3 * PANEL + 1])
+def test_panel_loop_gathers_every_windows_diagonals(extra, r, upper):
+    # the loop's x and entries below the diagonal are the index arithmetic's
+    # gathers of each window it reduced, at n = r + 1 and past panel edges
+    n = r + extra
+    r_upper = {"zero": 0, "equal": r, "full": n - 1}[upper]
+    a = instance(n, r, r_upper, seed=n, scale=1.0)
+    rng = np.random.Generator(np.random.PCG64(n))
+    gathered = []
+
+    def reduce(w, k0, b):
+        w[...] = rng.standard_normal(w.shape)
+        gathered.append(arange_gather(w, b))
+
+    x, tops, below = factor_panels(a, min(r + r_upper, n - 1), reduce)
+    expected = np.vstack(gathered)
+    assert below.tobytes() == expected.tobytes() and x.tobytes() == expected[:, 0].tobytes()
