@@ -36,7 +36,7 @@ __all__ = [
 PANEL = 32  # columns per panel of the blocked QR and LU factorizations
 TILE = 128  # diagonals per tile of the constructor's copy and checks
 CHUNK = 2**15  # cells per chunk of ``all_finite``, 256 KB of doubles
-NORM_CHUNK = 2**18  # doubles per chunk of ``norm_inf``, 2 MB
+NORM_CHUNK = 2**18  # doubles per chunk of ``max_abs_row_sum``, 2 MB
 
 
 class BandedMatrix:
@@ -132,30 +132,8 @@ class BandedMatrix:
     def rows_block(self, i0, i1, j0, j1):
         """Dense block A[i0:i1, j0:j1] in Fortran order, zero outside the band;
         rows past the last one read as zero (0 <= i0, 0 <= j0 <= j1 <= n).
-
-        A[i, j] sits at offset r_upper + i + j (d - 1) of the Fortran-ordered
-        band array of d diagonals, so the block is one strided view, copied
-        as each column's contiguous band cells.  The view's cells above or
-        below the band read other columns' cells; they are zeroed after the
-        copy, at indices cached per window shape (``_outside``).
-        """
-        d, n = self.bands.shape
-        rows, cols = i1 - i0, j1 - j0
-        live = max(0, min(i1, n) - i0)
-        out = np.empty((rows, cols), order="F")
-        if live and cols:
-            step = self.bands.itemsize
-            out[:live] = np.ndarray(
-                (live, cols),
-                buffer=self.bands,
-                offset=(self.r_upper + i0 + j0 * (d - 1)) * step,
-                strides=(step, (d - 1) * step),
-            )
-        out[live:] = 0.0
-        above = min(max(self.r_upper + i0 - j0, -rows), cols)
-        below = min(max(self.r_lower - i0 + j0, -cols), rows)
-        out.T.reshape(-1)[_outside(rows, cols, above, below)] = 0.0
-        return out
+        One strided read of the band array (``band_block``)."""
+        return band_block(self.bands, self.r_upper, self.r_upper, self.r_lower, i0, i1, j0, j1)
 
     def panel(self, k0, rows, cols, carried=None):
         """Working window of a panel factorization: A[k0:k0+rows, k0:k0+cols]
@@ -169,25 +147,9 @@ class BandedMatrix:
 
     def norm_inf(self):
         """Max absolute row sum, computed once per matrix from the
-        compressed band.
-
-        Columns j0:j1 of the band array, read as stored, are the band of a
-        lower banded (j1 - j0 + d - 1) x (j1 - j0) matrix of order d - 1
-        (d diagonals) whose row t is row j0 - r_upper + t of A, so one
-        ``dgbmv`` per chunk of columns adds their absolute values into the
-        row sums; the rows outside A collect the zero corner cells.
-        """
+        compressed band (``max_abs_row_sum``)."""
         if self._norm is None:
-            d, n = self.bands.shape
-            step = max(1, NORM_CHUNK // d)
-            buf = np.empty((d, min(step, n)), order="F")
-            ones = np.ones(buf.shape[1])
-            sums = np.zeros(n + d - 1)  # rows -r_upper .. n - 1 + r_lower of A
-            for j0 in range(0, n, step):
-                blk = np.abs(self.bands[:, j0 : j0 + step], out=buf[:, : min(step, n - j0)])
-                c = blk.shape[1]
-                dgbmv(c + d - 1, c, d - 1, 0, 1.0, blk, ones, beta=1.0, y=sums, offy=j0, overwrite_y=1)
-            self._norm = float(sums[self.r_upper : self.r_upper + n].max())
+            self._norm = max_abs_row_sum(self.bands, self.r_upper)
         return self._norm
 
     def __eq__(self, other):
@@ -202,6 +164,61 @@ class BandedMatrix:
 
     def __repr__(self):
         return f"BandedMatrix(n={self.n}, r_lower={self.r_lower}, r_upper={self.r_upper})"
+
+
+def band_block(bands, diagonal, above, below, i0, i1, j0, j1):
+    """Dense block M[i0:i1, j0:j1] in Fortran order of the n x n matrix M
+    whose cell (i, j) sits at ``bands[diagonal + i - j, j]`` of the
+    Fortran-ordered (d, n) array ``bands``, with every cell j - i > ``above``
+    or i - j > ``below`` zero; rows past the last one read as zero
+    (0 <= i0, 0 <= j0 <= j1 <= n).
+
+    M[i, j] sits at offset diagonal + i + j (d - 1) of the array, so the
+    block is one strided view, copied as each column's contiguous band
+    cells.  The view's cells above or below the band read other cells; they
+    are zeroed after the copy, at indices cached per window shape
+    (``_outside``).
+    """
+    d, n = bands.shape
+    rows, cols = i1 - i0, j1 - j0
+    live = max(0, min(i1, n) - i0)
+    out = np.empty((rows, cols), order="F")
+    if live and cols:
+        step = bands.itemsize
+        out[:live] = np.ndarray(
+            (live, cols),
+            buffer=bands,
+            offset=(diagonal + i0 + j0 * (d - 1)) * step,
+            strides=(step, (d - 1) * step),
+        )
+    out[live:] = 0.0
+    above = min(max(above + i0 - j0, -rows), cols)
+    below = min(max(below - i0 + j0, -cols), rows)
+    out.T.reshape(-1)[_outside(rows, cols, above, below)] = 0.0
+    return out
+
+
+def max_abs_row_sum(bands, diagonal):
+    """Largest absolute row sum of the n x n matrix whose cell (i, j) sits at
+    ``bands[diagonal + i - j, j]`` of the (d, n) array ``bands`` (any
+    strides), every cell of the array inside the matrix or zero.
+
+    Columns j0:j1 of the array, read as stored, are the band of a lower
+    banded (j1 - j0 + d - 1) x (j1 - j0) matrix of order d - 1 whose row t
+    is row j0 - diagonal + t of the matrix, so one ``dgbmv`` per chunk of
+    columns adds their absolute values into the row sums; the rows outside
+    the matrix collect the zero corner cells.
+    """
+    d, n = bands.shape
+    step = max(1, NORM_CHUNK // d)
+    buf = np.empty((d, min(step, n)), order="F")
+    ones = np.ones(buf.shape[1])
+    sums = np.zeros(n + d - 1)  # rows -diagonal .. n - 1 + d - 1 - diagonal
+    for j0 in range(0, n, step):
+        blk = np.abs(bands[:, j0 : j0 + step], out=buf[:, : min(step, n - j0)])
+        c = blk.shape[1]
+        dgbmv(c + d - 1, c, d - 1, 0, 1.0, blk, ones, beta=1.0, y=sums, offy=j0, overwrite_y=1)
+    return float(sums[diagonal : diagonal + n].max())
 
 
 def all_finite(arr):
@@ -353,12 +370,10 @@ def factor_panels(a, width, reduce):
     window's, at most 2 r wide): there the matrix costs as much as it saves.
     """
     n, r = a.n, a.r_lower
-    m = n - r
     tops = []
     below = np.empty((n, r + 1))
     carried = None
-    for k0 in range(0, m, PANEL):
-        k1 = k0 + PANEL if k0 + PANEL < m else n
+    for k0, k1 in panel_edges(n, r):
         b = k1 - k0
         w = a.panel(k0, b + r, min(b + width, n - k0), carried)
         reduce(w, k0, b)
@@ -368,10 +383,17 @@ def factor_panels(a, width, reduce):
     return below[:, 0].copy(), tops, below
 
 
-def wide_right_block(w, b):
-    """True when the block right of a panel's b columns in its window ``w``
-    (b + r rows) is wider than 2 (b + r) columns."""
-    return w.shape[1] - b > 2 * len(w)
+def panel_edges(n, r):
+    """The panels [k0, k1) of the factorizations: PANEL columns each, the
+    last one running to column n and holding the bottom r rows."""
+    m = n - r
+    return [(k0, k0 + PANEL if k0 + PANEL < m else n) for k0 in range(0, m, PANEL)]
+
+
+def wide_right_block(cols, rows):
+    """True when a block of ``cols`` columns right of a panel is wider than
+    twice its window's height ``rows`` (b + r)."""
+    return cols > 2 * rows
 
 
 def compact_transform(u, w):

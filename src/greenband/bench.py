@@ -3,15 +3,19 @@
 Methods timed here: the two-sided structured paths ("qr", "lu"), their
 one-sided counterparts ("qr-lower", "lu-lower") and the dense reference
 ("dense", row-pivoted elimination).  Matrix generation is always excluded
-from the timed region; reported seconds are the minimum over ``trials`` runs
-of a monotonic clock, since load from elsewhere on the host only ever adds
-time.  Relative errors are measured on the covered part against the dense
-inverse, and only for sizes up to ``oracle_cutoff``.
+from the timed region.  Each of the ``trials`` timed runs (about 10 ms of
+back-to-back calls) is divided by a calibration run beside it, as long a
+burst of the sweep's smallest cell, and reported seconds per call are the
+median of those ratios in units of the median calibration, so a slope does
+not bend when the host's speed changes during a sweep.  Relative errors are
+measured on the covered part against the dense inverse, and only for sizes
+up to ``oracle_cutoff``.
 """
 
 import csv
 import functools
 import gc
+import math
 import time
 from dataclasses import dataclass
 
@@ -41,6 +45,7 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+SPAN_S = 0.01  # seconds of back-to-back calls per timed trial
 
 # method -> inversion; "dense" takes the dense image, built before timing
 _INVERTERS = {
@@ -55,7 +60,7 @@ METHODS = tuple(_INVERTERS)
 
 @dataclass
 class BenchRecord:
-    """One benchmark cell: size, method tag, minimum wall seconds and (when the
+    """One benchmark cell: size, method tag, calibrated wall seconds and (when the
     oracle was consulted) the covered-part relative error."""
 
     n: int
@@ -95,27 +100,52 @@ def slope_fit(points):
     return SlopeFit(slope=float(coef[0]), intercept=float(coef[1]), residual=resid)
 
 
+def _burst_s(fn, count):
+    """Seconds of ``count`` back-to-back calls of ``fn``."""
+    t0 = time.perf_counter()
+    for _ in range(count):
+        fn()
+    return time.perf_counter() - t0
+
+
 def _interleaved_times(fns, trials):
-    """Fastest seconds per callable, with the timed rounds interleaved across
-    all callables so that bursts of background load spread over every cell
-    instead of skewing one of them.  The minimum, not the median: contention
-    only adds time, so the fastest of the trials is the one it touched
-    least."""
+    """Calibrated seconds per call of each callable; the first one, the
+    sweep's smallest cell, is the calibration loop.
+
+    A timed trial calls its callable back to back for about SPAN_S seconds
+    (the count comes from the warm-up call), so that a sub-millisecond call
+    is timed warm and over as long a stretch as a large one.  It is divided
+    by the mean of a burst of the first callable, as long, timed just
+    before and just after it.  The host's speed swings by up to 2x within
+    seconds, and the sweep's own code swings with it by about the same
+    factor, where a loop of small numpy products slowed 1.8x while the
+    inversions slowed 1.3-1.4x.  A cell is the median of its trials'
+    ratios (a burst of load may hit a trial or its calibration), times the
+    median calibration to read as seconds.  The trials are interleaved
+    across all callables, so that what the calibration leaves spreads over
+    every cell instead of skewing one."""
+    counts = []
     for fn in fns:
-        fn()  # warm-up runs, not timed
-    samples = [[] for _ in fns]
+        t0 = time.perf_counter()
+        fn()  # warm-up run, not timed
+        counts.append(max(1, math.ceil(SPAN_S / max(time.perf_counter() - t0, 1e-9))))
+    ratios = [[] for _ in fns]
+    cals = []
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(max(1, trials)):
-            for idx, fn in enumerate(fns):
-                t0 = time.perf_counter()
-                fn()
-                samples[idx].append(time.perf_counter() - t0)
+            for idx, (fn, count) in enumerate(zip(fns, counts)):
+                before = _burst_s(fns[0], counts[0])
+                secs = _burst_s(fn, count) / count
+                cal = (before + _burst_s(fns[0], counts[0])) / (2 * counts[0])
+                ratios[idx].append(secs / cal)
+                cals.append(cal)
     finally:
         if gc_was_enabled:
             gc.enable()
-    return [min(ts) for ts in samples]
+    scale = float(np.median(cals))
+    return [float(np.median(rs)) * scale for rs in ratios]
 
 
 def _timed_region():

@@ -382,6 +382,14 @@ def _skewed(b, r, count):
     return mats, buf.reshape(count, b, b + r + 1)[:, :, : r + 1]
 
 
+@functools.lru_cache(maxsize=8)
+def _strictly_lower(b):
+    """The b x b mask of the cells below the diagonal, read-only."""
+    low = np.tri(b, b, -1)
+    low.setflags(write=False)
+    return low
+
+
 def inverse_generators(tops, width, u, w, out):
     """Generators of B = R^{-1} V, one panel of rows of R at a time.
 
@@ -441,8 +449,8 @@ def inverse_generators(tops, width, u, w, out):
         b, h = len(top), len(t)
         j0 -= b
         if b not in scratch:
-            scratch[b] = _skewed(b, r, 3) + (np.tri(b, b, -1),)
-        (ut, wt, z), bands, low = scratch[b]
+            scratch[b] = _skewed(b, r, 3)
+        (ut, wt, z), bands = scratch[b]
         bands[0] = u[j0 : j0 + b]
         bands[1] = w[j0 : j0 + b]
         # ut = U^T, wt = W^T and z are C-ordered, so dtrsm solves with their
@@ -461,7 +469,7 @@ def inverse_generators(tops, width, u, w, out):
         if correct:
             prefix = (ut @ z.T).T
             prefix = dtrsm(1.0, x.T, prefix, side=1, lower=1, trans_a=1, diag=1, overwrite_b=1)
-            prefix *= low
+            prefix *= _strictly_lower(b)
             prefix[:, e:] = 0.0  # the bottom rows' prefix stops at row m
             z -= prefix @ wt
         p[j0 : j0 + e] = bands[2, :e, :r]

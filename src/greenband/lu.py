@@ -7,28 +7,37 @@ of embedded elimination blocks [[1, 0], [-f_k, I_r]], hence lower Green and
 upper banded of order r; the generators of A^{-1} = R^{-1} L^{-1} follow
 from R's panels and the multipliers by the generator stage shared with the
 QR path (``generators.inverse_generators``), where p(k) = A^{-1}[k, k:k+r].
-The factorization is the panel loop shared with the QR path
-(``banded.factor_panels``), with R's rows stored max(r_lower, r_upper) wide:
-LAPACK's ``dgetrf`` reduces each panel, and a panel on which its partial
-pivoting would swap rows is restored and eliminated column by column
-instead.  The panel's elimination reaches the columns right of it through
-``dtrsm`` and ``dgemm`` or, on a right block wider than 2 (b + r) columns,
-as its explicit transform, one ``dgemm``.  No row is ever swapped: the
-method requires strong regularity, and a pivot that is zero to working
-precision raises ZeroPivotError.  The factorization records its growth
-factor so instability on nearly-singular leading blocks is observable.
+A band on which no window of the panel loop would have a wide right block
+(``banded.wide_right_block``: max(r_lower, r_upper) <= 2 (PANEL + r_lower),
+every two-sided band among them) is factored by one LAPACK ``dgbtrf`` call,
+and when its partial pivoting swapped no row its factors are the unpivoted
+ones up to rounding, read off its one array.  Any swap, and any wider band,
+runs the panel loop shared with the QR path (``banded.factor_panels``),
+with R's rows stored max(r_lower, r_upper) wide: LAPACK's ``dgetrf``
+reduces each panel, and a panel on which its partial pivoting would swap
+rows is restored and eliminated column by column instead.  The panel's
+elimination reaches the columns right of it through ``dtrsm`` and
+``dgemm`` or, on a right block wider than 2 (b + r) columns, as its
+explicit transform, one ``dgemm``.  No row is ever swapped: the method
+requires strong regularity, and a pivot that is zero to working precision
+raises ZeroPivotError.  The factorization records its growth factor so
+instability on nearly-singular leading blocks is observable, and which of
+the two factorizations ran.
 """
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dgemm, dtrsm
-from scipy.linalg.lapack import dgetrf
+from scipy.linalg.lapack import dgbtrf, dgetrf
 
 from .banded import (
     PANEL,
     PanelFactorization,
+    band_block,
     compact_transform,
     factor_panels,
+    max_abs_row_sum,
+    panel_edges,
     require_two_sided,
     singularity_tol,
     wide_right_block,
@@ -56,13 +65,20 @@ class LuFactorization(PanelFactorization):
     columns of L shrink at the matrix edge, are zero-padded.  ``width`` =
     max(r_lower, r_upper) is at least the upper bandwidth of R.  ``growth``
     is max_k ||R(k, k:)||_1 / ||A||_inf, the largest absolute row sum of R
-    against that of A; row k of R is the pivot row of step k.
+    against that of A; row k of R is the pivot row of step k.  ``path``
+    names the factorization that ran: ``"dgbtrf"`` (LAPACK's band LU in one
+    call) or ``"panels"`` (the panel loop).
     """
 
-    def __init__(self, n, r, u, x, tops, width, growth):
+    def __init__(self, n, r, u, x, tops, width, growth, path="panels"):
         super().__init__(n, r, x, tops, width, u, np.broadcast_to(np.eye(1, r + 1), u.shape))
         self.f = u[:, 1:]
         self.growth = growth
+        self._path = path
+
+    @property
+    def path(self):
+        return self._path
 
     def l_dense(self):
         """Entrywise unit lower triangular factor L."""
@@ -81,19 +97,72 @@ def lu_factor_lower_band(a):
     """Structured unpivoted LU of a strongly regular lower banded matrix of
     order r.
 
-    One ``dgetrf`` call reduces each panel in place.  If its partial
-    pivoting swapped no row, that is the unpivoted factorization up to
-    rounding; otherwise the panel is restored from a copy and eliminated
-    one column at a time (``_eliminate``), as the unpivoted method
-    requires.  Then ``_update`` gives the panel's rows of R right of it and
-    updates the r rows below.  The growth factor is summed after the loop,
-    over R's contiguous panels (``_growth``).  Raises ZeroPivotError with
-    the 1-based index of the first pivot that is zero to working precision.
+    When no window of the panel loop would have a wide right block
+    (``banded.wide_right_block``), that is max(r_lower, r_upper) <=
+    2 (PANEL + r_lower), every two-sided band among them, one ``dgbtrf``
+    call factors the whole band (``_factor_band``).  If its partial pivoting
+    swapped no row, its factors are the unpivoted ones up to rounding and
+    are read off its array.  Otherwise, and on wider bands, the panel loop
+    runs (``_factor_panels``).  Raises ZeroPivotError with the 1-based index
+    of the first pivot that is zero to working precision.
     """
     n, r = a.n, a.r_lower
     norm = a.norm_inf()
     tol = singularity_tol(n, norm)
     width = max(r, a.r_upper)
+    if not wide_right_block(width, PANEL + r):
+        fact = _factor_band(a, width, tol, norm)
+        if fact is not None:
+            return fact
+    return _factor_panels(a, width, tol, norm)
+
+
+def _factor_band(a, width, tol, norm):
+    """LAPACK's ``dgbtrf`` on a copy of the band, or None if its partial
+    pivoting swapped a row.
+
+    In its (2 r_lower + r_upper + 1) x n array, row r_lower + r_upper holds
+    U's diagonal, the r_upper rows above it U's superdiagonals (the r_lower
+    rows on top are fill-in, zero when no row was swapped) and the r_lower
+    rows below it L's multipliers.  So x is one row, u = [0 | f] one
+    transposing copy, each panel's ``tops`` one strided read
+    (``banded.band_block``) and the growth one ``dgbmv`` on |U|'s band
+    (``banded.max_abs_row_sum``).  An exactly zero pivot (``info`` > 0) is
+    left in place by ``dgbtrf`` and caught by the pivot check.
+    """
+    n, r, s = a.n, a.r_lower, a.r_upper
+    diag = r + s
+    # the top r rows need not be set: dgbtrf zeroes the fill-in that it uses
+    band = np.empty((diag + r + 1, n), order="F")
+    band[r:] = a.bands
+    band, piv, _ = dgbtrf(band, r, s, overwrite_ab=1)
+    if (piv != np.arange(n)).any():
+        return None
+    x = band[diag].copy()
+    small = np.abs(x) <= tol
+    if small.any():
+        raise _zero_pivot(int(small.argmax()))
+    u = np.empty((n, r + 1))
+    u[:, 0] = 0.0
+    u[:, 1:] = band[diag + 1 :].T
+    tops = [
+        band_block(band, diag, s, r, k0, k1, k0, min(k1 + width, n))
+        for k0, k1 in panel_edges(n, r)
+    ]
+    growth = max_abs_row_sum(band[r : diag + 1], s) / (norm or 1.0)
+    return LuFactorization(n, r, u, x, tops, width, growth, path="dgbtrf")
+
+
+def _factor_panels(a, width, tol, norm):
+    """The panel loop (``banded.factor_panels``).  One ``dgetrf`` call
+    reduces each panel in place.  If its partial pivoting swapped no row,
+    that is the unpivoted factorization up to rounding; otherwise the panel
+    is restored from a copy and eliminated one column at a time
+    (``_eliminate``), as the unpivoted method requires.  Then ``_update``
+    gives the panel's rows of R right of it and updates the r rows below.
+    The growth factor is summed after the loop, over R's contiguous panels
+    (``_growth``)."""
+    n, r = a.n, a.r_lower
     b_max = min(n, PANEL + r)  # columns of the widest panel, the last one
     saved = np.empty((b_max + r, b_max), order="F")
 
@@ -142,7 +211,7 @@ def _update(w, b):
     [[L11^{-1}, 0], [-L21 L11^{-1}, I]] from (u, w) = ([0 | f], e_1) in one
     ``dgemm``, a narrower one by one ``dtrsm`` for the panel's rows of R and
     one ``dgemm`` for the r rows below."""
-    if wide_right_block(w, b):
+    if wide_right_block(w.shape[1] - b, len(w)):
         u = np.tril(w[:, :b], -1)
         w[:, b:] = dgemm(1.0, compact_transform(u, np.eye(len(w), b))[1], w[:, b:])
     elif w.shape[1] > b:

@@ -100,7 +100,7 @@ def _update(w, b, tau):
     by their explicit product from (u, w) = (tau v, v) in one ``dgemm``,
     a narrower one in one ``dormqr`` call."""
     c = w[:, b:]
-    if wide_right_block(w, b):
+    if wide_right_block(w.shape[1] - b, len(w)):
         v = np.tril(w[:, :b], -1)
         np.fill_diagonal(v, 1.0)
         w[:, b:] = dgemm(1.0, compact_transform(v * tau, v)[1], c)

@@ -36,7 +36,15 @@ from greenband import (
     reconstruct_structured,
     write_generators,
 )
-from greenband.banded import PANEL, PanelFactorization, compact_transform, factor_panels
+from greenband.banded import (
+    PANEL,
+    PanelFactorization,
+    compact_transform,
+    factor_panels,
+    panel_edges,
+    singularity_tol,
+    wide_right_block,
+)
 from greenband.bench import instability_matrix
 from greenband.generators import empty_generators, inverse_generators
 from greenband.transforms import expand_transform_product
@@ -115,16 +123,18 @@ def test_one_lapack_call_per_panel(monkeypatch, r_upper):
     # The whole inversions add none, since their bottom r rows are steps of
     # the one backward recursion (no closing blocks, no triangular inverse or
     # solve for LU's trailing block), and they read the factorizations'
-    # (u, w), never a block of G built from it
+    # (u, w), never a block of G built from it.  LU factors the two-sided
+    # band in one dgbtrf call instead, with no window read and no panel call
     n, r = 1000, 4
     panels = math.ceil((n - r) / PANEL)
     if r_upper == 4:
         qr_calls = {"dormqr": 31}
-        lu_calls = {"dtrsm": 31, "dgemm": 31}
+        lu_calls = {"dgbtrf": 1}
     else:
         assert right_blocks(n, r, n - 1)[-4:] == [104, 72, 40, 8]
         qr_calls = {"dormqr": 3, "dgemm": 28, "compact_transform": 28}
-        lu_calls = {"dtrsm": 3, "dgemm": 31, "compact_transform": 28}
+        lu_calls = {"panel": panels, "dgetrf": panels, "dtrsm": 3, "dgemm": 31,
+                    "compact_transform": 28}
     a = random_band(n, r, r_upper, seed=0, diag_shift=r + 1.0)
     calls = {}
     for name in ("panel", "row_segment", "col_segment"):
@@ -133,18 +143,20 @@ def test_one_lapack_call_per_panel(monkeypatch, r_upper):
         counting(monkeypatch, PanelFactorization, name, calls)
     for name in ("dgeqrf", "dormqr", "dgemm", "compact_transform"):
         counting(monkeypatch, qr_module, name, calls)
-    for name in ("dgetrf", "_eliminate", "dtrsm", "dgemm", "dtrtri", "compact_transform"):
+    for name in ("dgbtrf", "dgetrf", "_eliminate", "dtrsm", "dgemm", "dtrtri", "compact_transform"):
         counting(monkeypatch, lu_module, name, calls)
 
     for run in (qr_factor_lower_band, invert_lower_band_qr):
         calls.clear()
         run(a)
         assert calls == {"panel": panels, "dgeqrf": panels, **qr_calls}, run.__name__
-    # the diagonal shift leaves dgetrf nothing to swap: no panel takes the column loop
+    # the diagonal shift leaves dgbtrf and dgetrf nothing to swap: no panel
+    # takes the column loop
     for run in (lu_factor_lower_band, invert_lower_band_lu):
         calls.clear()
         run(a)
-        assert calls == {"panel": panels, "dgetrf": panels, **lu_calls}, run.__name__
+        assert calls == lu_calls, run.__name__
+    assert lu_factor_lower_band(a).path == ("dgbtrf" if r_upper == 4 else "panels")
 
 
 @pytest.mark.parametrize("extra", [0, 1])
@@ -257,15 +269,24 @@ def test_lu_panels_that_dgetrf_would_pivot_take_the_column_loop(
         dense[j + 1, j] = 3.0 * dense[j, j]
     a = BandedMatrix.from_dense(dense, r, r_upper)
     calls = {}
-    for name in ("dgetrf", "_eliminate"):
+    for name in ("dgbtrf", "dgetrf", "_eliminate"):
         counting(monkeypatch, lu_module, name, calls)
     fact = lu_factor_lower_band(a)
-    assert calls == {"dgetrf": len(panels), "_eliminate": len(planted_in)}
+    # a band within dgbtrf's rule tries it first, sees the swap and falls back
+    tried = {} if wide_right_block(max(r, r_upper), PANEL + r) else {"dgbtrf": 1}
+    assert calls == {**tried, "dgetrf": len(panels), "_eliminate": len(planted_in)}
+    assert fact.path == "panels"
     low, up = dense_unpivoted_lu(dense)
     np.testing.assert_allclose(fact.l_dense(), low, rtol=1e-13, atol=1e-15)
     np.testing.assert_allclose(fact.r_dense(), up, rtol=1e-13, atol=1e-13)
     if planted == "every":
-        assert same_bits(fact, column_loop_factorization(a))
+        x, tops, f = column_loop_factorization(a)
+        assert same_bits(fact, (x, tops, f))
+        u = np.hstack((np.zeros((n, 1)), f))
+        want = inverse_generators(tops, fact.width, u, fact.w, empty_generators(n, r))
+        got = invert_lower_band_lu(a)
+        for name in ("p", "q", "p_last", "a"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     ref = dense_invert(dense)
     err = covered_relative_error(reconstruct_structured(invert_lower_band_lu(a)), ref, r)
     assert err <= 1e-12
@@ -274,13 +295,16 @@ def test_lu_panels_that_dgetrf_would_pivot_take_the_column_loop(
 def test_instability_witness_takes_the_column_loop(monkeypatch):
     # the witness's leading 3 x 3 block has entries below its first pivot
     # that partial pivoting would swap up, so its one panel is the column loop's
+    # (n = 10 with a full upper part is within dgbtrf's rule, and dgbtrf's
+    # partial pivoting swaps there too)
     calls = {}
-    counting(monkeypatch, lu_module, "_eliminate", calls)
+    for name in ("dgbtrf", "_eliminate"):
+        counting(monkeypatch, lu_module, name, calls)
     for c in range(9):
         calls.clear()
         a = instability_matrix(10.0**-c)
         fact = lu_factor_lower_band(a)
-        assert calls == {"_eliminate": 1}
+        assert calls == {"dgbtrf": 1, "_eliminate": 1} and fact.path == "panels"
         assert same_bits(fact, column_loop_factorization(a))
 
 
@@ -316,27 +340,159 @@ def test_lu_zero_pivot_is_named_on_both_branches(monkeypatch, plant, column, r_l
         pytest.param(offset, upper, last, id=f"{offset}-{upper}" + ("-last panel" if last else ""))
         for last in (False, True)
         for offset in (-1, 1)
-        for upper in ("zero", "equal", "full")
+        for upper in ("zero", "equal", "full", "equal, swapped", "full past the rule")
     ],
 )
 def test_lu_growth_is_the_largest_row_sum_of_r(offset, upper, last):
-    # growth = max_k ||R(k, k:)||_1 / ||A||_inf, summed panel by panel with
-    # the multipliers below each panel's diagonal masked out; scaling the
-    # rows of the last panel (PANEL + r - 1 or PANEL + r + 1 rows) by 8
-    # scales those rows of R, so its largest row sum sits there
+    # growth = max_k ||R(k, k:)||_1 / ||A||_inf: on dgbtrf's branch one dgbmv
+    # on |U|'s band, on the panel loop's summed panel by panel with the
+    # multipliers below each panel's diagonal masked out.  The loop runs
+    # where dgbtrf would swap (an entry three times its pivot below it) and
+    # on a full upper part past dgbtrf's rule (n - 1 > 2 (PANEL + r)).
+    # Scaling the rows of the last panel (PANEL + r - 1 or PANEL + r + 1
+    # rows) by 8 scales those rows of R, so its largest row sum sits there
     r = 5
-    n = r + 2 * PANEL + offset
-    a = instance(n, r, {"zero": 0, "equal": r, "full": n - 1}[upper], seed=6, scale=1.0)
+    n = r + (3 if upper == "full past the rule" else 2) * PANEL + offset
+    r_upper = {"zero": 0, "equal": r, "equal, swapped": r}.get(upper, n - 1)
+    a = instance(n, r, r_upper, seed=6, scale=1.0)
     dense = a.to_dense()
+    if upper == "equal, swapped":
+        dense[PANEL // 2 + 1, PANEL // 2] = 3.0 * dense[PANEL // 2, PANEL // 2]
     if last:
-        dense[PANEL:] *= 8.0
-        a = BandedMatrix.from_dense(dense, r, a.r_upper)
+        dense[-(PANEL + r + offset) :] *= 8.0
+    a = BandedMatrix.from_dense(dense, r, r_upper)
     _, up = dense_unpivoted_lu(dense)
     sums = np.abs(up).sum(axis=1)
     if last:
-        assert sums.argmax() >= PANEL
+        assert sums.argmax() >= n - (PANEL + r + offset)
     expected = sums.max() / np.abs(dense).sum(axis=1).max()
-    assert lu_factor_lower_band(a).growth == pytest.approx(expected, rel=1e-13)
+    fact = lu_factor_lower_band(a)
+    # the zero upper band's diagonal shift is only 1 + r, so the rows scaled
+    # by 8 hold entries left of the edge larger than their pivot: a swap
+    loop = upper in ("equal, swapped", "full past the rule") or (last and upper == "zero")
+    assert fact.path == ("panels" if loop else "dgbtrf")
+    assert fact.growth == pytest.approx(expected, rel=1e-13)
+
+
+def loop_factorization(a):
+    """The panel loop on ``a`` whatever its bandwidths, the factorization
+    that every band took before dgbtrf's branch (the reference)."""
+    norm = a.norm_inf()
+    return lu_module._factor_panels(a, max(a.r_lower, a.r_upper), singularity_tol(a.n, norm), norm)
+
+
+@pytest.mark.parametrize(
+    "r, r_upper, extra",
+    [
+        pytest.param(4, 0, 3 * PANEL + 1, id="r_upper=0"),
+        pytest.param(6, 2, 2 * PANEL - 1, id="r_upper<r_lower"),
+        pytest.param(5, 5, 3 * PANEL + 1, id="r_upper=r_lower"),
+        pytest.param(4, 2 * (PANEL + 4), 3 * PANEL + 1, id="r_upper>r_lower, the rule's edge"),
+        pytest.param(PANEL + 3, PANEL + 3, PANEL - 1, id="r_lower>PANEL"),
+        pytest.param(5, 5, 1, id="n=r+1"),
+        pytest.param(1, 0, 1, id="n=2"),
+    ],
+)
+def test_dgbtrf_branch_agrees_with_the_panel_loop(monkeypatch, r, r_upper, extra):
+    # within the rule max(r_lower, r_upper) <= 2 (PANEL + r_lower), a band
+    # that dgbtrf's partial pivoting leaves unswapped is factored by that one
+    # call: R and L are the unpivoted ones, the panels of R have the loop's
+    # shapes and are zero past each row's reach, the growth is R's largest
+    # row sum, and the generators agree with the loop's (p and p_last to
+    # rounding, q exactly) and with the dense inverse
+    n = r + extra
+    a = instance(n, r, r_upper, seed=n + r_upper, scale=1.0)
+    calls = {}
+    for name in ("dgbtrf", "dgetrf", "_eliminate"):
+        counting(monkeypatch, lu_module, name, calls)
+    fact = lu_factor_lower_band(a)
+    assert calls == {"dgbtrf": 1} and fact.path == "dgbtrf"
+    ref = loop_factorization(a)
+    assert ref.path == "panels" and fact.width == ref.width
+    dense = a.to_dense()
+    low, up = dense_unpivoted_lu(dense)
+    np.testing.assert_allclose(fact.l_dense(), low, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(fact.r_dense(), up, rtol=1e-13, atol=1e-13)
+    assert np.all(fact.u[:, 0] == 0.0) and fact.u.shape == (n, r + 1)
+    assert [t.shape for t in fact.tops] == [t.shape for t in ref.tops]
+    for top in fact.tops:
+        rows, cols = np.indices(top.shape)
+        assert top.flags.f_contiguous and np.all(top[cols > rows + r_upper] == 0.0)
+    expected = np.abs(up).sum(axis=1).max() / np.abs(dense).sum(axis=1).max()
+    assert fact.growth == pytest.approx(expected, rel=1e-13)
+    assert fact.growth == pytest.approx(ref.growth, rel=1e-13)
+    got, want = (
+        inverse_generators(f.tops, f.width, f.u, f.w, empty_generators(n, r)) for f in (fact, ref)
+    )
+    assert rel(got.p, want.p) <= 1e-13 and rel(got.p_last, want.p_last) <= 1e-13
+    assert got.q.tobytes() == want.q.tobytes()
+    g = invert_lower_band_lu(a)
+    assert covered_relative_error(reconstruct_structured(g), dense_invert(dense), r) <= 1e-12
+
+
+@pytest.mark.parametrize("column", [0, PANEL - 1, PANEL, 3 * PANEL])
+def test_dgbtrf_names_a_zero_pivot_with_nothing_below_it(monkeypatch, column):
+    # zeroing row and column j leaves dgbtrf nothing to swap and an exactly
+    # zero pivot, which it reports (info = j + 1) and steps over; the pivot
+    # check names the same 1-based index, and the panel loop never runs
+    r, r_upper = 4, 3
+    n = r + 3 * PANEL + 1
+    dense = instance(n, r, r_upper, seed=column, scale=1.0).to_dense()
+    dense[column, :] = dense[:, column] = 0.0
+    a = BandedMatrix.from_dense(dense, r, r_upper)
+    infos, calls = [], {}
+    dgbtrf = lu_module.dgbtrf
+
+    def spy(*args, **kwargs):
+        out = dgbtrf(*args, **kwargs)
+        infos.append(out[2])
+        return out
+
+    monkeypatch.setattr(lu_module, "dgbtrf", spy)
+    counting(monkeypatch, lu_module, "dgetrf", calls)
+    with pytest.raises(ZeroPivotError) as info:
+        lu_factor_lower_band(a)
+    assert info.value.pivot_index == column + 1
+    assert infos == [column + 1] and calls == {}
+
+
+@pytest.mark.parametrize("column", [PANEL - 1, PANEL + 5])
+def test_tiny_pivot_is_named_alike_on_both_branches(monkeypatch, column):
+    # a pivot a thousandth of the singularity tolerance with nothing below
+    # it: the two-sided declaration takes dgbtrf, the same matrix declared
+    # with a full upper part (past the rule) the panel loop, whose dgetrf
+    # swaps nothing either; both name the same 1-based pivot
+    r = 4
+    n = r + 3 * PANEL
+    dense = instance(n, r, r, seed=column, scale=1.0).to_dense()
+    dense[column, :] = dense[:, column] = 0.0
+    dense[column, column] = 1e-3 * singularity_tol(n, np.abs(dense).sum(axis=1).max())
+    for r_upper, branch in ((r, {"dgbtrf": 1}), (n - 1, {"dgetrf": column // PANEL + 1})):
+        calls = {}
+        for name in ("dgbtrf", "dgetrf", "_eliminate"):
+            counting(monkeypatch, lu_module, name, calls)
+        with pytest.raises(ZeroPivotError) as info:
+            lu_factor_lower_band(BandedMatrix.from_dense(dense, r, r_upper))
+        assert info.value.pivot_index == column + 1
+        assert calls == branch, r_upper
+
+
+@pytest.mark.parametrize("upper", ["one past the rule", "full"])
+@pytest.mark.parametrize("r", [1, 6])
+def test_bands_past_the_rule_never_call_dgbtrf(monkeypatch, r, upper):
+    # r_upper = 2 (PANEL + r) + 1, or a full upper part with n - 1 past it
+    # (the lower_full workload's shape): the panel loop runs as before, bit
+    # for bit, with its one dgetrf per panel
+    n = r + 4 * PANEL + 1
+    r_upper = 2 * (PANEL + r) + 1 if upper != "full" else n - 1
+    a = instance(n, r, r_upper, seed=n + r, scale=1.0)
+    calls = {}
+    for name in ("dgbtrf", "dgetrf", "_eliminate"):
+        counting(monkeypatch, lu_module, name, calls)
+    fact = lu_factor_lower_band(a)
+    assert calls == {"dgetrf": len(panel_edges(n, r))} and fact.path == "panels"
+    ref = loop_factorization(a)
+    assert same_bits(fact, (ref.x, ref.tops, ref.f)) and fact.growth == ref.growth
 
 
 @pytest.mark.parametrize("r_upper", [4, "n-1"])
