@@ -78,9 +78,10 @@ def _cmd_verify(args):
     gens = read_generators(args.gens)
     if gens.n != a.n:
         raise BandPatternError(f"size mismatch: matrix n={a.n}, generators n={gens.n}")
-    inv = dense_invert(a.to_dense())
+    dense = a.to_dense()
+    inv = dense_invert(dense)
     rel_err = covered_relative_error(reconstruct_structured(gens), inv, gens.r)
-    kappa = float(np.linalg.cond(a.to_dense(), 2))
+    kappa = float(np.linalg.cond(dense, 2))
     threshold = 100.0 * _EPS * kappa
     ok = rel_err <= threshold
     print(f"rel_err   {_fmt(rel_err)}")

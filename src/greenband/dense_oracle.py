@@ -3,6 +3,11 @@
 Everything here is O(n^3) or worse and intended for desk-scale checks:
 row-pivoted inversion, numerical rank by complete-pivoting elimination, and
 Householder reflections.
+
+Working memory: besides its n x n result, ``dense_invert`` holds one n x n
+array, the LU factors.  ``norm_inf`` here and the checks of ``generators``
+(``covered_relative_error``, ``identity_residual``) go over dense n x n
+arrays in blocks of ROWS rows, with O(ROWS n) numbers of temporaries.
 """
 
 import warnings
@@ -21,19 +26,29 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+ROWS = 64  # rows per block of the dense checks
+
+
+def norm_inf(m):
+    """||M||_inf, the largest absolute row sum of a 2-D array, taken over
+    blocks of ROWS rows: the row sums of ``np.linalg.norm(m, np.inf)``,
+    without its |M| the size of m."""
+    return np.max([np.abs(m[i : i + ROWS]).sum(axis=1).max() for i in range(0, len(m), ROWS)])
 
 
 def dense_invert(m):
     """Inverse of a square matrix by row-pivoted Gaussian elimination.
 
     Raises SingularMatrixError when some elimination pivot falls below
-    ``n * eps * ||M||_inf`` (singular to working precision).
+    ``n * eps * ||M||_inf`` (singular to working precision).  Besides its
+    n x n result it holds one n x n array, the LU factors: the solve
+    overwrites an identity allocated in LAPACK's (Fortran) order.
     """
     m = np.asarray(m, dtype=float)
     n = m.shape[0]
     if m.shape != (n, n):
         raise ValueError("input must be square")
-    tol = n * _EPS * np.linalg.norm(m, np.inf)
+    tol = n * _EPS * norm_inf(m)
     try:
         with warnings.catch_warnings():
             # exact singularity surfaces through the pivot check below
@@ -48,7 +63,8 @@ def dense_invert(m):
             f"matrix is singular to working precision (pivot {k + 1})",
             pivot_index=k + 1,
         )
-    return scipy.linalg.lu_solve((lu, piv), np.eye(n), check_finite=False)
+    eye = np.eye(n, order="F")
+    return scipy.linalg.lu_solve((lu, piv), eye, overwrite_b=True, check_finite=False)
 
 
 def numerical_rank(m, tol):

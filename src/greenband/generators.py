@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg.blas import dtrsm
 
 from .banded import all_finite, compact_transform
-from .dense_oracle import numerical_rank
+from .dense_oracle import ROWS, norm_inf, numerical_rank
 
 CHUNK = 2**15  # doubles in a chunk of a generator array, 256 KB
 TREE = 64  # blocks in a chain from which ``entry`` multiplies them pairwise
@@ -115,14 +115,16 @@ class GreenGenerators:
         self._a = np.ascontiguousarray(a, dtype=float).view()
         if self._a.shape != (m, r, r):
             raise ValueError(f"a must have shape {(m, r, r)}")
-        if not all_finite(self._a):
+        if not all(all_finite(arr) for arr in (self.p, self.q, self.p_last, self._a)):
             raise ValueError("generator entries must be finite")
         self._a.setflags(write=False)
 
     @classmethod
     def _compact(cls, n, r, p, q, p_last, u, w):
         """Generators with a(k) = S - u_k[1:] w_k[:r]^T for k < n - r, from
-        the (n, r + 1) factors of an inverse's blocks I - u_k w_k^T.
+        the (n, r + 1) factors of an inverse's blocks I - u_k w_k^T.  p, q
+        and p_last are the views of ``empty_generators``' one array, which
+        is checked for finiteness once.
 
         max |a(k) - S| is max |u_k[1:]| max |w_k[:r]| (a rounded product is
         monotone in each factor), and S - x is finite for finite x, so that
@@ -138,7 +140,7 @@ class GreenGenerators:
             finite = np.isfinite(np.abs(u).max() * np.abs(w).max()) or all_finite(
                 np.abs(u).max(1) * np.abs(w).max(1)
             )
-        if not finite:
+        if not (finite and all_finite(p.base)):
             raise ValueError("generator entries must be finite")
         for arr in (u, w):
             arr.setflags(write=False)
@@ -146,6 +148,8 @@ class GreenGenerators:
         return g
 
     def _hold(self, n, r, p, q, p_last):
+        """Shape-checked read-only views of p, q and p_last; the callers
+        check their finiteness."""
         if not n > r > 0:
             raise ValueError(f"need n > r > 0, got n={n}, r={r}")
         self.n = int(n)
@@ -159,8 +163,6 @@ class GreenGenerators:
         if self.p_last.shape != (r, r):
             raise ValueError(f"p_last must have shape {(r, r)}")
         for arr in (self.p, self.q, self.p_last):
-            if not all_finite(arr):
-                raise ValueError("generator entries must be finite")
             arr.setflags(write=False)
 
     @property
@@ -480,12 +482,26 @@ def inverse_generators(tops, width, u, w, out):
 
 def covered_relative_error(b, reference, r):
     """Frobenius-norm relative error between the covered parts (entries with
-    ``j - i <= r - 1``) of ``b`` and ``reference``."""
+    ``j - i <= r - 1``) of ``b`` and ``reference``.
+
+    Working memory O(ROWS n): the squares are summed over blocks of ROWS
+    rows, each cut to the columns that the covered region reaches there."""
     b = np.asarray(b, dtype=float)
     reference = np.asarray(reference, dtype=float)
-    cov_b = np.tril(b, r - 1)
-    cov_ref = np.tril(reference, r - 1)
-    return float(np.linalg.norm(cov_b - cov_ref) / np.linalg.norm(cov_ref))
+    num = den = 0.0
+    for i in range(0, len(b), ROWS):
+        end = i + ROWS - 1 + r  # the covered columns of rows i..i+ROWS-1
+        cov_ref = np.tril(reference[i : i + ROWS, :end], i + r - 1).ravel()
+        diff = np.tril(b[i : i + ROWS, :end], i + r - 1).ravel()
+        diff -= cov_ref
+        # past the largest double a block's sum of squares, or the running
+        # sum, is inf, the norm's value; np.linalg.norm's one dot warns of
+        # that only when it runs in the calling thread (BLAS's threads keep
+        # their own flags), so overflow raises no warning here at all
+        with np.errstate(over="ignore"):
+            num += diff.dot(diff)
+            den += cov_ref.dot(cov_ref)
+    return float(np.sqrt(num) / np.sqrt(den))
 
 
 def identity_residual(a, g):
@@ -501,18 +517,24 @@ def identity_residual(a, g):
     of A @ B in that column is a row vector made of A, p, a and p_last times
     q[j - r].  When p, a and p_last are those of A^{-1} that vector is zero,
     so any q passes.  Check q against exact columns of A^{-1} instead.
+
+    Working memory: the n x n reconstruction and O(ROWS n) more.  A @ B is
+    formed ROWS rows at a time, cut to the columns left of the rows'
+    diagonal, from A's diagonals in turn.
     """
     b = reconstruct_structured(g)
-    n = a.n
-    prod = np.zeros((n, n))
-    for off in range(-a.r_upper, a.r_lower + 1):
-        vals = a.bands[a.r_upper + off]
-        j0 = max(0, -off)
-        j1 = min(n, n - off)
-        idx = np.arange(j0, j1)
-        prod[idx + off] += vals[j0:j1, None] * b[idx]
-    scale = a.norm_inf() * np.linalg.norm(b, np.inf)
-    return float(np.abs(np.tril(prod, -1)).max() / scale)
+    n, ru = a.n, a.r_upper
+    worst = []
+    for i0 in range(0, n, ROWS):
+        i1 = min(i0 + ROWS, n)
+        prod = np.zeros((i1 - i0, i1 - 1))
+        for off in range(-ru, a.r_lower + 1):
+            lo, hi = max(i0, off), min(i1, n + off)  # rows i whose column i - off exists
+            if lo < hi:
+                vals = a.bands[ru + off, lo - off : hi - off, None]
+                prod[lo - i0 : hi - i0] += vals * b[lo - off : hi - off, : i1 - 1]
+        worst.append(np.abs(np.tril(prod, i0 - 1)).max())
+    return float(np.max(worst) / (a.norm_inf() * norm_inf(b)))
 
 
 def _row(width):

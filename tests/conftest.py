@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 from hypothesis import settings
 
@@ -45,3 +47,16 @@ def inverters(a):
     if a.r_upper <= a.r_lower:
         out += [greenband.invert_two_sided_qr, greenband.invert_two_sided_lu]
     return out
+
+
+def traced_peak(fn, *args):
+    """Bytes of the largest tracemalloc-traced allocation total (numpy
+    arrays included) that ``fn(*args)`` reached above what was live when it
+    was called."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
+from conftest import traced_peak
 from greenband import (
     SingularMatrixError,
     dense_invert,
@@ -9,6 +11,7 @@ from greenband import (
     numerical_rank,
     random_band,
 )
+from greenband.dense_oracle import ROWS, norm_inf
 
 EPS = np.finfo(float).eps
 
@@ -45,6 +48,38 @@ def test_invert_residual_bound(n, seed):
     x = dense_invert(a)
     kappa = np.linalg.cond(a, 2)
     assert np.linalg.norm(a @ x - np.eye(n), 2) <= 100 * EPS * kappa * n
+
+
+@pytest.mark.parametrize("n", [5, 100, 777])
+def test_invert_is_lu_solve_on_the_identity(n):
+    # the identity that the solve overwrites in LAPACK's order gives the
+    # bytes of lu_solve on a plain C-ordered identity
+    a = random_band(n, min(5, n - 1), n - 1, n, diag_shift=5.0).to_dense()
+    want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), np.eye(n))
+    assert dense_invert(a).tobytes(order="A") == want.tobytes(order="A")
+
+
+@pytest.mark.parametrize("n", [1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 5])
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_norm_inf_keeps_the_row_sums_of_numpy(n, layout):
+    rng = np.random.Generator(np.random.PCG64(n))
+    m = rng.standard_normal((n, 2 * n)) * rng.uniform(0.0, 1e3, (n, 1))
+    m = {"C": m[:, :n], "F": np.asfortranarray(m[:, :n]), "strided": m[:, ::2]}[layout]
+    assert norm_inf(m) == np.linalg.norm(m, np.inf)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, ROWS + 3])
+def test_norm_inf_of_non_finite_entries(bad, row):
+    m = np.ones((2 * ROWS, 2 * ROWS))
+    m[row, 5] = bad
+    np.testing.assert_array_equal(norm_inf(m), np.linalg.norm(m, np.inf))
+
+
+def test_invert_holds_only_the_lu_factors_besides_its_result():
+    n = 600
+    a = random_band(n, 6, n - 1, seed=4, diag_shift=6.0).to_dense()
+    assert traced_peak(dense_invert, a) <= 2 * n * n * 8 + 4 * ROWS * n * 8
 
 
 def test_rank_zero_matrix():

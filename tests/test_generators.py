@@ -1,5 +1,6 @@
 import functools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from greenband import (
     tail_stacks,
     write_generators,
 )
-from conftest import instance, random_generators
-from greenband.generators import CHUNK, IMAGE_PANEL, TEXT_CHUNK, TREE, TREE_MAX_R
+from conftest import instance, random_generators, traced_peak
+from greenband.dense_oracle import ROWS
+from greenband.generators import CHUNK, IMAGE_PANEL, TEXT_CHUNK, TREE, TREE_MAX_R, empty_generators
 
 
 def ones_generators(n, r=1):
@@ -150,7 +152,10 @@ def test_compact_generators_check_finiteness_exactly(entries, finite):
         q = np.eye(r)[-1] - u[:m, 1:] * w[:m, r:]
         a = np.eye(r, k=1) - u[:m, 1:, None] * w[:m, None, :r]
     assert (np.isfinite(q).all() and np.isfinite(a).all()) == finite
-    make = functools.partial(GreenGenerators._compact, n, r, np.ones((m, r)), q, np.ones((r, r)), u, w)
+    out = empty_generators(n, r)  # _compact checks the one array of p, q and p_last
+    for arr, val in zip(out, (1.0, q, 1.0)):
+        arr[:] = val
+    make = functools.partial(GreenGenerators._compact, n, r, *out, u, w)
     if finite:
         assert make().a.tobytes() == a.tobytes()
     else:
@@ -383,6 +388,114 @@ def test_identity_residual_cannot_see_q(method):
     assert identity_residual(a, scaled["q"]) <= 1e-15
     assert covered_relative_error(reconstruct_structured(scaled["q"]), ref, 3) >= 0.05
     assert identity_residual(a, scaled["p"]) >= 1e-2
+
+
+def three_array_error(b, reference, r):
+    """covered_relative_error through whole-matrix copies of both covered
+    parts and their difference."""
+    cov_b, cov_ref = np.tril(b, r - 1), np.tril(reference, r - 1)
+    return float(np.linalg.norm(cov_b - cov_ref) / np.linalg.norm(cov_ref))
+
+
+def diagonal_residual(a, g):
+    """identity_residual through the whole n x n product A @ B, accumulated
+    one diagonal of A at a time."""
+    b = reconstruct_structured(g)
+    n = a.n
+    prod = np.zeros((n, n))
+    for off in range(-a.r_upper, a.r_lower + 1):
+        idx = np.arange(max(0, -off), min(n, n - off))
+        prod[idx + off] += a.bands[a.r_upper + off, idx, None] * b[idx]
+    return float(np.abs(np.tril(prod, -1)).max() / (a.norm_inf() * np.linalg.norm(b, np.inf)))
+
+
+@pytest.mark.parametrize(
+    "n, r",
+    [(7, 1), (100, 3), (300, 299), (1000, 6), (130, ROWS), (ROWS, 1), (ROWS + 1, 2), (2 * ROWS, ROWS - 1), (5, 9)],
+)
+@pytest.mark.parametrize("noise", [1e-12, 1.0])
+def test_covered_error_by_row_blocks_matches_whole_matrix_copies(n, r, noise):
+    # r = 1 and r = n - 1 (covered region: everything but the top-right
+    # corner), row counts at a block boundary, and r > n (everything)
+    rng = np.random.Generator(np.random.PCG64(n + r))
+    reference = rng.standard_normal((n, n))
+    b = reference + noise * rng.standard_normal((n, n))
+    assert covered_relative_error(b, reference, r) == pytest.approx(
+        three_array_error(b, reference, r), rel=1e-14
+    )
+
+
+def non_finite_case(case):
+    """(b, reference) whose covered parts hold values near overflow, inf or
+    nan at a cell of the second row block; one case puts inf above the
+    covered region, where neither formula reads it."""
+    n, at = 2 * ROWS + 3, (ROWS + 2, 4)
+    rng = np.random.Generator(np.random.PCG64(7))
+    reference = rng.standard_normal((n, n))
+    b = reference + 1e-3
+    cells = {
+        "huge in b": [(b, 1e200)],
+        "huge in both": [(b, 1e200), (reference, 1e200)],
+        "huge in reference": [(reference, 1e200)],
+        "inf in b": [(b, np.inf)],
+        "inf in both": [(b, np.inf), (reference, np.inf)],
+        "nan in reference": [(reference, np.nan)],
+        "inf above the covered region": [(b, np.inf), (reference, -np.inf)],
+    }[case]
+    for arr, val in cells:
+        arr[(0, n - 1) if case.endswith("region") else at] = val
+    return b, reference
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["huge in b", "huge in both", "huge in reference", "inf in b", "inf in both",
+     "nan in reference", "inf above the covered region"],
+)
+def test_covered_error_keeps_inf_and_nan_of_whole_matrix_copies(case):
+    b, reference = non_finite_case(case)
+    results = []
+    for error in (covered_relative_error, three_array_error):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = error(b, reference, 3)
+        results.append((value, {str(w.message) for w in caught}))
+    (got, got_warned), (want, want_warned) = results
+    # np.linalg.norm's dot reports an overflowing square only when BLAS's
+    # calling thread computes it; the row blocks silence that warning
+    assert got_warned == want_warned - {"overflow encountered in dot"}
+    if np.isfinite(want) and want != 0.0:
+        assert got == pytest.approx(want, rel=1e-14)
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "n, r, r_upper",
+    [(40, 3, 0), (70, 4, 2), (80, 3, 3), (ROWS + 1, 2, ROWS), (150, 3, 149), (4, 3, 3), (4, 3, 0)],
+)
+@pytest.mark.parametrize("method", ["qr", "lu"])
+def test_identity_residual_by_row_blocks_matches_the_whole_product(n, r, r_upper, method):
+    # r_u = 0, r_u < r_l, r_u = r_l, a full upper part and n = r + 1: the
+    # blocks add the same products in the same order, so the bytes match
+    a = instance(n, r, r_upper, seed=n + r_upper, scale=1.0)
+    g = inverse_of(a, method)
+    assert identity_residual(a, g) == diagonal_residual(a, g)
+    bad = GreenGenerators(g.n, g.r, g.p * 1.01, g.q, g.a, g.p_last)
+    assert identity_residual(a, bad) == diagonal_residual(a, bad)
+
+
+def test_dense_checks_hold_o_rows_n_temporaries():
+    # n = 600 with a full upper part: the covered error needs no n x n array
+    # at all, the residual none besides the reconstruction it expands
+    n, r = 600, 6
+    a = random_band(n, r, n - 1, seed=3, diag_shift=6.0)
+    g = invert_lower_band_qr(a)
+    image = reconstruct_structured(g)
+    blocks = 4 * ROWS * n * 8
+    assert blocks < n * n * 8 / 2
+    assert traced_peak(covered_relative_error, image, dense_invert(a.to_dense()), r) <= blocks
+    assert traced_peak(identity_residual, a, g) <= n * n * 8 + blocks
 
 
 def test_generator_file_round_trip(tmp_path):
