@@ -16,7 +16,8 @@ All indices in this module are 0-based.
 import functools
 
 import numpy as np
-from scipy.linalg.blas import dgbmv, dtrsm
+from scipy.linalg.blas import dgbmv, dgemm, dtrsm
+from scipy.linalg.lapack import dtrtri
 
 from .errors import BandPatternError
 
@@ -365,9 +366,11 @@ def factor_panels(a, width, reduce):
     ``reduce`` also applies the panel's transform to the columns right of
     it.  A right block wider than 2 (b + r) columns (``wide_right_block``:
     the long rows of a one-sided band) takes it as an explicit matrix
-    (``compact_transform``) in one ``dgemm``, several times faster there than
-    LAPACK's blocked update, which narrower blocks keep (every two-sided
-    window's, at most 2 r wide): there the matrix costs as much as it saves.
+    (``compact_transform``, ``reflection_transform`` or
+    ``elimination_transform``) in one ``dgemm``, several times faster there
+    than LAPACK's blocked update, which narrower blocks keep (every
+    two-sided window's, at most 2 r wide): there the matrix costs as much
+    as it saves.
     """
     n, r = a.n, a.r_lower
     tops = []
@@ -401,17 +404,46 @@ def compact_transform(u, w):
     as an explicit (b + r) x (b + r) matrix F, with u_j and w_j the columns
     of the (b + r) x b matrices ``u`` and ``w``, zero outside rows j..j+r.
 
-    F = I - u (I + stril X)^{-1} w^T with X = w^T u (Schreiber & Van Loan's
-    compact form); returns X and F.  For reflections (u, w) = (tau v, v),
-    F is the transposed orthogonal factor of the panel; for elimination
-    steps (u, w) = ([0 | f], e_1) it is [[L11^{-1}, 0], [-L21 L11^{-1}, I]].
-    Every entry of F that the band makes zero (column k > i + r of row i)
-    is an exact zero.
+    F = I - u y^T with y = w (I + stril X)^{-T} and X = w^T u (Schreiber &
+    Van Loan's compact form): one product for X, one ``dtrsm`` for y and
+    one product for F; returns y and F.  For reflections
+    (u, w) = (tau v, v), F is the transposed orthogonal factor of the panel
+    and y diag(tau) = u (I + striu X)^{-1} is the factor of their ascending
+    product, LAPACK's V T.  Every entry of F that the band makes zero
+    (column k > i + r of row i) is an exact zero.
     """
     x = w.T @ u
     # x is C-ordered, so dtrsm solves with its transpose, uncopied, from the right
     y = dtrsm(1.0, x.T, w, side=1, diag=1)
-    return x, np.subtract(_identity(len(u)), u @ y.T)
+    return y, np.subtract(_identity(len(u)), u @ y.T)
+
+
+def reflection_transform(v, t):
+    """The product of a panel's reflections H_j = I - tau_j v_j v_j^T from
+    LAPACK's compact WY form H_0 ... H_{b-1} = I - V T V^T (``dgeqrt``'s
+    (b + r) x b unit lower V and b x b upper triangular T, tau = diag(T)):
+    M = V T, the factor of the ascending product, and F = I - V M^T, the
+    descending one, as an explicit (b + r) x (b + r) matrix.  Two products,
+    no solve; returns M and F."""
+    m = v @ t
+    return m, np.subtract(_identity(len(v)), v @ m.T)
+
+
+def elimination_transform(l, out=None):
+    """The descending product of a panel's elimination steps
+    G_j = I - l_j e_j^T, l_j the columns of the (b + r) x b ``l`` (zero on
+    and above its diagonal): for L = I + l = [L11; L21],
+    F = [[L11^{-1}, 0], [-L21 L11^{-1}, I]], from one ``dtrtri`` and one
+    ``dgemm``.  Writes F's first b columns into ``out``, whose last r
+    columns the caller keeps at [0; I], or builds F whole; returns F."""
+    b = l.shape[1]
+    if out is None:
+        out = np.eye(len(l), order="F")
+    inv = dtrtri(l[:b], lower=1, unitdiag=1)[0]
+    np.fill_diagonal(inv, 1.0)  # dtrtri leaves the unit diagonal as it found it
+    out[:b, :b] = inv
+    out[b:, :b] = dgemm(-1.0, l[b:], inv)
+    return out
 
 
 @functools.lru_cache(maxsize=8)

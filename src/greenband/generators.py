@@ -20,7 +20,7 @@ import functools
 import numpy as np
 from scipy.linalg.blas import dtrsm
 
-from .banded import all_finite, compact_transform
+from .banded import all_finite, compact_transform, elimination_transform, reflection_transform
 from .dense_oracle import ROWS, norm_inf, numerical_rank
 
 CHUNK = 2**15  # doubles in a chunk of a generator array, 256 KB
@@ -392,7 +392,7 @@ def _strictly_lower(b):
     return low
 
 
-def inverse_generators(tops, width, u, w, out):
+def inverse_generators(tops, width, u, w, out, t_factors=None):
     """Generators of B = R^{-1} V, one panel of rows of R at a time.
 
     R is upper triangular.  ``tops`` holds its rows panel by panel, top to
@@ -402,64 +402,84 @@ def inverse_generators(tops, width, u, w, out):
     of its leading b x b block is not read.  V = G_{n-1} ... G_0 is a
     descending product of the (r+1) x (r+1) blocks
     G_k = I - u_k w_k^T = [[c(k), d(k)], [a(k), q(k)]] at rows and columns
-    k..k+r, with ``u``, ``w`` (n, r+1) zero past the matrix edge, where each
-    G_k is a reflection (G_k^2 = I) or an elimination step (w_k = e_1).  B
-    shares a and q.  Writes p, q and p_last into ``out``, the arrays of
+    k..k+r, with ``u``, ``w`` (n, r+1) zero past the matrix edge.  B shares
+    a and q.  Writes p, q and p_last into ``out``, the arrays of
     ``empty_generators``, and returns generators that keep the blocks a(k)
     as their factors (u, w) (``GreenGenerators``): the stage builds no a.
 
+    The contract: every G_k is a reflection, u_k = tau_k w_k with
+    w_k[0] = 1 (QR), or every G_k is an elimination step, w_k = e_1 with
+    u_k[0] = 0 (LU, or a QR that reflected nothing).  An O(n r) check
+    raises ValueError on anything else.  ``t_factors``, if given, holds each
+    panel's compact-WY factor T of its reflections (``dgeqrt``'s,
+    G_{j0} ... G_{j1-1} = I - V T V^T with V the panel's w_k).
+
     With Z_k = R^{-1} G_{n-1} ... G_k, row k of the generators is
     p(k) = Z_k[k, k:k+r] and the tail stack at row k is Z_k[k:, k:k+r], of
-    which a row of R reaches the first ``width`` rows.  For a panel J, with U
-    and W its u_k and w_k as (b+r) x b banded matrices and X = W^T U:
+    which a row of R reaches the first ``width`` rows.  For a panel J, with
+    U and W its u_k and w_k as (b+r) x b banded matrices:
 
-    - F = I - U (I + stril X)^{-1} W^T is G_{j1-1} ... G_{j0} on the rows
-      and columns j0..j1+r-1 (Schreiber & Van Loan's compact form,
-      ``banded.compact_transform``, which the factorizations use too);
+    - F = G_{j1-1} ... G_{j0} on the rows and columns j0..j1+r-1 is an
+      explicit matrix built from the panel's one triangular factor by
+      products (``banded``): from T, M = V T and F = I - V M^T
+      (``reflection_transform``); for reflections without T, the compact
+      form F = I - U y^T with y = W (I + stril X)^{-T} and X = W^T U
+      (``compact_transform``, Schreiber & Van Loan, one ``dtrsm``) and
+      M = y diag(tau), tau_k = u_k[0]; for elimination steps,
+      F = [[L11^{-1}, 0], [-L21 L11^{-1}, I]] for L = I + U, one
+      ``dtrtri`` (``elimination_transform``), whose last r columns stay
+      [0; I] in a buffer kept per panel height;
     - Z = R(J, J)^{-1} (F[:b] - R(J, j1:) P F[b:]) is Z_{j0} there, where P
       is the stack below J (none below the last panel);
     - the stack at row j0 is [Z[:, :r]; P F[b:, :r]], cut to ``width`` rows;
-    - row k of Z_k is row k of Z times G_{j0} ... G_{k-1}, the compact form
-      of the panel's first k - j0 blocks in ascending order, that is
-      Z - tril(Z U (I + striu X)^{-1}, -1) W^T.  For reflections that
-      product is the inverse of G_{k-1} ... G_{j0}.  For elimination steps
-      it is not, but G_j = I - u_j e_j^T then changes only column j, so the
-      correction changes only columns left of k, and p(k) reads columns
-      k..k+r-1: when every w_k is e_1 (the LU inverse, or a QR one that
-      reflected nothing) the stage skips the correction, an O(n r) check.
+    - row k of Z_k is row k of Z times G_{j0} ... G_{k-1}, the ascending
+      product of the panel's first k - j0 reflections, each its own
+      inverse, that is Z - tril(Z M, -1) W^T with M = U (I + striu X)^{-1}
+      the ascending product's factor: one product, no solve.  Elimination
+      steps G_j = I - u_j e_j^T change only column j, so that correction
+      changes only columns left of k, and p(k) reads columns k..k+r-1: the
+      stage skips it for them.
 
     The last panel holds the bottom r rows too.  Their prefix stops at
     G_{m-1} (m = n - r): the closing block p_last is Z_m[m:, m:m+r].
 
-    A panel costs about ten BLAS calls, two of them ``dtrsm`` (one without
-    the correction), and O(b (b + r)^2 + h r (b + r)) arithmetic for a stack
-    of h <= width rows: O(n r^2) in all for a two-sided band (width <= 2r,
-    r up to b) and O(n^2 r) for a full upper part (width n - 1).
+    A panel costs about ten BLAS calls: one ``dtrsm`` (the solve with
+    R(J, J)), plus the one of ``compact_transform`` for reflections without
+    T, or one ``dtrtri`` for elimination steps.  Its arithmetic is
+    O(b (b + r)^2 + h r (b + r)) for a stack of h <= width rows: O(n r^2)
+    in all for a two-sided band (width <= 2r, r up to b) and O(n^2 r) for
+    a full upper part (width n - 1).
     """
     n, r = u.shape[0], u.shape[1] - 1
     m = n - r
     p, q, p_last = out
+    eliminate = _elimination_steps(u, w)
     np.multiply(u[:m, 1:], w[:m, r:], out=q)
     np.subtract(np.eye(r)[-1], q, out=q)  # e_r - q
     stacks = np.empty((2, width, r))  # each panel writes the one it does not read
     t = stacks[1, :0]
-    # elimination steps only (every w_k = e_1): no correction reaches p
-    correct = w[:, 1:].any() or not (w[:, 0] == 1.0).all()
     scratch = {}
     j0 = n
     for i, top in enumerate(reversed(tops)):
         b, h = len(top), len(t)
         j0 -= b
         if b not in scratch:
-            scratch[b] = _skewed(b, r, 3)
-        (ut, wt, z), bands = scratch[b]
+            scratch[b] = _skewed(b, r, 3), np.eye(b + r, order="F") if eliminate else None
+        ((ut, wt, z), bands), f = scratch[b]
         bands[0] = u[j0 : j0 + b]
         bands[1] = w[j0 : j0 + b]
-        # ut = U^T, wt = W^T and z are C-ordered, so dtrsm solves with their
-        # transposes, uncopied, from the right
-        x, f = compact_transform(ut.T, wt.T)
+        # ut = U^T and wt = W^T are C-ordered: their transposes are the
+        # Fortran-ordered (b + r) x b matrices U and W, uncopied
+        if eliminate:
+            elimination_transform(ut.T, f)
+        elif t_factors is None:
+            y, f = compact_transform(ut.T, wt.T)
+            mult = y * u[j0 : j0 + b, 0]
+        else:
+            mult, f = reflection_transform(wt.T, t_factors[-1 - i])
         np.dot(top[:, b : b + h] @ t, f[b:], out=z)
         np.subtract(f[:b], z, out=z)
+        # z is C-ordered, so dtrsm solves with its transpose, uncopied
         z[:] = dtrsm(1.0, top[:, :b], z.T, side=1, trans_a=1, overwrite_b=1).T
         nxt = stacks[i & 1]
         keep = min(b, width)
@@ -468,9 +488,8 @@ def inverse_generators(tops, width, u, w, out):
         np.dot(t[: height - keep], f[b:, :r], out=nxt[keep:height])
         t = nxt[:height]
         e = min(m - j0, b)  # rows e.. of the last panel are the bottom r rows
-        if correct:
-            prefix = (ut @ z.T).T
-            prefix = dtrsm(1.0, x.T, prefix, side=1, lower=1, trans_a=1, diag=1, overwrite_b=1)
+        if not eliminate:
+            prefix = z @ mult
             prefix *= _strictly_lower(b)
             prefix[:, e:] = 0.0  # the bottom rows' prefix stops at row m
             z -= prefix @ wt
@@ -478,6 +497,22 @@ def inverse_generators(tops, width, u, w, out):
         if e < b:
             p_last[:] = z[e:, e : e + r]
     return GreenGenerators._compact(n, r, p, q, p_last, u, w)
+
+
+def _elimination_steps(u, w):
+    """The stage's contract on the (n, r+1) factors of its blocks
+    I - u_k w_k^T: True when every block is an elimination step (w_k = e_1,
+    u_k[0] = 0), False when every block is a reflection (w_k[0] = 1,
+    u_k = u_k[0] w_k); ValueError otherwise.  O(n r)."""
+    if (w[:, 0] == 1.0).all():
+        if not (u[:, 0].any() or w[:, 1:].any()):
+            return True
+        if (u == u[:, :1] * w).all():
+            return False
+    raise ValueError(
+        "the generator stage takes reflections (u_k = tau_k w_k, w_k[0] = 1) "
+        "or elimination steps (w_k = e_1, u_k[0] = 0), not a mix"
+    )
 
 
 def covered_relative_error(b, reference, r):
@@ -578,11 +613,11 @@ def read_generators(path):
     """Parse the generator interchange format written by write_generators."""
     import json
 
-    with open(path) as fh:
-        # integers as floats, so that "-0" reads as -0.0; the cache keeps one
-        # float per distinct integer, as json keeps its small ints
-        data = json.load(fh, parse_int=functools.lru_cache(maxsize=None)(float))
     try:
+        with open(path) as fh:
+            # integers as floats, so that "-0" reads as -0.0; the cache keeps
+            # one float per distinct integer, as json keeps its small ints
+            data = json.load(fh, parse_int=functools.lru_cache(maxsize=None)(float))
         n, r = data["n"], data["r"]
         # json reads every integer as a float here, and a bool is no float
         if not all(isinstance(v, float) and v.is_integer() for v in (n, r)):
@@ -593,6 +628,8 @@ def read_generators(path):
         q = np.array(data["q"], dtype=float).reshape(m, r)
         a = np.array(data["a"], dtype=float).reshape(m, r, r)
         p_last = np.array(data["p_last"], dtype=float).reshape(r, r)
+    # a truncated or otherwise unparsable file raises json.JSONDecodeError,
+    # a ValueError, and is reported with its path like any other
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed generator file: {exc}") from exc
     return GreenGenerators(n, r, p, q, a, p_last)

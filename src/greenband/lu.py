@@ -34,7 +34,7 @@ from .banded import (
     PANEL,
     PanelFactorization,
     band_block,
-    compact_transform,
+    elimination_transform,
     factor_panels,
     max_abs_row_sum,
     panel_edges,
@@ -208,12 +208,12 @@ def _update(w, b):
     """Apply the elimination of the panel in the first b columns of the
     window ``w`` (unit lower triangular L11 over L21) to the columns right
     of it: a wide block (``banded.factor_panels``) by the explicit
-    [[L11^{-1}, 0], [-L21 L11^{-1}, I]] from (u, w) = ([0 | f], e_1) in one
-    ``dgemm``, a narrower one by one ``dtrsm`` for the panel's rows of R and
-    one ``dgemm`` for the r rows below."""
+    [[L11^{-1}, 0], [-L21 L11^{-1}, I]] (``banded.elimination_transform``,
+    one ``dtrtri``) in one ``dgemm``, a narrower one by one ``dtrsm`` for
+    the panel's rows of R and one ``dgemm`` for the r rows below."""
     if wide_right_block(w.shape[1] - b, len(w)):
-        u = np.tril(w[:, :b], -1)
-        w[:, b:] = dgemm(1.0, compact_transform(u, np.eye(len(w), b))[1], w[:, b:])
+        f = elimination_transform(np.tril(w[:, :b], -1))
+        w[:, b:] = dgemm(1.0, f, w[:, b:])
     elif w.shape[1] > b:
         w[:b, b:] = dtrsm(1.0, w[:b, :b], w[:b, b:], lower=1, diag=1)
         w[b:, b:] = dgemm(-1.0, w[b:, :b], w[:b, b:], 1.0, w[b:, b:])

@@ -10,21 +10,26 @@ factorization carries U* as (u, w) = (tau v, v), its blocks I - u_k w_k^T,
 and the generators of A^{-1} = R^{-1} U* follow from R's panels and (u, w)
 by the generator stage shared with the LU path
 (``generators.inverse_generators``).  The factorization is the panel loop
-shared with the LU path (``banded.factor_panels``): LAPACK's ``dgeqrf``
-reduces each panel, and its reflections reach the columns right of it
-either through ``dormqr`` or, on a right block wider than 2 (b + r)
-columns, as their explicit product, one ``dgemm``.
+shared with the LU path (``banded.factor_panels``).  A band whose r_lower
+reaches three quarters of a panel (``keeps_t``) reduces each panel with
+LAPACK's ``dgeqrt`` and keeps its compact-WY factor T, from which both the
+trailing update (``dgemqrt``) and the generator stage take the panel's
+transform; a narrower band reduces each panel with ``dgeqrf``, whose
+reflections reach the columns right of it through ``dormqr``.  Either way
+a right block wider than 2 (b + r) columns takes the panel's transform as
+an explicit matrix, one ``dgemm``.
 """
 
 import numpy as np
 from scipy.linalg.blas import dgemm
-from scipy.linalg.lapack import dgeqrf, dormqr
+from scipy.linalg.lapack import dgemqrt, dgeqrf, dgeqrt, dormqr
 
 from .banded import (
     PANEL,
     PanelFactorization,
     compact_transform,
     factor_panels,
+    reflection_transform,
     require_two_sided,
     singularity_tol,
     wide_right_block,
@@ -35,6 +40,7 @@ from .transforms import TransformProduct, expand_transform_product
 
 __all__ = [
     "QrFactorization",
+    "keeps_t",
     "qr_factor_lower_band",
     "invert_lower_band_qr",
     "invert_two_sided_qr",
@@ -51,13 +57,21 @@ class QrFactorization(PanelFactorization):
     product of the same reflections, kept as (u, w) = (tau v, v).
     ``closing_unitary`` is the r x r trailing block of U, the transposed
     ``closing_product``.  ``width`` = min(r_lower + r_upper, n - 1) is the
-    upper bandwidth of R.
+    upper bandwidth of R.  ``t_factors`` holds each panel's compact-WY
+    factor T (H_{j0} ... H_{j1-1} = I - V T V^T on the panel's rows, tau its
+    diagonal) when ``dgeqrt`` reduced the panels, else None; ``path`` names
+    the reduction that ran, ``"dgeqrt"`` or ``"dgeqrf"``.
     """
 
-    def __init__(self, n, r, v, tau, x, tops, width):
+    def __init__(self, n, r, v, tau, x, tops, width, t_factors=None):
         super().__init__(n, r, x, tops, width, tau[:, None] * v, v)
         self.v = v
         self.tau = tau
+        self.t_factors = t_factors
+
+    @property
+    def path(self):
+        return "dgeqrf" if self.t_factors is None else "dgeqrt"
 
     @property
     def closing_unitary(self):
@@ -71,42 +85,64 @@ class QrFactorization(PanelFactorization):
         return expand_transform_product(self.ustar_product()).T
 
 
+def keeps_t(r):
+    """True when a band of lower bandwidth r reduces its panels with
+    ``dgeqrt`` and keeps their T factors: from r = 3 PANEL / 4 on.  There
+    one T per panel, serving the trailing update (``dgemqrt``) and the
+    generator stage, costs less than ``dgeqrf`` with the triangular factor
+    rebuilt by ``dormqr`` and by the stage (``banded.compact_transform``);
+    on narrower bands ``dgeqrt``'s fixed cost per call outweighs that."""
+    return 4 * r >= 3 * PANEL
+
+
 def qr_factor_lower_band(a):
     """Structured QR of a lower banded matrix of order r.
 
-    Each panel's ``dgeqrf`` call reduces it, and ``_update`` applies its
-    reflections to the rest of the window; the last panel also triangulates
-    the trailing r x r window.  Zero columns simply produce x_k = 0, which
-    the inversion stage rejects.
+    Each panel's ``dgeqrt`` call (``keeps_t``) or ``dgeqrf`` call reduces
+    it, and ``_update`` applies its reflections to the rest of the window;
+    the last panel also triangulates the trailing r x r window.  Zero
+    columns simply produce x_k = 0, which the inversion stage rejects.
     """
     n, r = a.n, a.r_lower
     tau = np.empty(n)
+    t_factors = [] if keeps_t(r) else None
 
     def reduce(w, k0, b):
-        # w is in Fortran order, so dgeqrf works in place
-        tau[k0 : k0 + b] = dgeqrf(w[:, :b], lwork=PANEL * b, overwrite_a=1)[1]
-        _update(w, b, tau[k0 : k0 + b])
+        # w is in Fortran order, so dgeqrt and dgeqrf work in place
+        if t_factors is None:
+            t = None
+            tau[k0 : k0 + b] = dgeqrf(w[:, :b], lwork=PANEL * b, overwrite_a=1)[1]
+        else:
+            t = dgeqrt(b, w[:, :b], overwrite_a=1)[1]
+            tau[k0 : k0 + b] = t.diagonal()
+            t_factors.append(t)
+        _update(w, b, tau[k0 : k0 + b], t)
 
     width = min(r + a.r_upper, n - 1)  # upper bandwidth of R
     x, tops, v = factor_panels(a, width, reduce)
     v[:, 0] = 1.0
-    return QrFactorization(n, r, v, tau, x, tops, width)
+    return QrFactorization(n, r, v, tau, x, tops, width, t_factors)
 
 
-def _update(w, b, tau):
+def _update(w, b, tau, t):
     """Apply the reflections of the panel in the first b columns of the
-    window ``w`` (``dgeqrf``'s vectors below its diagonal, scalars ``tau``)
-    to the columns right of it: a wide block (``banded.factor_panels``)
-    by their explicit product from (u, w) = (tau v, v) in one ``dgemm``,
-    a narrower one in one ``dormqr`` call."""
+    window ``w`` (their vectors below its diagonal, scalars ``tau``, and
+    ``dgeqrt``'s T or None) to the columns right of it: a wide block
+    (``banded.factor_panels``) by their explicit product, from T or from
+    (u, w) = (tau v, v), in one ``dgemm``, a narrower one in one
+    ``dgemqrt`` or ``dormqr`` call."""
     c = w[:, b:]
     if wide_right_block(w.shape[1] - b, len(w)):
         v = np.tril(w[:, :b], -1)
         np.fill_diagonal(v, 1.0)
-        w[:, b:] = dgemm(1.0, compact_transform(v * tau, v)[1], c)
+        f = compact_transform(v * tau, v)[1] if t is None else reflection_transform(v, t)[1]
+        w[:, b:] = dgemm(1.0, f, c)
     elif c.shape[1]:
         # c is a column slice of the Fortran-ordered window: in place
-        dormqr("L", "T", w[:, :b], tau, c, lwork=PANEL * c.shape[1], overwrite_c=1)
+        if t is None:
+            dormqr("L", "T", w[:, :b], tau, c, lwork=PANEL * c.shape[1], overwrite_c=1)
+        else:
+            dgemqrt(w[:, :b], t, c, side="L", trans="T", overwrite_c=1)
 
 
 def invert_lower_band_qr(a):
@@ -115,11 +151,11 @@ def invert_lower_band_qr(a):
 
     U^T = H_{n-1} ... H_0 is a descending product of the symmetric blocks
     H_k = I - tau_k v_k v_k^T, so ``inverse_generators`` takes R's panels
-    and the factorization's (u, w) = (tau v, v).  The produced generators
-    are in right normal form: a(k) a(k)^T + q(k) q(k)^T = I_r, since
-    [a(k) q(k)] are orthonormal rows of a unitary block.  Raises
-    SingularMatrixError (naming the failing diagonal index of R) when A is
-    singular to working precision.
+    and the factorization's (u, w) = (tau v, v), with its T factors when it
+    kept them.  The produced generators are in right normal form:
+    a(k) a(k)^T + q(k) q(k)^T = I_r, since [a(k) q(k)] are orthonormal rows
+    of a unitary block.  Raises SingularMatrixError (naming the failing
+    diagonal index of R) when A is singular to working precision.
     """
     out = empty_generators(a.n, a.r_lower)
     fact = qr_factor_lower_band(a)
@@ -130,7 +166,7 @@ def invert_lower_band_qr(a):
             f"matrix is singular to working precision (diagonal entry {k} of R)",
             pivot_index=k,
         )
-    return inverse_generators(fact.tops, fact.width, fact.u, fact.w, out)
+    return inverse_generators(fact.tops, fact.width, fact.u, fact.w, out, fact.t_factors)
 
 
 def invert_two_sided_qr(a):

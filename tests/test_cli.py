@@ -113,6 +113,21 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_truncated_generator_file_exit_2_naming_it(tmp_path, capsys):
+    # reconstruct and verify report a generator file cut short with its path
+    m = tmp_path / "a.txt"
+    g = tmp_path / "g.json"
+    assert run("gen", "--n", 12, "--r", 2, "--r-upper", 2, "--seed", 1,
+               "--diag-shift", 3.0, "--out", m) == 0
+    assert run("invert", m, "--out", g) == 0
+    text = g.read_text()
+    g.write_text(text[: len(text) // 2])
+    capsys.readouterr()
+    for argv in (("reconstruct", g, "--out", tmp_path / "image.txt"), ("verify", m, g)):
+        assert run(*argv) == 2, argv[0]
+        assert f"error: {g}: malformed generator file" in capsys.readouterr().err, argv[0]
+
+
 def test_lu_on_small_pivot_matrix_succeeds_but_fails_verify(tmp_path):
     # a tiny (nonzero) pivot is not a hard failure for the unpivoted path;
     # the damage shows up in verification instead

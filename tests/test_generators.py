@@ -518,6 +518,10 @@ def test_generator_file_rejects_garbage(tmp_path):
                              (5, 2, '"n": 5', '"n": true'), (2, 1, '"r": 1', '"r": true')]:
         write_generators(path, random_generators(n, r, seed=n + r))
         texts.append(path.read_text().replace(field, bad, 1))
+    # a file cut short, which the json parser itself rejects
+    write_generators(path, random_generators(5, 2, seed=7))
+    text = path.read_text()
+    texts.append(text[: len(text) // 2])
     for text in texts:
         path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(f"{path}: malformed generator file")):

@@ -40,13 +40,16 @@ from greenband.banded import (
     PANEL,
     PanelFactorization,
     compact_transform,
+    elimination_transform,
     factor_panels,
+    reflection_transform,
     panel_edges,
     singularity_tol,
     wide_right_block,
 )
 from greenband.bench import instability_matrix
 from greenband.generators import empty_generators, inverse_generators
+from greenband.qr import keeps_t
 from greenband.transforms import expand_transform_product
 
 SCALES = (1.0, 1e150, 1e-150)
@@ -117,7 +120,8 @@ def test_one_lapack_call_per_panel(monkeypatch, r_upper):
     # ceil((n - r) / PANEL) = 32 panels, each one window read and one panel
     # call, plus the trailing-block calls on every panel but the last: one
     # explicit transform and one dgemm where the block right of the panel is
-    # wider than 2 (PANEL + r) = 72 columns, else one dormqr (QR) or one
+    # wider than 2 (PANEL + r) = 72 columns (QR: compact_transform, below the
+    # dgeqrt rule; LU: elimination_transform), else one dormqr (QR) or one
     # dtrsm and one dgemm (LU).  With r_upper = 999 the first 28 blocks are
     # 1000 - 32 (k + 1) columns wide, the last three 72, 40 and 8 columns.
     # The whole inversions add none, since their bottom r rows are steps of
@@ -134,7 +138,7 @@ def test_one_lapack_call_per_panel(monkeypatch, r_upper):
         assert right_blocks(n, r, n - 1)[-4:] == [104, 72, 40, 8]
         qr_calls = {"dormqr": 3, "dgemm": 28, "compact_transform": 28}
         lu_calls = {"panel": panels, "dgetrf": panels, "dtrsm": 3, "dgemm": 31,
-                    "compact_transform": 28}
+                    "elimination_transform": 28}
     a = random_band(n, r, r_upper, seed=0, diag_shift=r + 1.0)
     calls = {}
     for name in ("panel", "row_segment", "col_segment"):
@@ -143,13 +147,15 @@ def test_one_lapack_call_per_panel(monkeypatch, r_upper):
         counting(monkeypatch, PanelFactorization, name, calls)
     for name in ("dgeqrf", "dormqr", "dgemm", "compact_transform"):
         counting(monkeypatch, qr_module, name, calls)
-    for name in ("dgbtrf", "dgetrf", "_eliminate", "dtrsm", "dgemm", "dtrtri", "compact_transform"):
+    for name in ("dgbtrf", "dgetrf", "_eliminate", "dtrsm", "dgemm", "dtrtri", "compact_transform",
+                 "elimination_transform"):
         counting(monkeypatch, lu_module, name, calls)
 
     for run in (qr_factor_lower_band, invert_lower_band_qr):
         calls.clear()
         run(a)
         assert calls == {"panel": panels, "dgeqrf": panels, **qr_calls}, run.__name__
+    assert qr_factor_lower_band(a).path == "dgeqrf"
     # the diagonal shift leaves dgbtrf and dgetrf nothing to swap: no panel
     # takes the column loop
     for run in (lu_factor_lower_band, invert_lower_band_lu):
@@ -184,11 +190,12 @@ def test_trailing_update_switches_past_twice_the_window_height(monkeypatch, meth
         "qr": (qr_factor_lower_band, invert_lower_band_qr, qr_module),
         "lu": (lu_factor_lower_band, invert_lower_band_lu, lu_module),
     }[method]
+    transform = "compact_transform" if method == "qr" else "elimination_transform"
     calls = {}
-    counting(monkeypatch, module, "compact_transform", calls)
+    counting(monkeypatch, module, transform, calls)
     counting(monkeypatch, lu_module, "_eliminate", calls)
     fact = factor(a)
-    assert calls.get("compact_transform", 0) == (5 if extra else 0)
+    assert calls.get(transform, 0) == (5 if extra else 0)
     assert calls.get("_eliminate", 0) == (len(blocks) + 1 if method == "lu" else 0)
     for top in fact.tops:
         rows, cols = np.indices(top.shape)
@@ -205,20 +212,25 @@ def test_trailing_update_switches_past_twice_the_window_height(monkeypatch, meth
 def test_one_sided_inversions_with_wide_right_blocks(monkeypatch, offset, r_lower, scale):
     # n = r_l + 8 b + {-1, 0, 1} with a full upper part: the right blocks of
     # the first panels are wider than 2 (b + r) columns and take the
-    # explicit transform, those of the last ones the blocked update
+    # explicit transform, those of the last ones the blocked update.  QR
+    # builds it from the panel's T past the dgeqrt rule (r_l = PANEL + 3),
+    # else from (u, w); LU from L11^{-1}
     n = r_lower + 8 * PANEL + offset
     wide = sum(c > 2 * (PANEL + r_lower) for c in right_blocks(n, r_lower, n - 1))
     assert wide >= 4
     a = instance(n, r_lower, n - 1, seed=n + r_lower, scale=scale)
     ref = dense_invert(a.to_dense())
     calls = {}
-    for module in (qr_module, lu_module):
-        counting(monkeypatch, module, "compact_transform", calls)
+    for name in ("compact_transform", "reflection_transform"):
+        counting(monkeypatch, qr_module, name, calls)
+    counting(monkeypatch, lu_module, "elimination_transform", calls)
+    qr_transform = "reflection_transform" if keeps_t(r_lower) else "compact_transform"
     for invert in inverters(a):
         calls.clear()
         err = covered_relative_error(reconstruct_structured(invert(a)), ref, r_lower)
         assert err <= 1e-12, (invert.__name__, err)
-        assert calls == {"compact_transform": wide}, invert.__name__
+        transform = qr_transform if invert.__name__.endswith("_qr") else "elimination_transform"
+        assert calls == {transform: wide}, invert.__name__
 
 
 def column_loop_factorization(a):
@@ -725,33 +737,77 @@ def test_panels_of_r_are_zero_past_each_rows_reach(factor, offset, upper):
         assert np.all(top[cols > rows + fact.width] == 0.0)
 
 
+def t_factors(fact):
+    """The T factors that a factorization kept for the stage (QR past the
+    dgeqrt rule), else None."""
+    return getattr(fact, "t_factors", None)
+
+
 @pytest.mark.parametrize("r_upper", [4, 999])
 def test_generator_stage_calls_blas_per_panel(monkeypatch, r_upper):
     # no per-row recursion: the stage takes one explicit transform per
-    # panel of the factorization, never one per row, and triangular solves
-    # of its own: two per panel for QR, and one for LU, whose elimination
-    # steps (every w_k = e_1) skip the prefix correction
+    # panel of the factorization, never one per row, and one triangular
+    # solve with R's diagonal block; its only other solve is
+    # compact_transform's (QR below the dgeqrt rule), and LU's transform
+    # takes one dtrtri; the prefix corrections solve nothing.  Counted over
+    # the stage alone, since wide trailing updates build transforms too
     n, r = 1000, 4
     panels = math.ceil((n - r) / PANEL)
     a = random_band(n, r, r_upper, seed=0, diag_shift=r + 1.0)
     calls = {}
-    for name in ("dtrsm", "compact_transform"):
+    for name in ("dtrsm", "compact_transform", "reflection_transform", "elimination_transform"):
         counting(monkeypatch, generators_module, name, calls)
-    for invert, solves in ((invert_lower_band_qr, 2 * panels), (invert_lower_band_lu, panels)):
+    for name in ("dtrsm", "dtrtri"):
+        counting(monkeypatch, banded_module, name, calls)
+    expected = {
+        qr_factor_lower_band: {"dtrsm": 2 * panels, "compact_transform": panels},
+        lu_factor_lower_band: {"dtrsm": panels, "dtrtri": panels, "elimination_transform": panels},
+    }
+    for factor, want in expected.items():
+        fact = factor(a)
         calls.clear()
-        invert(a)
-        assert calls == {"dtrsm": solves, "compact_transform": panels}, invert.__name__
+        out = empty_generators(n, r)
+        inverse_generators(fact.tops, fact.width, fact.u, fact.w, out, t_factors(fact))
+        assert calls == want, factor.__name__
 
 
-def corrected_stage(tops, width, u, w, out):
+def ascending_factor(u, w):
+    """M = U (I + striu X)^{-1} with X = W^T U, by a triangular solve: the
+    factor of the ascending product G_0 ... G_{b-1} = I - M W^T of any
+    blocks G_j = I - u_j w_j^T (the reference)."""
+    return dtrsm(1.0, w.T @ u, u, side=1, diag=1)
+
+
+def stage_transforms(ut, wt, tau, t, eliminate):
+    """M and F of a panel built as the stage builds them: F from L11^{-1}
+    for elimination steps, from T when given, else from compact_transform's
+    y with M = y diag(tau); for elimination steps, whose M the stage never
+    builds, M by the solve of ``ascending_factor``."""
+    if t is not None:
+        return reflection_transform(wt.T, t)
+    if eliminate:
+        f = elimination_transform(ut.T, np.eye(len(ut.T), order="F"))
+        return ascending_factor(ut.T, wt.T), f
+    y, f = compact_transform(ut.T, wt.T)
+    return y * tau, f
+
+
+def solved_transforms(ut, wt, tau, t, eliminate):
+    """M and F of a panel by the stage's former arithmetic, one triangular
+    solve for each, whatever the blocks."""
+    return ascending_factor(ut.T, wt.T), compact_transform(ut.T, wt.T)[1]
+
+
+def corrected_stage(tops, width, u, w, out, t_factors=None, transforms=stage_transforms):
     """``inverse_generators`` with the prefix correction applied on every
-    panel, whatever its (u, w): the stage as it was before elimination
-    steps skipped it (the reference)."""
+    panel, whatever its (u, w), and M and F built by ``transforms`` (the
+    reference)."""
     n, r = u.shape[0], u.shape[1] - 1
     m = n - r
     p, q, p_last = out
     np.multiply(u[:m, 1:], w[:m, r:], out=q)
     np.subtract(np.eye(r)[-1], q, out=q)
+    eliminate = not (u[:, 0].any() or w[:, 1:].any())
     stacks = np.empty((2, width, r))
     t = stacks[1, :0]
     j0 = n
@@ -761,7 +817,8 @@ def corrected_stage(tops, width, u, w, out):
         (ut, wt, z), bands = generators_module._skewed(b, r, 3)
         bands[0] = u[j0 : j0 + b]
         bands[1] = w[j0 : j0 + b]
-        x, f = compact_transform(ut.T, wt.T)
+        tf = None if t_factors is None else t_factors[-1 - i]
+        mult, f = transforms(ut, wt, u[j0 : j0 + b, 0], tf, eliminate)
         np.dot(top[:, b : b + h] @ t, f[b:], out=z)
         np.subtract(f[:b], z, out=z)
         z[:] = dtrsm(1.0, top[:, :b], z.T, side=1, trans_a=1, overwrite_b=1).T
@@ -771,7 +828,7 @@ def corrected_stage(tops, width, u, w, out):
         height = min(b + h, width)
         np.dot(t[: height - keep], f[b:, :r], out=nxt[keep:height])
         t = nxt[:height]
-        prefix = dtrsm(1.0, x.T, (ut @ z.T).T, side=1, lower=1, trans_a=1, diag=1, overwrite_b=1)
+        prefix = z @ mult
         prefix *= np.tri(b, b, -1)
         e = min(m - j0, b)
         prefix[:, e:] = 0.0
@@ -788,20 +845,23 @@ def corrected_stage(tops, width, u, w, out):
 def test_skipped_correction_keeps_every_bit(monkeypatch, extra, r, upper):
     # LU's elimination steps change only columns left of each p(k), so the
     # stage that skips their correction writes the reference's bytes; QR
-    # keeps it, and with it the reference's bytes too.  n = r + 1 and
-    # n = r + k PANEL +- 1 for one and three panels, at 1e+-150 scales
+    # keeps it, and with it the reference's bytes too.  Neither solves
+    # anything but R's diagonal blocks.  n = r + 1 and n = r + k PANEL +- 1
+    # for one and three panels, at 1e+-150 scales; r = PANEL + 3 takes the
+    # dgeqrt path, its T factors included
     n = r + extra
     r_upper = min({"zero": 0, "equal": r, "equal + 2": r + 2, "full": n - 1}[upper], n - 1)
     calls = {}
     counting(monkeypatch, generators_module, "dtrsm", calls)
     for scale in SCALES:
         a = instance(n, r, r_upper, seed=n + r, scale=scale)
-        for factor, solves in ((qr_factor_lower_band, 2), (lu_factor_lower_band, 1)):
+        for factor in (qr_factor_lower_band, lu_factor_lower_band):
             fact = factor(a)
             calls.clear()
-            g = inverse_generators(fact.tops, fact.width, fact.u, fact.w, empty_generators(n, r))
-            assert calls == {"dtrsm": solves * len(fact.tops)}, factor.__name__
-            ref = corrected_stage(fact.tops, fact.width, fact.u, fact.w, empty_generators(n, r))
+            tf = t_factors(fact)
+            g = inverse_generators(fact.tops, fact.width, fact.u, fact.w, empty_generators(n, r), tf)
+            assert calls == {"dtrsm": len(fact.tops)}, factor.__name__
+            ref = corrected_stage(fact.tops, fact.width, fact.u, fact.w, empty_generators(n, r), tf)
             for name in ("p", "q", "p_last"):
                 got, want = getattr(g, name), getattr(ref, name)
                 assert got.tobytes() == want.tobytes(), (factor.__name__, name)
@@ -826,6 +886,214 @@ def test_qr_that_reflects_nothing_skips_the_correction(monkeypatch, r, upper):
     assert calls == {"dtrsm": len(fact.tops)}
     err = covered_relative_error(reconstruct_structured(g), dense_invert(dense), r)
     assert err <= 1e-12
+
+
+RULE = 3 * PANEL // 4  # the first r_lower whose QR keeps T (keeps_t)
+
+
+def right_normal_form_residual(g):
+    """max over k of ||a(k) a(k)^T + q(k) q(k)^T - I||_F (criterion 5)."""
+    a, q = g.a, g.q
+    resid = a @ a.transpose(0, 2, 1) + q[:, :, None] * q[:, None, :] - np.eye(g.r)
+    return np.sqrt((resid**2).sum(axis=(1, 2))).max()
+
+
+@pytest.mark.parametrize("upper", ["zero", "equal", "full"])
+@pytest.mark.parametrize("offset", [-1, 1])
+@pytest.mark.parametrize("r", [RULE - 1, RULE])
+def test_qr_on_both_sides_of_the_t_rule(monkeypatch, r, offset, upper):
+    # r_lower just below and at the rule: dgeqrf, or dgeqrt with one T per
+    # panel and tau its diagonal; both against the dense oracle, and QR
+    # against the generators of dgeqrf's factorization with the stage's
+    # former arithmetic (a triangular solve for F and for M), with right
+    # normal form kept; n = r + 3 PANEL +- 1
+    n = r + 3 * PANEL + offset
+    r_upper = {"zero": 0, "equal": r, "full": n - 1}[upper]
+    a = instance(n, r, r_upper, seed=n + r, scale=1.0)
+    fact = qr_factor_lower_band(a)
+    assert keeps_t(r) == (r == RULE) and not keeps_t(RULE - 1)
+    if r == RULE:
+        assert fact.path == "dgeqrt" and len(fact.t_factors) == len(fact.tops)
+        diag = np.concatenate([t.diagonal() for t in fact.t_factors])
+        assert diag.tobytes() == fact.tau.tobytes()
+        assert all(np.all(np.tril(t, -1) == 0.0) for t in fact.t_factors)
+    else:
+        assert fact.path == "dgeqrf" and fact.t_factors is None
+    ref_dense = dense_invert(a.to_dense())
+    for invert in inverters(a):
+        err = covered_relative_error(reconstruct_structured(invert(a)), ref_dense, r)
+        assert err <= 1e-12, (invert.__name__, err)
+    g = invert_lower_band_qr(a)
+    assert right_normal_form_residual(g) <= 1e-13
+    monkeypatch.setattr(qr_module, "keeps_t", lambda r: False)
+    old = qr_factor_lower_band(a)
+    assert old.path == "dgeqrf"
+    assert rel(fact.r_dense(), old.r_dense()) <= 1e-13
+    ref = corrected_stage(old.tops, old.width, old.u, old.w, empty_generators(n, r),
+                          transforms=solved_transforms)
+    for name in ("p", "q", "a", "p_last"):
+        assert rel(getattr(g, name), getattr(ref, name)) <= 1e-13, name
+
+
+@pytest.mark.parametrize("upper", ["equal", "full"])
+def test_dgeqrt_band_that_reflects_nothing_corrects_by_exact_zeros(monkeypatch, upper):
+    # an upper triangular A past the rule leaves dgeqrt nothing to reflect:
+    # every tau and every T is 0, so M = V T is exactly zero and F = I, and
+    # the correction that the stage skips (every w_k = e_1, every u_k = 0)
+    # changes nothing: the stage equals the reference that applies it
+    # through T, and the dense oracle
+    r = RULE
+    n = r + 3 * PANEL + 1
+    r_upper = {"equal": r, "full": n - 1}[upper]
+    dense = np.triu(instance(n, r, r_upper, seed=n + r, scale=1.0).to_dense())
+    a = BandedMatrix.from_dense(dense, r, r_upper)
+    fact = qr_factor_lower_band(a)
+    assert fact.path == "dgeqrt" and np.all(fact.tau == 0.0)
+    assert all(np.all(t == 0.0) for t in fact.t_factors)
+    j0 = 0
+    for top, t in zip(fact.tops, fact.t_factors):
+        b = len(top)
+        (ut, wt, _), bands = generators_module._skewed(b, r, 3)
+        bands[1] = fact.w[j0 : j0 + b]
+        mult, f = reflection_transform(wt.T, t)
+        assert np.all(mult == 0.0) and np.array_equal(f, np.eye(b + r))
+        j0 += b
+    calls = {}
+    counting(monkeypatch, generators_module, "reflection_transform", calls)
+    g = invert_lower_band_qr(a)
+    assert calls == {}
+    out = empty_generators(n, r)
+    ref = corrected_stage(fact.tops, fact.width, fact.u, fact.w, out, fact.t_factors)
+    for name in ("p", "q", "p_last"):
+        assert np.array_equal(getattr(g, name), getattr(ref, name)), name
+    err = covered_relative_error(reconstruct_structured(g), dense_invert(dense), r)
+    assert err <= 1e-12
+
+
+def panel_bands(fact):
+    """Each panel's U and W as (b + r) x b banded matrices, built as the
+    stage builds them, with its tau and its T (or None)."""
+    r, j0, out = fact.r, 0, []
+    for i, top in enumerate(fact.tops):
+        b = len(top)
+        (ut, wt, _), bands = generators_module._skewed(b, r, 3)
+        bands[0] = fact.u[j0 : j0 + b]
+        bands[1] = fact.w[j0 : j0 + b]
+        t = None if t_factors(fact) is None else fact.t_factors[i]
+        out.append((ut.T, wt.T, fact.u[j0 : j0 + b, 0], t))
+        j0 += b
+    return out
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("r", R_LOWERS)
+def test_ascending_factor_needs_no_solve(scale, r):
+    # M = U (I + striu X)^{-1}, the factor of a panel's ascending product,
+    # is y diag(tau) from compact_transform's y and, for dgeqrt's panels
+    # (r = PANEL + 3), V T, against the triangular solve; F from T is the
+    # compact form's.  n = r + 3 PANEL + 1 with a planted column that needs
+    # no reflection (tau = 0), at 1e+-150 scales
+    n = r + 3 * PANEL + 1
+    dense = instance(n, r, r, seed=n + r, scale=scale).to_dense()
+    a = BandedMatrix.from_dense(plant_reduced_columns(dense, [PANEL]), r, r)
+    fact = qr_factor_lower_band(a)
+    assert fact.tau[PANEL] == 0.0
+    for u, w, tau, t in panel_bands(fact):
+        want = ascending_factor(u, w)
+        assert rel(compact_transform(u, w)[0] * tau, want) <= 1e-14
+        if t is not None:
+            mult, f = reflection_transform(w, t)
+            assert rel(mult, want) <= 1e-14
+            assert rel(f, compact_transform(u, w)[1]) <= 1e-14
+    assert (fact.t_factors is not None) == keeps_t(r)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("upper", ["zero", "full"])
+@pytest.mark.parametrize("r", R_LOWERS)
+def test_elimination_transform_is_the_compact_form(r, upper, scale):
+    # F = [[L11^{-1}, 0], [-L21 L11^{-1}, I]] from one dtrtri against the
+    # compact form I - U (I + stril X)^{-1} W^T of the same elimination
+    # steps, panel by panel of LU factorizations (dgbtrf's and the panel
+    # loop's), with a planted column whose multipliers are zero
+    n = r + 3 * PANEL + 1
+    r_upper = {"zero": 0, "full": n - 1}[upper]
+    dense = instance(n, r, r_upper, seed=n + r, scale=scale).to_dense()
+    a = BandedMatrix.from_dense(plant_reduced_columns(dense, [PANEL]), r, r_upper)
+    fact = lu_factor_lower_band(a)
+    for u, w, _, _ in panel_bands(fact):
+        b = u.shape[1]
+        want = compact_transform(u, w)[1]
+        assert rel(elimination_transform(u), want) <= 1e-14
+        buf = np.eye(b + r, order="F")
+        buf[:, :b] = np.nan  # every cell of the first b columns is written
+        assert rel(elimination_transform(u, buf), want) <= 1e-14
+
+
+def test_stage_rejects_a_mix_of_reflections_and_elimination_steps():
+    # the stage takes all reflections (u_k = tau_k w_k, w_k[0] = 1) or all
+    # elimination steps (w_k = e_1, u_k[0] = 0), checked in O(n r): a QR
+    # factorization's (u, w) with one LU row, or with one entry of u off
+    # tau w, and an LU one with a QR row, one step of non-unit diagonal
+    # (u_k[0] != 0) or one w_k[0] != 1, raise ValueError; each
+    # factorization alone passes
+    n, r = 2 * PANEL + 5, 4
+    a = random_band(n, r, r, seed=3, diag_shift=r + 1.0)
+    qr, lu = qr_factor_lower_band(a), lu_factor_lower_band(a)
+    lu_w = np.array(lu.w)
+    mixes = []
+    for k in (0, PANEL, n - r - 1):
+        u, w = qr.u.copy(), qr.w.copy()
+        u[k], w[k] = lu.u[k], lu_w[k]
+        mixes.append((u, w))
+        u, w = lu.u.copy(), lu_w.copy()
+        u[k], w[k] = qr.u[k], qr.w[k]
+        mixes.append((u, w))
+    u = qr.u.copy()
+    u[PANEL, 2] *= 1.0 + 1e-15
+    mixes.append((u, qr.w))
+    u = lu.u.copy()
+    u[PANEL, 0] = 0.5
+    mixes.append((u, lu_w))
+    w = lu_w.copy()
+    w[PANEL, 0] = 2.0
+    mixes.append((lu.u, w))
+    for u, w in mixes:
+        with pytest.raises(ValueError, match="not a mix"):
+            inverse_generators(qr.tops, qr.width, u, w, empty_generators(n, r))
+    for fact in (qr, lu):
+        inverse_generators(fact.tops, fact.width, fact.u, fact.w, empty_generators(n, r))
+
+
+@pytest.mark.parametrize("r_upper", [RULE, 999])
+def test_dgeqrt_panels_keep_one_t_each(monkeypatch, r_upper):
+    # past the rule (r = 3 PANEL / 4) each panel takes one dgeqrt call,
+    # whose T serves the trailing update (one dgemqrt, or on a right block
+    # wider than 2 (PANEL + r) = 112 columns one reflection_transform and
+    # one dgemm) and the stage (one reflection_transform, no solve but R's);
+    # dgeqrf, dormqr and compact_transform are never called
+    n, r = 1000, RULE
+    panels = math.ceil((n - r) / PANEL)
+    blocks = right_blocks(n, r, min(r + r_upper, n - 1))
+    wide = sum(c > 2 * (PANEL + r) for c in blocks)
+    assert wide == (0 if r_upper == RULE else 27)
+    a = random_band(n, r, r_upper, seed=0, diag_shift=r + 1.0)
+    calls = {}
+    for name in ("dgeqrf", "dormqr", "dgeqrt", "dgemqrt", "dgemm", "compact_transform",
+                 "reflection_transform"):
+        counting(monkeypatch, qr_module, name, calls)
+    for name in ("dtrsm", "compact_transform", "reflection_transform"):
+        counting(monkeypatch, generators_module, name, calls)
+    fact = qr_factor_lower_band(a)
+    want = {"dgeqrt": panels, "dgemqrt": len(blocks) - wide}
+    if wide:
+        want.update(reflection_transform=wide, dgemm=wide)
+    assert calls == want and fact.path == "dgeqrt" and len(fact.t_factors) == panels
+    calls.clear()
+    invert_lower_band_qr(a)
+    want["dtrsm"] = panels
+    want["reflection_transform"] = wide + panels
+    assert calls == want
 
 
 def arange_gather(w, b):
