@@ -300,7 +300,11 @@ class PanelFactorization:
     G_0 .. G_{n-r-1}), ``closing`` (G_{n-r} .. G_{n-2}, shrunk to sizes
     r..2 at the matrix edge; G_{n-1} is the identity) and
     ``closing_product`` (their descending product on the trailing r x r
-    window) are built from it on demand.
+    window) are built from it on demand.  Each method's class gives the
+    generator stage its panels' explicit transforms:
+    ``panel_transform(i, u, w)`` returns panel i's (M, F): F the
+    descending product of its blocks, M the factor of their ascending
+    product, or None where the stage needs none (LU).
     """
 
     def __init__(self, n, r, x, tops, width, u, w):
@@ -429,16 +433,14 @@ def reflection_transform(v, t):
     return m, np.subtract(_identity(len(v)), v @ m.T)
 
 
-def elimination_transform(l, out=None):
+def elimination_transform(l):
     """The descending product of a panel's elimination steps
     G_j = I - l_j e_j^T, l_j the columns of the (b + r) x b ``l`` (zero on
     and above its diagonal): for L = I + l = [L11; L21],
     F = [[L11^{-1}, 0], [-L21 L11^{-1}, I]], from one ``dtrtri`` and one
-    ``dgemm``.  Writes F's first b columns into ``out``, whose last r
-    columns the caller keeps at [0; I], or builds F whole; returns F."""
+    ``dgemm``."""
     b = l.shape[1]
-    if out is None:
-        out = np.eye(len(l), order="F")
+    out = np.eye(len(l), order="F")
     inv = dtrtri(l[:b], lower=1, unitdiag=1)[0]
     np.fill_diagonal(inv, 1.0)  # dtrtri leaves the unit diagonal as it found it
     out[:b, :b] = inv

@@ -17,7 +17,7 @@ import functools
 import gc
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -192,19 +192,15 @@ def run_bench(sizes, r, method, trials=3, seed=0, diag_shift=None, oracle_cutoff
 def write_bench_csv(path, records):
     """CSV with header ``n,method,seconds,rel_err`` (rel_err empty when the
     oracle was skipped); values at 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "method", "seconds", "rel_err"])
-        for rec in sorted(records, key=lambda rc: (rc.n, rc.method)):
-            err = "" if rec.rel_err is None else format(rec.rel_err, ".17g")
-            writer.writerow([rec.n, rec.method, format(rec.seconds, ".17g"), err])
+    rows = [asdict(rec) for rec in sorted(records, key=lambda rc: (rc.n, rc.method))]
+    _write_table(path, rows, [f.name for f in fields(BenchRecord)])
 
 
-def _write_table(path, rows):
-    """CSV of a list of dicts, the first one's keys as header, floats at 17
-    significant digits."""
+def _write_table(path, rows, header=None):
+    """CSV of a list of dicts, ``header`` or else the first one's keys as
+    header, floats at 17 significant digits, None as an empty field."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer = csv.DictWriter(fh, fieldnames=header or list(rows[0]))
         writer.writeheader()
         for row in rows:
             writer.writerow(

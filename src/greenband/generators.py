@@ -20,7 +20,7 @@ import functools
 import numpy as np
 from scipy.linalg.blas import dtrsm
 
-from .banded import all_finite, compact_transform, elimination_transform, reflection_transform
+from .banded import all_finite
 from .dense_oracle import ROWS, norm_inf, numerical_rank
 
 CHUNK = 2**15  # doubles in a chunk of a generator array, 256 KB
@@ -115,16 +115,14 @@ class GreenGenerators:
         self._a = np.ascontiguousarray(a, dtype=float).view()
         if self._a.shape != (m, r, r):
             raise ValueError(f"a must have shape {(m, r, r)}")
-        if not all(all_finite(arr) for arr in (self.p, self.q, self.p_last, self._a)):
+        if not all_finite(self._a):
             raise ValueError("generator entries must be finite")
         self._a.setflags(write=False)
 
     @classmethod
     def _compact(cls, n, r, p, q, p_last, u, w):
         """Generators with a(k) = S - u_k[1:] w_k[:r]^T for k < n - r, from
-        the (n, r + 1) factors of an inverse's blocks I - u_k w_k^T.  p, q
-        and p_last are the views of ``empty_generators``' one array, which
-        is checked for finiteness once.
+        the (n, r + 1) factors of an inverse's blocks I - u_k w_k^T.
 
         max |a(k) - S| is max |u_k[1:]| max |w_k[:r]| (a rounded product is
         monotone in each factor), and S - x is finite for finite x, so that
@@ -140,7 +138,7 @@ class GreenGenerators:
             finite = np.isfinite(np.abs(u).max() * np.abs(w).max()) or all_finite(
                 np.abs(u).max(1) * np.abs(w).max(1)
             )
-        if not (finite and all_finite(p.base)):
+        if not finite:
             raise ValueError("generator entries must be finite")
         for arr in (u, w):
             arr.setflags(write=False)
@@ -148,8 +146,8 @@ class GreenGenerators:
         return g
 
     def _hold(self, n, r, p, q, p_last):
-        """Shape-checked read-only views of p, q and p_last; the callers
-        check their finiteness."""
+        """Shape- and finiteness-checked read-only views of p, q and
+        p_last."""
         if not n > r > 0:
             raise ValueError(f"need n > r > 0, got n={n}, r={r}")
         self.n = int(n)
@@ -162,6 +160,8 @@ class GreenGenerators:
             raise ValueError(f"p and q must have shape {(m, r)}")
         if self.p_last.shape != (r, r):
             raise ValueError(f"p_last must have shape {(r, r)}")
+        if not all(all_finite(arr) for arr in (self.p, self.q, self.p_last)):
+            raise ValueError("generator entries must be finite")
         for arr in (self.p, self.q, self.p_last):
             arr.setflags(write=False)
 
@@ -352,28 +352,6 @@ def multiply_upper_triangular(s, g):
     return GreenGenerators(n, r, p_out, g.q, g.a, s[n - r :, n - r :] @ g.p_last)
 
 
-def empty_generators(n, r):
-    """Uninitialized p (n - r, r), q (n - r, r) and p_last (r, r) for the
-    generators of an inverse, as views of one array.
-
-    The inversions take it before any working array, so the generators they
-    return are a single allocation, made first.  Repeated inversions then
-    reuse the space earlier, freed generators left.  With separate arrays, or
-    with this one taken after the factorization, working arrays or a small
-    p_last could land in that space first, and the process grew by a whole
-    set of generators once more: on n = 1000, r = 48, peak RSS of a loop
-    keeping two inversions alive was 135 MB in some runs and 149 MB in others
-    (glibc 2.36), measured when the (n - r, r, r) blocks a, 17.5 of the set's
-    18.3 MB, were part of this array.  Since a is built from the inverse's
-    (u, w) only when it is read, the array holds p, q and p_last, 0.75 MB there.
-    """
-    m = n - r
-    buf = np.empty(2 * m * r + r * r)
-    p = buf[: m * r].reshape(m, r)
-    q = buf[m * r : 2 * m * r].reshape(m, r)
-    return p, q, buf[2 * m * r :].reshape(r, r)
-
-
 def _skewed(b, r, count):
     """``count`` zero b x (b + r) matrices, C-ordered, and for each a
     b x (r + 1) view whose row l is the matrix's cells (l, l..l+r).  Those
@@ -392,27 +370,22 @@ def _strictly_lower(b):
     return low
 
 
-def inverse_generators(tops, width, u, w, out, t_factors=None):
-    """Generators of B = R^{-1} V, one panel of rows of R at a time.
+def inverse_generators(fact):
+    """Generators of A^{-1} = R^{-1} V from the factorization A = G R,
+    ``fact`` a ``QrFactorization`` or an ``LuFactorization``, one panel of
+    rows of R at a time.
 
-    R is upper triangular.  ``tops`` holds its rows panel by panel, top to
-    bottom: for the panel J = [j0, j1) of b rows, ``top`` is R(J, j0:), as
-    many columns as the panel's rows reach, exact zeros past each row's reach
-    of ``width`` columns right of its diagonal; what is below the diagonal
-    of its leading b x b block is not read.  V = G_{n-1} ... G_0 is a
-    descending product of the (r+1) x (r+1) blocks
+    R is upper triangular.  ``fact.tops`` holds its rows panel by panel, top
+    to bottom: for the panel J = [j0, j1) of b rows, ``top`` is R(J, j0:),
+    as many columns as the panel's rows reach, exact zeros past each row's
+    reach of ``fact.width`` columns right of its diagonal; what is below the
+    diagonal of its leading b x b block is not read.  V = G^{-1} =
+    G_{n-1} ... G_0 is a descending product of the (r+1) x (r+1) blocks
     G_k = I - u_k w_k^T = [[c(k), d(k)], [a(k), q(k)]] at rows and columns
-    k..k+r, with ``u``, ``w`` (n, r+1) zero past the matrix edge.  B shares
-    a and q.  Writes p, q and p_last into ``out``, the arrays of
-    ``empty_generators``, and returns generators that keep the blocks a(k)
-    as their factors (u, w) (``GreenGenerators``): the stage builds no a.
-
-    The contract: every G_k is a reflection, u_k = tau_k w_k with
-    w_k[0] = 1 (QR), or every G_k is an elimination step, w_k = e_1 with
-    u_k[0] = 0 (LU, or a QR that reflected nothing).  An O(n r) check
-    raises ValueError on anything else.  ``t_factors``, if given, holds each
-    panel's compact-WY factor T of its reflections (``dgeqrt``'s,
-    G_{j0} ... G_{j1-1} = I - V T V^T with V the panel's w_k).
+    k..k+r, with ``fact.u``, ``fact.w`` (n, r+1) zero past the matrix edge.
+    B shares a and q.  Allocates p, q and p_last, and returns generators
+    that keep the blocks a(k) as their factors (u, w) (``GreenGenerators``):
+    the stage builds no a.
 
     With Z_k = R^{-1} G_{n-1} ... G_k, row k of the generators is
     p(k) = Z_k[k, k:k+r] and the tail stack at row k is Z_k[k:, k:k+r], of
@@ -420,63 +393,56 @@ def inverse_generators(tops, width, u, w, out, t_factors=None):
     U and W its u_k and w_k as (b+r) x b banded matrices:
 
     - F = G_{j1-1} ... G_{j0} on the rows and columns j0..j1+r-1 is an
-      explicit matrix built from the panel's one triangular factor by
-      products (``banded``): from T, M = V T and F = I - V M^T
-      (``reflection_transform``); for reflections without T, the compact
-      form F = I - U y^T with y = W (I + stril X)^{-T} and X = W^T U
-      (``compact_transform``, Schreiber & Van Loan, one ``dtrsm``) and
-      M = y diag(tau), tau_k = u_k[0]; for elimination steps,
-      F = [[L11^{-1}, 0], [-L21 L11^{-1}, I]] for L = I + U, one
-      ``dtrtri`` (``elimination_transform``), whose last r columns stay
-      [0; I] in a buffer kept per panel height;
+      explicit matrix, and M the factor of the ascending product
+      G_{j0} ... G_{j1-1} = I - M W^T, both built by the factorization from
+      the panel's one triangular factor (``fact.panel_transform``): QR's
+      from LAPACK's T or from the compact form, LU's F from L11^{-1},
+      with no M;
     - Z = R(J, J)^{-1} (F[:b] - R(J, j1:) P F[b:]) is Z_{j0} there, where P
       is the stack below J (none below the last panel);
     - the stack at row j0 is [Z[:, :r]; P F[b:, :r]], cut to ``width`` rows;
     - row k of Z_k is row k of Z times G_{j0} ... G_{k-1}, the ascending
       product of the panel's first k - j0 reflections, each its own
-      inverse, that is Z - tril(Z M, -1) W^T with M = U (I + striu X)^{-1}
-      the ascending product's factor: one product, no solve.  Elimination
-      steps G_j = I - u_j e_j^T change only column j, so that correction
-      changes only columns left of k, and p(k) reads columns k..k+r-1: the
-      stage skips it for them.
+      inverse, that is Z - tril(Z M, -1) W^T: one product, no solve.  The
+      stage applies that prefix correction exactly when the factorization
+      gives an M.  Elimination steps G_j = I - u_j e_j^T change only column
+      j, so for them it would change only columns left of k, and p(k) reads
+      columns k..k+r-1: LU gives none.
 
     The last panel holds the bottom r rows too.  Their prefix stops at
     G_{m-1} (m = n - r): the closing block p_last is Z_m[m:, m:m+r].
 
     A panel costs about ten BLAS calls: one ``dtrsm`` (the solve with
-    R(J, J)), plus the one of ``compact_transform`` for reflections without
-    T, or one ``dtrtri`` for elimination steps.  Its arithmetic is
+    R(J, J)) besides its transform's.  Its arithmetic is
     O(b (b + r)^2 + h r (b + r)) for a stack of h <= width rows: O(n r^2)
     in all for a two-sided band (width <= 2r, r up to b) and O(n^2 r) for
     a full upper part (width n - 1).
     """
-    n, r = u.shape[0], u.shape[1] - 1
+    n, r, width, u, w = fact.n, fact.r, fact.width, fact.u, fact.w
     m = n - r
-    p, q, p_last = out
-    eliminate = _elimination_steps(u, w)
+    # p, q and p_last as views of one array: as three arrays they raised
+    # the peak RSS of a loop of inversions at n = 1000, r = 48 by 0.8 MB
+    buf = np.empty(2 * m * r + r * r)
+    p, q = buf[: 2 * m * r].reshape(2, m, r)
+    p_last = buf[2 * m * r :].reshape(r, r)
     np.multiply(u[:m, 1:], w[:m, r:], out=q)
     np.subtract(np.eye(r)[-1], q, out=q)  # e_r - q
     stacks = np.empty((2, width, r))  # each panel writes the one it does not read
     t = stacks[1, :0]
     scratch = {}
     j0 = n
-    for i, top in enumerate(reversed(tops)):
+    for i in range(len(fact.tops) - 1, -1, -1):
+        top = fact.tops[i]
         b, h = len(top), len(t)
         j0 -= b
         if b not in scratch:
-            scratch[b] = _skewed(b, r, 3), np.eye(b + r, order="F") if eliminate else None
-        ((ut, wt, z), bands), f = scratch[b]
+            scratch[b] = _skewed(b, r, 3)
+        (ut, wt, z), bands = scratch[b]
         bands[0] = u[j0 : j0 + b]
         bands[1] = w[j0 : j0 + b]
         # ut = U^T and wt = W^T are C-ordered: their transposes are the
         # Fortran-ordered (b + r) x b matrices U and W, uncopied
-        if eliminate:
-            elimination_transform(ut.T, f)
-        elif t_factors is None:
-            y, f = compact_transform(ut.T, wt.T)
-            mult = y * u[j0 : j0 + b, 0]
-        else:
-            mult, f = reflection_transform(wt.T, t_factors[-1 - i])
+        mult, f = fact.panel_transform(i, ut.T, wt.T)
         np.dot(top[:, b : b + h] @ t, f[b:], out=z)
         np.subtract(f[:b], z, out=z)
         # z is C-ordered, so dtrsm solves with its transpose, uncopied
@@ -488,7 +454,7 @@ def inverse_generators(tops, width, u, w, out, t_factors=None):
         np.dot(t[: height - keep], f[b:, :r], out=nxt[keep:height])
         t = nxt[:height]
         e = min(m - j0, b)  # rows e.. of the last panel are the bottom r rows
-        if not eliminate:
+        if mult is not None:
             prefix = z @ mult
             prefix *= _strictly_lower(b)
             prefix[:, e:] = 0.0  # the bottom rows' prefix stops at row m
@@ -497,22 +463,6 @@ def inverse_generators(tops, width, u, w, out, t_factors=None):
         if e < b:
             p_last[:] = z[e:, e : e + r]
     return GreenGenerators._compact(n, r, p, q, p_last, u, w)
-
-
-def _elimination_steps(u, w):
-    """The stage's contract on the (n, r+1) factors of its blocks
-    I - u_k w_k^T: True when every block is an elimination step (w_k = e_1,
-    u_k[0] = 0), False when every block is a reflection (w_k[0] = 1,
-    u_k = u_k[0] w_k); ValueError otherwise.  O(n r)."""
-    if (w[:, 0] == 1.0).all():
-        if not (u[:, 0].any() or w[:, 1:].any()):
-            return True
-        if (u == u[:, :1] * w).all():
-            return False
-    raise ValueError(
-        "the generator stage takes reflections (u_k = tau_k w_k, w_k[0] = 1) "
-        "or elimination steps (w_k = e_1, u_k[0] = 0), not a mix"
-    )
 
 
 def covered_relative_error(b, reference, r):
@@ -628,8 +578,9 @@ def read_generators(path):
         q = np.array(data["q"], dtype=float).reshape(m, r)
         a = np.array(data["a"], dtype=float).reshape(m, r, r)
         p_last = np.array(data["p_last"], dtype=float).reshape(r, r)
+        return GreenGenerators(n, r, p, q, a, p_last)
     # a truncated or otherwise unparsable file raises json.JSONDecodeError,
-    # a ValueError, and is reported with its path like any other
+    # and bad sizes or a NaN or Infinity entry (which json accepts) raise in
+    # GreenGenerators: each a ValueError, reported with the path
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed generator file: {exc}") from exc
-    return GreenGenerators(n, r, p, q, a, p_last)

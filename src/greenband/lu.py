@@ -5,8 +5,10 @@ A = L R with L unit lower triangular of lower bandwidth r and R upper
 triangular, upper banded of order r_upper.  L^{-1} is a descending product
 of embedded elimination blocks [[1, 0], [-f_k, I_r]], hence lower Green and
 upper banded of order r; the generators of A^{-1} = R^{-1} L^{-1} follow
-from R's panels and the multipliers by the generator stage shared with the
-QR path (``generators.inverse_generators``), where p(k) = A^{-1}[k, k:k+r].
+from the factorization by the generator stage shared with the QR path
+(``generators.inverse_generators``), where p(k) = A^{-1}[k, k:k+r], with
+each panel's elimination steps as the explicit transform
+[[L11^{-1}, 0], [-L21 L11^{-1}, I]] and no prefix correction.
 A band on which no window of the panel loop would have a wide right block
 (``banded.wide_right_block``: max(r_lower, r_upper) <= 2 (PANEL + r_lower),
 every two-sided band among them) is factored by one LAPACK ``dgbtrf`` call,
@@ -43,7 +45,7 @@ from .banded import (
     wide_right_block,
 )
 from .errors import ZeroPivotError
-from .generators import empty_generators, inverse_generators
+from .generators import inverse_generators
 from .transforms import TransformProduct
 
 __all__ = [
@@ -79,6 +81,14 @@ class LuFactorization(PanelFactorization):
     @property
     def path(self):
         return self._path
+
+    def panel_transform(self, i, u, w):
+        """No M, and F of the elimination steps of panel i, given as the
+        (b + r) x b matrices u (the multipliers) and w (unused), from
+        L11^{-1} (``banded.elimination_transform``).  A step I - u_k e_k^T
+        changes only column k, so the stage's prefix correction would
+        change only columns left of each row's p(k): it is never run."""
+        return None, elimination_transform(u)
 
     def l_dense(self):
         """Entrywise unit lower triangular factor L."""
@@ -239,12 +249,11 @@ def invert_lower_band_lu(a):
     """Green generators of A^{-1} for a strongly regular lower banded matrix
     of order r and any upper bandwidth, via unpivoted structured
     elimination.  L^{-1}'s blocks are I - [0 | f_k] e_1^T, so
-    ``inverse_generators`` takes R's panels and the factorization's
-    (u, w) = ([0 | f], e_1), and a(k) = [-f_k | e_1 .. e_{r-1}] and
-    q(k) = e_r come out with their identity and zero sub-blocks exact."""
-    out = empty_generators(a.n, a.r_lower)
-    fact = lu_factor_lower_band(a)
-    return inverse_generators(fact.tops, fact.width, fact.u, fact.w, out)
+    ``inverse_generators`` takes the factorization, with its
+    (u, w) = ([0 | f], e_1) and its panels' transforms
+    (``LuFactorization.panel_transform``), and a(k) = [-f_k | e_1 .. e_{r-1}]
+    and q(k) = e_r come out with their identity and zero sub-blocks exact."""
+    return inverse_generators(lu_factor_lower_band(a))
 
 
 def invert_two_sided_lu(a):

@@ -7,13 +7,14 @@ per row) and R is upper triangular, upper banded of order
 r_lower + r_upper.  U* is then a descending product, hence a lower Green,
 upper banded matrix whose generators are read off its blocks.  The
 factorization carries U* as (u, w) = (tau v, v), its blocks I - u_k w_k^T,
-and the generators of A^{-1} = R^{-1} U* follow from R's panels and (u, w)
-by the generator stage shared with the LU path
-(``generators.inverse_generators``).  The factorization is the panel loop
-shared with the LU path (``banded.factor_panels``).  A band whose r_lower
-reaches three quarters of a panel (``keeps_t``) reduces each panel with
-LAPACK's ``dgeqrt`` and keeps its compact-WY factor T, from which both the
-trailing update (``dgemqrt``) and the generator stage take the panel's
+and the generators of A^{-1} = R^{-1} U* follow from the factorization by
+the generator stage shared with the LU path
+(``generators.inverse_generators``), with each panel's reflections as the
+explicit transforms of ``_transforms``.  The factorization is the panel
+loop shared with the LU path (``banded.factor_panels``).  A band whose
+r_lower reaches three quarters of a panel (``keeps_t``) reduces each panel
+with LAPACK's ``dgeqrt`` and keeps its compact-WY factor T, from which both
+the trailing update (``dgemqrt``) and the generator stage take the panel's
 transform; a narrower band reduces each panel with ``dgeqrf``, whose
 reflections reach the columns right of it through ``dormqr``.  Either way
 a right block wider than 2 (b + r) columns takes the panel's transform as
@@ -35,7 +36,7 @@ from .banded import (
     wide_right_block,
 )
 from .errors import SingularMatrixError
-from .generators import empty_generators, inverse_generators
+from .generators import inverse_generators
 from .transforms import TransformProduct, expand_transform_product
 
 __all__ = [
@@ -55,15 +56,14 @@ class QrFactorization(PanelFactorization):
     v[k, 0] = 1, and the rows k >= n-r, whose reflections shrink at the
     matrix edge, are zero-padded (tau[n-1] = 0).  U^T is the descending
     product of the same reflections, kept as (u, w) = (tau v, v).
-    ``closing_unitary`` is the r x r trailing block of U, the transposed
-    ``closing_product``.  ``width`` = min(r_lower + r_upper, n - 1) is the
-    upper bandwidth of R.  ``t_factors`` holds each panel's compact-WY
-    factor T (H_{j0} ... H_{j1-1} = I - V T V^T on the panel's rows, tau its
+    ``width`` = min(r_lower + r_upper, n - 1) is the upper bandwidth of R.
+    ``t_factors`` holds each panel's compact-WY factor T
+    (H_{j0} ... H_{j1-1} = I - V T V^T on the panel's rows, tau its
     diagonal) when ``dgeqrt`` reduced the panels, else None; ``path`` names
     the reduction that ran, ``"dgeqrt"`` or ``"dgeqrf"``.
     """
 
-    def __init__(self, n, r, v, tau, x, tops, width, t_factors=None):
+    def __init__(self, n, r, v, tau, x, tops, width, t_factors):
         super().__init__(n, r, x, tops, width, tau[:, None] * v, v)
         self.v = v
         self.tau = tau
@@ -73,9 +73,12 @@ class QrFactorization(PanelFactorization):
     def path(self):
         return "dgeqrf" if self.t_factors is None else "dgeqrt"
 
-    @property
-    def closing_unitary(self):
-        return self.closing_product().T
+    def panel_transform(self, i, u, w):
+        """M and F of the reflections of panel i, given as the (b + r) x b
+        matrices u = V diag(tau) and w = V (``_transforms``); tau is u's
+        diagonal, as v_k[0] = 1."""
+        t = None if self.t_factors is None else self.t_factors[i]
+        return _transforms(u, w, u.diagonal(), t)
 
     def ustar_product(self):
         """U* as a descending TransformProduct (the Green factor)."""
@@ -128,15 +131,14 @@ def _update(w, b, tau, t):
     """Apply the reflections of the panel in the first b columns of the
     window ``w`` (their vectors below its diagonal, scalars ``tau``, and
     ``dgeqrt``'s T or None) to the columns right of it: a wide block
-    (``banded.factor_panels``) by their explicit product, from T or from
-    (u, w) = (tau v, v), in one ``dgemm``, a narrower one in one
-    ``dgemqrt`` or ``dormqr`` call."""
+    (``banded.factor_panels``) by their explicit product (``_transforms``)
+    in one ``dgemm``, a narrower one in one ``dgemqrt`` or ``dormqr``
+    call."""
     c = w[:, b:]
     if wide_right_block(w.shape[1] - b, len(w)):
         v = np.tril(w[:, :b], -1)
         np.fill_diagonal(v, 1.0)
-        f = compact_transform(v * tau, v)[1] if t is None else reflection_transform(v, t)[1]
-        w[:, b:] = dgemm(1.0, f, c)
+        w[:, b:] = dgemm(1.0, _transforms(v * tau, v, tau, t)[1], c)
     elif c.shape[1]:
         # c is a column slice of the Fortran-ordered window: in place
         if t is None:
@@ -145,19 +147,33 @@ def _update(w, b, tau, t):
             dgemqrt(w[:, :b], t, c, side="L", trans="T", overwrite_c=1)
 
 
+def _transforms(u, w, tau, t):
+    """M and F of a panel's reflections H_j = I - tau_j v_j v_j^T, from the
+    (b + r) x b matrices u = V diag(tau) and w = V, their scalars ``tau``
+    and ``dgeqrt``'s T or None: F = H_{b-1} ... H_0, the descending product,
+    as an explicit (b + r) x (b + r) matrix, and M, the factor of the
+    ascending product H_0 ... H_{b-1} = I - M V^T.  From T, M = V T and
+    F = I - V M^T (``banded.reflection_transform``); without it, the
+    compact form F = I - u y^T (``banded.compact_transform``, one
+    ``dtrsm``) and M = y diag(tau)."""
+    if t is not None:
+        return reflection_transform(w, t)
+    y, f = compact_transform(u, w)
+    return y * tau, f
+
+
 def invert_lower_band_qr(a):
     """Green generators of A^{-1} for a lower banded matrix of order r and any
     upper bandwidth.
 
     U^T = H_{n-1} ... H_0 is a descending product of the symmetric blocks
-    H_k = I - tau_k v_k v_k^T, so ``inverse_generators`` takes R's panels
-    and the factorization's (u, w) = (tau v, v), with its T factors when it
-    kept them.  The produced generators are in right normal form:
-    a(k) a(k)^T + q(k) q(k)^T = I_r, since [a(k) q(k)] are orthonormal rows
-    of a unitary block.  Raises SingularMatrixError (naming the failing
+    H_k = I - tau_k v_k v_k^T, so ``inverse_generators`` takes the
+    factorization, with its (u, w) = (tau v, v) and its panels' transforms
+    (``QrFactorization.panel_transform``).  The produced generators are in
+    right normal form: a(k) a(k)^T + q(k) q(k)^T = I_r, since [a(k) q(k)]
+    are orthonormal rows of a unitary block.  Raises SingularMatrixError (naming the failing
     diagonal index of R) when A is singular to working precision.
     """
-    out = empty_generators(a.n, a.r_lower)
     fact = qr_factor_lower_band(a)
     small = np.abs(fact.x) <= singularity_tol(a.n, a.norm_inf())
     if small.any():
@@ -166,7 +182,7 @@ def invert_lower_band_qr(a):
             f"matrix is singular to working precision (diagonal entry {k} of R)",
             pivot_index=k,
         )
-    return inverse_generators(fact.tops, fact.width, fact.u, fact.w, out, fact.t_factors)
+    return inverse_generators(fact)
 
 
 def invert_two_sided_qr(a):

@@ -61,6 +61,12 @@ def test_run_bench_records_and_csv(tmp_path):
     assert np.isfinite(fit.slope)
 
 
+def test_bench_csv_of_no_records_is_its_header(tmp_path):
+    path = tmp_path / "bench.csv"
+    write_bench_csv(path, [])
+    assert path.read_text().splitlines() == ["n,method,seconds,rel_err"]
+
+
 def test_run_bench_rejects_unknown_method():
     with pytest.raises(ValueError):
         run_bench([8, 12, 16], r=2, method="cholesky")

@@ -128,6 +128,30 @@ def test_truncated_generator_file_exit_2_naming_it(tmp_path, capsys):
         assert f"error: {g}: malformed generator file" in capsys.readouterr().err, argv[0]
 
 
+@pytest.mark.parametrize("bad", ["r=0", "n=r", "NaN", "Infinity"])
+def test_invalid_generator_file_exit_2_naming_it(tmp_path, capsys, bad):
+    # a generator file that parses but holds no valid generators (bad sizes,
+    # or a NaN or Infinity entry, which the json parser accepts) is reported
+    # with its path, as a file cut short is
+    m = tmp_path / "a.txt"
+    g = tmp_path / "g.json"
+    assert run("gen", "--n", 12, "--r", 2, "--r-upper", 2, "--seed", 1,
+               "--diag-shift", 3.0, "--out", m) == 0
+    assert run("invert", m, "--out", g) == 0
+    data = json.loads(g.read_text())
+    if bad == "r=0":
+        data = {"n": 3, "r": 0, "p": [[]] * 3, "q": [[]] * 3, "a": [[]] * 3, "p_last": []}
+    elif bad == "n=r":
+        data = {"n": 2, "r": 2, "p": [], "q": [], "a": [], "p_last": [1, 0, 0, 1]}
+    else:
+        data["p"][0][0] = float(bad.lower())
+    g.write_text(json.dumps(data))
+    capsys.readouterr()
+    for argv in (("reconstruct", g, "--out", tmp_path / "image.txt"), ("verify", m, g)):
+        assert run(*argv) == 2, argv[0]
+        assert f"error: {g}: malformed generator file" in capsys.readouterr().err, argv[0]
+
+
 def test_lu_on_small_pivot_matrix_succeeds_but_fails_verify(tmp_path):
     # a tiny (nonzero) pivot is not a hard failure for the unpivoted path;
     # the damage shows up in verification instead

@@ -27,7 +27,7 @@ from greenband import (
 )
 from conftest import instance, random_generators, traced_peak
 from greenband.dense_oracle import ROWS
-from greenband.generators import CHUNK, IMAGE_PANEL, TEXT_CHUNK, TREE, TREE_MAX_R, empty_generators
+from greenband.generators import CHUNK, IMAGE_PANEL, TEXT_CHUNK, TREE, TREE_MAX_R
 
 
 def ones_generators(n, r=1):
@@ -152,10 +152,8 @@ def test_compact_generators_check_finiteness_exactly(entries, finite):
         q = np.eye(r)[-1] - u[:m, 1:] * w[:m, r:]
         a = np.eye(r, k=1) - u[:m, 1:, None] * w[:m, None, :r]
     assert (np.isfinite(q).all() and np.isfinite(a).all()) == finite
-    out = empty_generators(n, r)  # _compact checks the one array of p, q and p_last
-    for arr, val in zip(out, (1.0, q, 1.0)):
-        arr[:] = val
-    make = functools.partial(GreenGenerators._compact, n, r, *out, u, w)
+    p, p_last = np.ones((m, r)), np.ones((r, r))
+    make = functools.partial(GreenGenerators._compact, n, r, p, q, p_last, u, w)
     if finite:
         assert make().a.tobytes() == a.tobytes()
     else:
@@ -522,6 +520,17 @@ def test_generator_file_rejects_garbage(tmp_path):
     write_generators(path, random_generators(5, 2, seed=7))
     text = path.read_text()
     texts.append(text[: len(text) // 2])
+    # sizes that no generators have, with arrays that reshape to them
+    texts.append('{"n": 3, "r": 0, "p": [[], [], []], "q": [[], [], []], "a": [[], [], []], "p_last": []}')
+    texts.append('{"n": 2, "r": 2, "p": [], "q": [], "a": [], "p_last": [1, 0, 0, 1]}')
+    # a NaN or Infinity entry, which the json parser accepts, in each field
+    g = random_generators(5, 2, seed=8)
+    for field in ("p", "q", "a", "p_last"):
+        for bad in ("NaN", "Infinity", "-Infinity"):
+            arrays = {name: np.array(getattr(g, name)) for name in ("p", "q", "a", "p_last")}
+            arrays[field].flat[-1] = 12345.5
+            write_generators(path, GreenGenerators(5, 2, **arrays))
+            texts.append(path.read_text().replace("12345.5", bad))
     for text in texts:
         path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(f"{path}: malformed generator file")):
@@ -553,12 +562,10 @@ def test_block_partition_scalar_mapping():
 
 @pytest.mark.parametrize("method", ["qr", "lu"])
 @pytest.mark.parametrize("r_upper", [3, 59])
-def test_inverse_generators_are_one_array_taken_first(monkeypatch, method, r_upper):
-    # a loop of inversions reuses the space of freed generators only when the
-    # new p, q and p_last are one array, allocated before the factorization's
-    # working arrays (see empty_generators); the blocks a are not part of it,
-    # and the inversion allocates no (n - r, r, r) array at all: with r = 48
-    # one such array is more than twice the inversion's traced peak
+def test_inverse_generators_are_one_array_taken_first(method, r_upper):
+    # the inversion allocates no (n - r, r, r) array at all, as its
+    # generators keep the blocks a as (u, w): with r = 48 one such array is
+    # more than twice the inversion's traced peak
     import tracemalloc
 
     import greenband.lu as lu_module
@@ -576,15 +583,7 @@ def test_inverse_generators_are_one_array_taken_first(monkeypatch, method, r_upp
     finally:
         tracemalloc.stop()
     assert peak < (n - r) * r * r * 8
-    order = []
-    for name in ("empty_generators", f"{method}_factor_lower_band"):
-        fn = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name: order.append(name) or fn(*args))
     g = invert(a)
-    assert order == ["empty_generators", f"{method}_factor_lower_band"]
-    arrays = (g.p, g.q, g.p_last)
-    assert len({id(x.base) for x in arrays}) == 1
-    assert g.p.base.nbytes == sum(x.nbytes for x in arrays)
     ref = dense_invert(a.to_dense())
     assert covered_relative_error(reconstruct_structured(g), ref, r) <= 1e-12
 
