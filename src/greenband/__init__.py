@@ -17,12 +17,7 @@ from .banded import (
     write_matrix,
 )
 from .bench import BenchRecord, SlopeFit, run_bench, run_example, slope_fit, write_bench_csv
-from .dense_oracle import (
-    HouseholderResult,
-    dense_invert,
-    householder_annihilate,
-    numerical_rank,
-)
+from .dense_oracle import dense_invert, numerical_rank
 from .errors import BandPatternError, SingularMatrixError, ZeroPivotError
 from .generators import (
     BlockPartitionMap,
@@ -65,7 +60,6 @@ __all__ = [
     "BandPatternError",
     "BlockPartitionMap",
     "GreenGenerators",
-    "HouseholderResult",
     "LuFactorization",
     "QrFactorization",
     "SingularMatrixError",
@@ -79,7 +73,6 @@ __all__ = [
     "entry",
     "expand_transform_product",
     "generators_from_transforms",
-    "householder_annihilate",
     "identity_residual",
     "invert_lower_band_lu",
     "invert_lower_band_qr",

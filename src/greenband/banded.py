@@ -38,6 +38,7 @@ PANEL = 32  # columns per panel of the blocked QR and LU factorizations
 TILE = 128  # diagonals per tile of the constructor's copy and checks
 CHUNK = 2**15  # cells per chunk of ``all_finite``, 256 KB of doubles
 NORM_CHUNK = 2**18  # doubles per chunk of ``max_abs_row_sum``, 2 MB
+TEXT_CHUNK = 2**13  # values formatted by one ``%`` in ``write_rows``
 
 
 class BandedMatrix:
@@ -526,8 +527,45 @@ def prescribed_condition_band(n, r, target_cond, seed):
     return BandedMatrix.from_dense(a, r, n - 1)
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
+# the text of a value by its ``write_rows`` code: the ``%`` conversion of a
+# general value (0), and the text ``format(x, ".17g")`` gives exact 0, 1, -0
+# and -1 (1-4)
+LITERALS = ("%.17g", "0", "1", "-0", "-1")
+
+
+def write_rows(fh, mat, sep, head="", tail="", join=""):
+    """Write the rows of a 2-D float array as text, row i as
+    ``head + sep.join(format(x, ".17g") for x in mat[i]) + tail``, the rows
+    separated by ``join``.
+
+    Exact 0.0, -0.0, 1.0 and -1.0 (71% of an LU generator set, almost all of
+    a band's dense image) go in as their literal text, which is that of
+    ``%.17g``; only the other values are formatted, by one ``%`` per chunk
+    of whole rows, about TEXT_CHUNK values.  Each run of rows with the same
+    pattern of literals takes one row template, built once per chunk and
+    pattern: a chunk with no literal has the single all-``%.17g`` template,
+    and rows that all differ, as a band's do, hold at most a chunk's worth
+    of template text.
+    """
+    width = mat.shape[1]
+    step = max(1, TEXT_CHUNK // width)
+    for k in range(0, len(mat), step):
+        chunk = mat[k : k + step]
+        zero, one = chunk == 0.0, np.abs(chunk) == 1.0
+        # each value's index into LITERALS, as uint8
+        code = (zero | one) * (one + np.signbit(chunk) * np.uint8(2) + np.uint8(1))
+        # each row's codes as one item, and the rows that start a run
+        keys = code.view(np.dtype((np.void, width))).ravel()
+        starts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(chunk)]
+        templates, rows = {}, []
+        for i, end in zip(starts, starts[1:]):
+            key = keys[i].tobytes()
+            if key not in templates:
+                templates[key] = head + sep.join([LITERALS[c] for c in key]) + tail
+            rows += [templates[key]] * (end - i)
+        if k:
+            fh.write(join)
+        fh.write(join.join(rows) % tuple(chunk[code == 0].tolist()))
 
 
 def write_matrix(path, banded):
@@ -536,8 +574,7 @@ def write_matrix(path, banded):
     dense = banded.to_dense()
     with open(path, "w") as fh:
         fh.write(f"{banded.n} {banded.r_lower} {banded.r_upper}\n")
-        for row in dense:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        write_rows(fh, dense, ",", tail="\n")
 
 
 def read_matrix(path):

@@ -1,8 +1,7 @@
 """Dense reference computations used only to verify the structured algorithms.
 
 Everything here is O(n^3) or worse and intended for desk-scale checks:
-row-pivoted inversion, numerical rank by complete-pivoting elimination, and
-Householder reflections.
+row-pivoted inversion and numerical rank by complete-pivoting elimination.
 
 Working memory: besides its n x n result, ``dense_invert`` holds one n x n
 array, the LU factors.  ``norm_inf`` here and the checks of ``generators``
@@ -17,13 +16,7 @@ import scipy.linalg
 
 from .errors import SingularMatrixError
 
-__all__ = [
-    "dense_invert",
-    "numerical_rank",
-    "householder_vector",
-    "householder_annihilate",
-    "HouseholderResult",
-]
+__all__ = ["dense_invert", "numerical_rank"]
 
 _EPS = np.finfo(float).eps
 ROWS = 64  # rows per block of the dense checks
@@ -91,43 +84,3 @@ def numerical_rank(m, tol):
         return 0
     pivots = np.array(pivots)
     return int(np.count_nonzero(pivots > tol * pivots.max()))
-
-
-def householder_vector(v):
-    """Reflection data (w, beta, x) with (I - beta w w^T) v = (x, 0, ..., 0)^T.
-
-    Uses the stable sign choice x = -sign(v[0]) * ||v||, and works on the
-    vector scaled by its largest entry so that neither w @ w nor beta can
-    overflow or underflow for extreme input magnitudes.  For v = 0 the
-    reflection is the identity (beta = 0) and x = 0.
-    """
-    v = np.asarray(v, dtype=float)
-    scale = np.abs(v).max() if v.size else 0.0
-    if scale == 0.0:
-        return np.zeros(v.size), 0.0, 0.0
-    w = v / scale
-    norm = np.linalg.norm(w)
-    sign = 1.0 if w[0] >= 0 else -1.0
-    w[0] += sign * norm  # no cancellation with this sign choice
-    beta = 2.0 / (w @ w)
-    return w, beta, -sign * norm * scale
-
-
-class HouseholderResult:
-    """Unitary block ``u`` and leading scalar ``x`` with u^T v = (x, 0, ...)^T."""
-
-    def __init__(self, u, x):
-        self.u = u
-        self.x = x
-
-
-def householder_annihilate(v):
-    """Householder reflection annihilating all but the first entry of v.
-
-    Returns a HouseholderResult whose ``u`` is symmetric orthogonal with
-    ``u.T @ v = (x, 0, ..., 0)`` and ``|x| = ||v||_2``.
-    """
-    v = np.asarray(v, dtype=float)
-    w, beta, x = householder_vector(v)
-    u = np.eye(v.size) - beta * np.outer(w, w)
-    return HouseholderResult(u, x)

@@ -20,14 +20,13 @@ import functools
 import numpy as np
 from scipy.linalg.blas import dtrsm
 
-from .banded import all_finite
+from .banded import TEXT_CHUNK, all_finite, write_rows  # noqa: F401 (the writer's chunk, re-exported)
 from .dense_oracle import ROWS, norm_inf, numerical_rank
 
 CHUNK = 2**15  # doubles in a chunk of a generator array, 256 KB
 TREE = 64  # blocks in a chain from which ``entry`` multiplies them pairwise
 TREE_MAX_R = 16  # past this order a block product costs more than the call it saves
 IMAGE_PANEL = 64  # block columns per panel of ``reconstruct_structured``
-TEXT_CHUNK = 2**13  # values formatted by one ``%`` in ``write_generators``
 
 __all__ = [
     "BlockPartitionMap",
@@ -522,21 +521,10 @@ def identity_residual(a, g):
     return float(np.max(worst) / (a.norm_inf() * norm_inf(b)))
 
 
-def _row(width):
-    """``%`` template of a JSON list of ``width`` values, 17 significant
-    digits each (the same text as ``format(x, ".17g")``)."""
-    return "[" + ", ".join(["%.17g"] * width) + "]"
-
-
 def _write_rows(fh, mat):
-    """Write a 2-D array as a JSON list of its rows, one ``%`` per chunk of
-    whole rows, about TEXT_CHUNK values."""
-    row = _row(mat.shape[1])
-    step = max(1, TEXT_CHUNK // mat.shape[1])
-    for k in range(0, len(mat), step):
-        chunk = mat[k : k + step]
-        fh.write(", " if k else "[")
-        fh.write(", ".join([row] * len(chunk)) % tuple(chunk.ravel().tolist()))
+    """Write a 2-D array as a JSON list of its rows."""
+    fh.write("[")
+    write_rows(fh, mat, ", ", head="[", tail="]", join=", ")
     fh.write("]")
 
 
@@ -545,6 +533,10 @@ def write_generators(path, g):
 
     Fields: n, r, p (n-r rows of r values), q (n-r columns of r values),
     a (n-r blocks of r*r values, row-major), p_last (r*r, row-major).
+
+    Every value's text is that of ``%.17g``, byte for byte; exact 0, -0, 1
+    and -1 are written as their literal text, and only the other values are
+    formatted (``banded.write_rows``).
     """
     m, r = g.n - g.r, g.r
     with open(path, "w") as fh:
@@ -555,7 +547,7 @@ def write_generators(path, g):
         fh.write(',\n  "a": ')
         _write_rows(fh, g.a.reshape(m, r * r))
         fh.write(',\n  "p_last": ')
-        fh.write(_row(r * r) % tuple(g.p_last.ravel().tolist()))
+        write_rows(fh, g.p_last.reshape(1, r * r), ", ", head="[", tail="]")
         fh.write("\n}\n")
 
 

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, strategies as st
 
 from conftest import traced_peak
 from greenband import (
     SingularMatrixError,
     dense_invert,
-    householder_annihilate,
     numerical_rank,
     random_band,
 )
@@ -109,50 +107,3 @@ def test_rank_of_inverse_submatrices_is_low():
     b = dense_invert(a.to_dense())
     for k in range(20 - r):
         assert numerical_rank(b[k:, : k + r], 1e-8) <= r
-
-
-def test_householder_pythagorean():
-    res = householder_annihilate(np.array([3.0, 4.0]))
-    assert abs(res.x) == pytest.approx(5.0)
-    out = res.u.T @ np.array([3.0, 4.0])
-    assert abs(out[0]) == pytest.approx(5.0)
-    assert abs(out[1]) <= 1e-14
-
-
-def test_householder_on_axis_vector():
-    res = householder_annihilate(np.array([2.5, 0.0, 0.0]))
-    assert abs(res.x) == pytest.approx(2.5)
-    np.testing.assert_allclose(np.abs(res.u), np.eye(3), atol=1e-15)
-
-
-def test_householder_zero_vector():
-    res = householder_annihilate(np.zeros(4))
-    assert res.x == 0.0
-    np.testing.assert_array_equal(res.u, np.eye(4))
-
-
-def test_householder_random_residuals():
-    rng = np.random.Generator(np.random.PCG64(9))
-    v = rng.standard_normal(6)
-    res = householder_annihilate(v)
-    assert np.linalg.norm(res.u.T @ res.u - np.eye(6)) <= 1e-14
-    target = np.zeros(6)
-    target[0] = res.x
-    assert np.linalg.norm(res.u.T @ v - target) <= 1e-14 * np.linalg.norm(v)
-
-
-@given(
-    st.lists(
-        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-        min_size=1,
-        max_size=12,
-    )
-)
-def test_householder_properties(vals):
-    v = np.array(vals)
-    m = v.size
-    res = householder_annihilate(v)
-    assert abs(abs(res.x) - np.linalg.norm(v)) <= 50 * EPS * m * max(np.linalg.norm(v), 1.0)
-    assert np.linalg.norm(res.u.T @ res.u - np.eye(m)) <= 50 * EPS * m
-    out = res.u.T @ v
-    assert np.linalg.norm(out[1:]) <= 50 * EPS * np.linalg.norm(v)

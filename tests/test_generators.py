@@ -562,7 +562,7 @@ def test_block_partition_scalar_mapping():
 
 @pytest.mark.parametrize("method", ["qr", "lu"])
 @pytest.mark.parametrize("r_upper", [3, 59])
-def test_inverse_generators_are_one_array_taken_first(method, r_upper):
+def test_inversion_allocates_no_block_array(method, r_upper):
     # the inversion allocates no (n - r, r, r) array at all, as its
     # generators keep the blocks a as (u, w): with r = 48 one such array is
     # more than twice the inversion's traced peak
