@@ -25,8 +25,9 @@ u, r_mat = fact.u_dense(), fact.r_dense()
 dense = a.to_dense()
 print("||A - U R|| / ||A|| =", f"{np.linalg.norm(dense - u @ r_mat) / np.linalg.norm(dense):.2e}")
 print("||U^T U - I||       =", f"{np.linalg.norm(u.T @ u - np.eye(12)):.2e}")
-print("U is built from", len(fact.factors), "blocks of shape", fact.factors[0].shape,
-      "plus", len(fact.closing), "closing blocks")
+ustar = fact.inverse_product()
+print("U^T is built from", len(ustar.factors), "blocks of shape", ustar.factors[0].shape,
+      "and a trailing block of shape", ustar.last.shape)
 
 # --- inversion and the right normal form ------------------------------------
 n, r = 30, 3

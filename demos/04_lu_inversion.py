@@ -30,7 +30,7 @@ print("||A - L R|| / ||A|| =",
       f"{np.linalg.norm(dense - low @ fact.r_dense()) / np.linalg.norm(dense):.2e}")
 
 # L^-1 as a product of elimination blocks [[1, 0], [-f_k, I]]:
-p1 = expand_transform_product(fact.inverse_factors())
+p1 = expand_transform_product(fact.inverse_product())
 print("elimination blocks:      ||L P - I|| =", f"{np.linalg.norm(low @ p1 - np.eye(12)):.2e}")
 # ... and as a product of row blocks [[I, 0], [-g_k, 1]] read off L entrywise:
 p2 = expand_transform_product(elementary_factors_from_entrywise(low, 2))

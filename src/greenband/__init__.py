@@ -20,7 +20,6 @@ from .bench import BenchRecord, SlopeFit, run_bench, run_example, slope_fit, wri
 from .dense_oracle import dense_invert, numerical_rank
 from .errors import BandPatternError, SingularMatrixError, ZeroPivotError
 from .generators import (
-    BlockPartitionMap,
     GreenGenerators,
     check_green_rank,
     covered_relative_error,
@@ -58,7 +57,6 @@ __all__ = [
     "BandedMatrix",
     "BenchRecord",
     "BandPatternError",
-    "BlockPartitionMap",
     "GreenGenerators",
     "LuFactorization",
     "QrFactorization",

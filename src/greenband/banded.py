@@ -14,6 +14,7 @@ All indices in this module are 0-based.
 """
 
 import functools
+import itertools
 
 import numpy as np
 from scipy.linalg.blas import dgbmv, dgemm, dtrsm
@@ -297,15 +298,11 @@ class PanelFactorization:
     L^{-1} for LU) as (u, w): G^{-1} = G_{n-1} ... G_0 is a descending
     product of the blocks G_k = I - u_k w_k^T on rows and columns k..k+r,
     with ``u`` and ``w`` (n, r+1), zero past the matrix edge.  The
-    inversions read only (u, w); ``factors`` (the (r+1) x (r+1) blocks
-    G_0 .. G_{n-r-1}), ``closing`` (G_{n-r} .. G_{n-2}, shrunk to sizes
-    r..2 at the matrix edge; G_{n-1} is the identity) and
-    ``closing_product`` (their descending product on the trailing r x r
-    window) are built from it on demand.  Each method's class gives the
-    generator stage its panels' explicit transforms:
-    ``panel_transform(i, u, w)`` returns panel i's (M, F): F the
-    descending product of its blocks, M the factor of their ascending
-    product, or None where the stage needs none (LU).
+    inversions read only (u, w); ``inverse_product`` builds G^{-1}'s blocks
+    from it on demand.  Each method's class gives the generator stage its
+    panels' explicit transforms: ``panel_transform(i, u, w)`` returns panel
+    i's (M, F): F the descending product of its blocks, M the factor of
+    their ascending product, or None where the stage needs none (LU).
     """
 
     def __init__(self, n, r, x, tops, width, u, w):
@@ -328,24 +325,21 @@ class PanelFactorization:
             out[k0, k0 + 1 : k0 + 1 + row.size] = row
         return out
 
-    def _block(self, k, size):
-        """G_k on its rows and columns k..k+size-1."""
-        return np.eye(size) - np.outer(self.u[k, :size], self.w[k, :size])
+    def inverse_product(self):
+        """G^{-1} as a descending ``TransformProduct``: the blocks
+        G_0 .. G_{n-r-1} whole, and the product G_{n-2} ... G_{n-r} of the
+        closing blocks, shrunk to sizes r..2 at the matrix edge, on the
+        trailing r x r window (G_{n-1} is the identity)."""
+        # not at the top: transforms imports generators, which imports banded
+        from .transforms import TransformProduct
 
-    @property
-    def factors(self):
-        return [self._block(k, self.r + 1) for k in range(self.n - self.r)]
-
-    @property
-    def closing(self):
-        return [self._block(k, self.n - k) for k in range(self.n - self.r, self.n - 1)]
-
-    def closing_product(self):
-        """G_{n-2} ... G_{n-r} on the trailing r x r window."""
-        out = np.eye(self.r)
-        for j, blk in enumerate(self.closing):
-            out[j:] = blk @ out[j:]
-        return out
+        n, r, u, w = self.n, self.r, self.u, self.w
+        factors = [np.eye(r + 1) - np.outer(u[k], w[k]) for k in range(n - r)]
+        last = np.eye(r)
+        for j in range(r - 1):
+            k, size = n - r + j, r - j
+            last[j:] = (np.eye(size) - np.outer(u[k, :size], w[k, :size])) @ last[j:]
+        return TransformProduct(n, r, factors, last)
 
 
 def factor_panels(a, width, reduce):
@@ -581,34 +575,38 @@ def read_matrix(path):
     """Parse the matrix text format and validate the band pattern.
 
     The header's ``r_upper`` field may be an integer or the word ``full``
-    (meaning n - 1).  Raises BandPatternError on malformed input or on nonzero
-    entries outside the declared band.
+    (meaning n - 1).  Blank lines are skipped.  The data rows are parsed by
+    one ``np.loadtxt`` call, with no comment character, so a ``#`` is a bad
+    value.  Raises BandPatternError on malformed input or on nonzero entries
+    outside the declared band.
     """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise BandPatternError(f"{path}: empty matrix file")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise BandPatternError(f"{path}: header must be 'N r_lower r_upper'")
-    try:
-        n = int(head[0])
-        r_lower = int(head[1])
-        r_upper = n - 1 if head[2].lower() == "full" else int(head[2])
-    except ValueError as exc:
-        raise BandPatternError(f"{path}: bad header: {exc}") from exc
-    if len(lines) != n + 1:
-        raise BandPatternError(f"{path}: expected {n} data rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
+        lines = (ln for ln in fh if not ln.isspace())
+        head = next(lines, "").split()
+        if not head:
+            raise BandPatternError(f"{path}: empty matrix file")
+        if len(head) != 3:
+            raise BandPatternError(f"{path}: header must be 'N r_lower r_upper'")
         try:
-            vals = [float(tok) for tok in ln.split(",")]
+            n = int(head[0])
+            r_lower = int(head[1])
+            r_upper = n - 1 if head[2].lower() == "full" else int(head[2])
         except ValueError as exc:
-            raise BandPatternError(f"{path}: bad value: {exc}") from exc
-        if len(vals) != n:
-            raise BandPatternError(f"{path}: expected {n} values per row")
-        rows.append(vals)
+            raise BandPatternError(f"{path}: bad header: {exc}") from exc
+        first = next(lines, None)
+        if first is None:  # loadtxt would warn that it read no data
+            dense = np.zeros((0, 0))
+        else:
+            try:
+                rows = itertools.chain([first], lines)
+                dense = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+            except ValueError as exc:  # a value that is no number, or a ragged row
+                raise BandPatternError(f"{path}: bad data row: {exc}") from exc
+    if len(dense) != n:
+        raise BandPatternError(f"{path}: expected {n} data rows, found {len(dense)}")
+    if dense.shape[1] != n:
+        raise BandPatternError(f"{path}: expected {n} values per row")
     try:
-        return BandedMatrix.from_dense(np.array(rows), r_lower, r_upper)
+        return BandedMatrix.from_dense(dense, r_lower, r_upper)
     except (BandPatternError, ValueError) as exc:
         raise BandPatternError(f"{path}: {exc}") from exc

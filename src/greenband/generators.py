@@ -10,6 +10,12 @@ region* ``j - i <= r - 1``) is reproduced by generator parameters
 
 with 1 x r rows p, r x 1 columns q, r x r blocks a, an r x r closing block
 ``p_last`` for the bottom r rows, and the convention q(0) = I_r (not stored).
+The indices are those of a block partition of B: row blocks of sizes
+(0, 1, ..., 1, r) and column blocks of sizes (r, 1, ..., 1, 0), n - r + 2 of
+each, numbered from 0.  Matrix row i (0-based) lies in block row
+min(i, n - r) + 1, the bottom r rows sharing the last one; matrix columns
+0..r-1 form block column 0 and column r - 1 + j is block column j.  The
+covered region is exactly the block strictly lower triangle.
 
 Generator sequences are stored 0-based: ``p[k]``, ``q[k]``, ``a[k]`` hold the
 1-based parameters p(k+1), q(k+1), a(k+1).
@@ -20,16 +26,14 @@ import functools
 import numpy as np
 from scipy.linalg.blas import dtrsm
 
-from .banded import TEXT_CHUNK, all_finite, write_rows  # noqa: F401 (the writer's chunk, re-exported)
+from .banded import CHUNK, TEXT_CHUNK, all_finite, write_rows  # noqa: F401 (the writer's chunk, re-exported)
 from .dense_oracle import ROWS, norm_inf, numerical_rank
 
-CHUNK = 2**15  # doubles in a chunk of a generator array, 256 KB
 TREE = 64  # blocks in a chain from which ``entry`` multiplies them pairwise
 TREE_MAX_R = 16  # past this order a block product costs more than the call it saves
 IMAGE_PANEL = 64  # block columns per panel of ``reconstruct_structured``
 
 __all__ = [
-    "BlockPartitionMap",
     "GreenGenerators",
     "entry",
     "reconstruct_structured",
@@ -41,53 +45,6 @@ __all__ = [
     "write_generators",
     "read_generators",
 ]
-
-
-class BlockPartitionMap:
-    """The block partition underlying the generator representation.
-
-    An n x n matrix is treated as an (n-r+2) x (n-r+2) block matrix with row
-    block sizes (0, 1, ..., 1, r) and column block sizes (r, 1, ..., 1, 0),
-    block indices starting at 0.  Scalar rows 0..n-r-1 map to block rows
-    1..n-r and the bottom r rows share block row n-r+1; scalar columns
-    0..r-1 form block column 0 and column r-1+j is block column j.  The
-    covered region is exactly the block strictly lower triangle.
-    """
-
-    def __init__(self, n, r):
-        if not n > r > 0:
-            raise ValueError(f"need n > r > 0, got n={n}, r={r}")
-        self.n = int(n)
-        self.r = int(r)
-        m = self.n - self.r
-        self.row_sizes = np.array([0] + [1] * m + [r])
-        self.col_sizes = np.array([r] + [1] * m + [0])
-
-    @property
-    def blocks(self):
-        return self.n - self.r + 2
-
-    def block_row(self, i):
-        """Block row index of 0-based scalar row i."""
-        return min(i, self.n - self.r) + 1
-
-    def block_col(self, j):
-        """Block column index of 0-based scalar column j."""
-        return max(j - self.r + 1, 0)
-
-    def row_range(self, bi):
-        """0-based scalar row range [lo, hi) of block row bi."""
-        lo = int(self.row_sizes[:bi].sum())
-        return lo, lo + int(self.row_sizes[bi])
-
-    def col_range(self, bj):
-        lo = int(self.col_sizes[:bj].sum())
-        return lo, lo + int(self.col_sizes[bj])
-
-    def covered(self, i, j):
-        """True when scalar entry (i, j) lies in the block strictly lower
-        triangle, equivalently j - i <= r - 1."""
-        return self.block_col(j) < self.block_row(i)
 
 
 class GreenGenerators:

@@ -98,10 +98,6 @@ class LuFactorization(PanelFactorization):
             col[:] = self.f[k0, : col.size]
         return out
 
-    def inverse_factors(self):
-        """L^{-1} as a descending TransformProduct of the elimination blocks."""
-        return TransformProduct(self.n, self.r, self.factors, self.closing_product())
-
 
 def lu_factor_lower_band(a):
     """Structured unpivoted LU of a strongly regular lower banded matrix of
@@ -303,4 +299,4 @@ def elementary_factors_from_entrywise(l, r):
         blk = np.eye(r + 1)
         blk[r, :r] = -l[k1 + r - 1, k1 - 1 : k1 + r - 1]
         factors.append(blk if k1 > 1 else blk @ corner)
-    return TransformProduct(n, r, factors, np.eye(r), order="descending")
+    return TransformProduct(n, r, factors, np.eye(r))

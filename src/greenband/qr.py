@@ -37,7 +37,7 @@ from .banded import (
 )
 from .errors import SingularMatrixError
 from .generators import inverse_generators
-from .transforms import TransformProduct, expand_transform_product
+from .transforms import expand_transform_product
 
 __all__ = [
     "QrFactorization",
@@ -80,12 +80,8 @@ class QrFactorization(PanelFactorization):
         t = None if self.t_factors is None else self.t_factors[i]
         return _transforms(u, w, u.diagonal(), t)
 
-    def ustar_product(self):
-        """U* as a descending TransformProduct (the Green factor)."""
-        return TransformProduct(self.n, self.r, self.factors, self.closing_product())
-
     def u_dense(self):
-        return expand_transform_product(self.ustar_product()).T
+        return expand_transform_product(self.inverse_product()).T
 
 
 def keeps_t(r):

@@ -13,8 +13,7 @@ generators are read off the 2 x 2 partition of each factor
            [a(k), q(k)]]        (1 x r, 1 x 1, r x r, r x 1)
 
 with p_last = G_{n-r+1}, and d(k) = G[k-1, k+r-1] are the block-diagonal
-entries.  The reverse (ascending) order W~_1 ... W~_{n-r+1} instead yields an
-upper Green, lower banded matrix; no generator extraction is provided for it.
+entries.
 """
 
 import numpy as np
@@ -30,14 +29,12 @@ __all__ = [
 
 
 class TransformProduct:
-    """Ordered factors G_k ((r+1) x (r+1), k = 1..n-r) plus a trailing r x r
-    block, with ``order`` either "descending" or "ascending"."""
+    """The descending product of the factors G_k ((r+1) x (r+1),
+    k = 1..n-r) and a trailing r x r block."""
 
-    def __init__(self, n, r, factors, last, order="descending"):
+    def __init__(self, n, r, factors, last):
         if not n > r > 0:
             raise ValueError(f"need n > r > 0, got n={n}, r={r}")
-        if order not in ("descending", "ascending"):
-            raise ValueError(f"unknown order tag {order!r}")
         factors = [np.ascontiguousarray(f, dtype=float) for f in factors]
         if len(factors) != n - r:
             raise ValueError(f"expected {n - r} factors, got {len(factors)}")
@@ -51,26 +48,18 @@ class TransformProduct:
         self.r = int(r)
         self.factors = factors
         self.last = last
-        self.order = order
 
     def __repr__(self):
-        return f"TransformProduct(n={self.n}, r={self.r}, order={self.order!r})"
+        return f"TransformProduct(n={self.n}, r={self.r})"
 
 
 def expand_transform_product(t):
-    """Dense n x n product of the embedded factors, in the order given by the
-    order tag."""
+    """Dense n x n product of the embedded factors, in descending order."""
     n, r = t.n, t.r
     out = np.eye(n)
-    ks = range(n - r, 0, -1) if t.order == "descending" else range(1, n - r + 1)
-    started = False
-    if t.order == "descending":
-        out[n - r :, n - r :] = t.last
-        started = True
-    for k in ks:  # right-multiply by I_{k-1} (+) G_k (+) I
+    out[n - r :, n - r :] = t.last
+    for k in range(n - r, 0, -1):  # right-multiply by I_{k-1} (+) G_k (+) I
         out[:, k - 1 : k + r] = out[:, k - 1 : k + r] @ t.factors[k - 1]
-    if not started:
-        out[:, n - r :] = out[:, n - r :] @ t.last
     return out
 
 
@@ -78,11 +67,8 @@ def generators_from_transforms(t):
     """Green generators and block-diagonal entries of a descending product.
 
     Returns (GreenGenerators, d) where d[k] holds the entries G[k, k + r]
-    (0-based).  Raises ValueError for an ascending product, whose rank
-    structure is on the other side.
+    (0-based).
     """
-    if t.order != "descending":
-        raise ValueError("generator extraction requires a descending product")
     n, r = t.n, t.r
     m = n - r
     p = np.empty((m, r))
@@ -113,4 +99,4 @@ def transforms_from_generators(g, d):
         f[1:, : g.r] = g.a[k]
         f[1:, g.r] = g.q[k]
         factors.append(f)
-    return TransformProduct(g.n, g.r, factors, g.p_last, order="descending")
+    return TransformProduct(g.n, g.r, factors, g.p_last)

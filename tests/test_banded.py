@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from conftest import instance
@@ -307,3 +310,37 @@ def test_matrix_file_parse_errors(tmp_path, mutate):
     path.write_text("\n".join(mutate(lines)) + "\n")
     with pytest.raises(BandPatternError):
         read_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda lines: [], "empty matrix file"),
+        (lambda lines: lines[:1], "expected 6 data rows, found 0"),  # header only
+        (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:], "bad data row"),
+        (lambda lines: [lines[0]] + [ln + ",0" for ln in lines[1:]], "expected 6 values per row"),
+        (lambda lines: lines[:2] + [lines[2].replace(",", ",1#", 1)] + lines[3:], "bad data row"),
+    ],
+    ids=["empty", "header-only", "ragged-row", "wide-rows", "hash-in-value"],
+)
+def test_matrix_file_errors_name_the_path(tmp_path, mutate, message):
+    # a '#' is a bad value, not the start of a comment; numpy's warning that
+    # it read no data does not leak from a header-only file
+    a = random_band(6, 2, 3, seed=4, diag_shift=1.0)
+    path = tmp_path / "m.txt"
+    write_matrix(path, a)
+    lines = path.read_text().splitlines()
+    path.write_text("".join(ln + "\n" for ln in mutate(lines)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BandPatternError, match=re.escape(f"{path}: {message}")):
+            read_matrix(path)
+
+
+def test_matrix_file_skips_blank_lines(tmp_path):
+    a = random_band(6, 2, 3, seed=4, diag_shift=1.0)
+    path = tmp_path / "m.txt"
+    write_matrix(path, a)
+    lines = path.read_text().splitlines()
+    path.write_text("\n" + "\n  \n\n".join(lines) + "\n\n")
+    assert read_matrix(path).bands.tobytes() == a.bands.tobytes()

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from greenband import (
     BandedMatrix,
-    BlockPartitionMap,
     GreenGenerators,
     check_green_rank,
     covered_relative_error,
@@ -26,8 +25,9 @@ from greenband import (
     write_generators,
 )
 from conftest import instance, random_generators, traced_peak
+from greenband.banded import CHUNK
 from greenband.dense_oracle import ROWS
-from greenband.generators import CHUNK, IMAGE_PANEL, TEXT_CHUNK, TREE, TREE_MAX_R
+from greenband.generators import IMAGE_PANEL, TEXT_CHUNK, TREE, TREE_MAX_R
 
 
 def ones_generators(n, r=1):
@@ -535,29 +535,6 @@ def test_generator_file_rejects_garbage(tmp_path):
         path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(f"{path}: malformed generator file")):
             read_generators(path)
-
-
-def test_block_partition_sizes_sum_to_n():
-    for n, r in [(5, 1), (9, 3), (12, 5)]:
-        bp = BlockPartitionMap(n, r)
-        assert bp.blocks == n - r + 2
-        assert bp.row_sizes[0] == 0 and bp.row_sizes[-1] == r
-        assert bp.col_sizes[0] == r and bp.col_sizes[-1] == 0
-        assert bp.row_sizes.sum() == n and bp.col_sizes.sum() == n
-        assert np.all(bp.row_sizes[1:-1] == 1) and np.all(bp.col_sizes[1:-1] == 1)
-
-
-def test_block_partition_scalar_mapping():
-    bp = BlockPartitionMap(10, 3)
-    assert bp.block_row(0) == 1 and bp.block_row(6) == 7
-    assert bp.block_row(7) == bp.block_row(9) == 8  # bottom rows share a block
-    assert bp.block_col(0) == bp.block_col(2) == 0
-    assert bp.block_col(3) == 1 and bp.block_col(9) == 7
-    assert bp.row_range(8) == (7, 10)
-    assert bp.col_range(0) == (0, 3)
-    for i in range(10):
-        for j in range(10):
-            assert bp.covered(i, j) == (j - i <= 2)
 
 
 @pytest.mark.parametrize("method", ["qr", "lu"])

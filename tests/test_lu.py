@@ -74,7 +74,7 @@ def test_inverse_factor_product():
     a = random_band(12, 2, 11, seed=2, diag_shift=2.0)
     fact = lu_factor_lower_band(a)
     low = fact.l_dense()
-    prod = expand_transform_product(fact.inverse_factors())
+    prod = expand_transform_product(fact.inverse_product())
     assert np.linalg.norm(low @ prod - np.eye(12)) <= 1e-12
 
 

@@ -150,8 +150,7 @@ def test_one_lapack_call_per_panel(monkeypatch, r_upper):
     calls = {}
     for name in ("panel", "row_segment", "col_segment"):
         counting(monkeypatch, BandedMatrix, name, calls)
-    for name in ("_block", "factors", "closing", "closing_product"):
-        counting(monkeypatch, PanelFactorization, name, calls)
+    counting(monkeypatch, PanelFactorization, "inverse_product", calls)
     for name in ("dgeqrf", "dormqr", "dgemm", "compact_transform"):
         counting(monkeypatch, qr_module, name, calls)
     for name in ("dgbtrf", "dgetrf", "_eliminate", "dtrsm", "dgemm", "dtrtri", "compact_transform",
@@ -544,8 +543,9 @@ def test_qr_stores_reflections_not_blocks():
     for k in range(n - r, n):
         assert np.all(fact.v[k, n - k :] == 0.0)
     assert fact.tau[n - 1] == 0.0
-    assert [u.shape[0] for u in fact.closing] == list(range(r, 1, -1))
-    assert all(u.shape == (r + 1, r + 1) for u in fact.factors)
+    ustar = fact.inverse_product()
+    assert [u.shape for u in ustar.factors] == [(r + 1, r + 1)] * (n - r)
+    assert ustar.last.shape == (r, r)
 
 
 @pytest.mark.parametrize("offset", [-1, 1])
@@ -579,25 +579,32 @@ def stage_blocks(u, w):
 
 
 @pytest.mark.parametrize("upper", ["zero", "equal", "full"])
-@pytest.mark.parametrize("extra", [1, PANEL - 1, PANEL + 1])
-@pytest.mark.parametrize("r", [1, 5])
+@pytest.mark.parametrize("extra", [1, PANEL - 1, PANEL + 1, 3 * PANEL + 1])
+@pytest.mark.parametrize("r", [1, 5, 3 * PANEL // 4])
 @pytest.mark.parametrize("factor", [qr_factor_lower_band, lu_factor_lower_band])
 def test_one_record_of_the_inverse_factor(factor, r, extra, upper):
     # both factorizations keep G^{-1} (U^T or L^{-1}) as (u, w), equal bit
     # for bit to the derivation from their own fields (stage_inputs), and
-    # build its blocks and dense product from it: n - r full blocks, closing
-    # blocks of sizes r..2, and a product that takes A to R; n = r + 1 and
-    # n = r + PANEL +- 1, one column short of and past the first panel edge
+    # build from it n - r full blocks and an r x r trailing block whose
+    # descending product takes A to R; n = r + 1, n = r + PANEL +- 1, one
+    # column short of and past the first panel edge, and n = r + 3 PANEL + 1,
+    # whose full upper part is wider than 2 (PANEL + r).  Every route is
+    # taken: QR's dgeqrt from r = 3 PANEL / 4 (keeps_t) and dgeqrf below,
+    # LU's dgbtrf and, on that full upper part, its panel loop
     n = r + extra
     r_upper = {"zero": 0, "equal": r, "full": n - 1}[upper]
     a = instance(n, r, r_upper, seed=n + r, scale=1.0)
     fact = factor(a)
+    if factor is qr_factor_lower_band:
+        assert fact.path == ("dgeqrt" if keeps_t(r) else "dgeqrf")
+    else:
+        assert fact.path == ("panels" if wide_right_block(max(r, r_upper), PANEL + r) else "dgbtrf")
     u, w = stage_inputs(fact)
     assert fact.u.tobytes() == u.tobytes() and fact.w.tobytes() == w.tobytes()
     assert fact.u.shape == fact.w.shape == (n, r + 1)
-    assert [blk.shape for blk in fact.factors] == [(r + 1, r + 1)] * (n - r)
-    assert [blk.shape[0] for blk in fact.closing] == list(range(r, 1, -1))
-    inverse = fact.ustar_product() if factor is qr_factor_lower_band else fact.inverse_factors()
+    inverse = fact.inverse_product()
+    assert [blk.shape for blk in inverse.factors] == [(r + 1, r + 1)] * (n - r)
+    assert inverse.last.shape == (r, r)
     assert rel(expand_transform_product(inverse) @ a.to_dense(), fact.r_dense()) <= 1e-13
 
 

@@ -26,7 +26,7 @@ def test_factor_identity():
     n, r = 6, 1
     fact = qr_factor_lower_band(BandedMatrix.from_dense(np.eye(n), r, n - 1))
     assert np.allclose(np.abs(fact.x), 1.0)
-    for u in fact.factors:
+    for u in fact.inverse_product().factors:
         np.testing.assert_allclose(np.abs(u), np.eye(r + 1), atol=1e-15)
     for row in fact.rows:
         assert np.all(row == 0.0)

@@ -15,15 +15,15 @@ from greenband import (
 from conftest import random_generators, random_orthogonal
 
 
-def random_product(n, r, seed, order="descending"):
+def random_product(n, r, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     factors = [random_orthogonal(r + 1, rng) for _ in range(n - r)]
-    return TransformProduct(n, r, factors, random_orthogonal(r, rng), order=order)
+    return TransformProduct(n, r, factors, random_orthogonal(r, rng))
 
 
 def test_expand_identity_factors():
     n, r = 6, 2
-    t = TransformProduct(n, r, [np.eye(r + 1)] * (n - r), np.eye(r), order="descending")
+    t = TransformProduct(n, r, [np.eye(r + 1)] * (n - r), np.eye(r))
     np.testing.assert_array_equal(expand_transform_product(t), np.eye(n))
 
 
@@ -35,7 +35,7 @@ def test_expand_small_rotation_product():
 
     g1, g2 = rot(0.3), rot(-1.1)
     last = np.array([[0.5]])
-    t = TransformProduct(3, 1, [g1, g2], last, order="descending")
+    t = TransformProduct(3, 1, [g1, g2], last)
     e1 = np.eye(3)
     e1[0:2, 0:2] = g1
     e2 = np.eye(3)
@@ -43,21 +43,19 @@ def test_expand_small_rotation_product():
     e3 = np.eye(3)
     e3[2:, 2:] = last
     np.testing.assert_allclose(expand_transform_product(t), e3 @ e2 @ e1, atol=1e-15)
-    t_asc = TransformProduct(3, 1, [g1, g2], last, order="ascending")
-    np.testing.assert_allclose(expand_transform_product(t_asc), e1 @ e2 @ e3, atol=1e-15)
 
 
 def test_expanded_ustar_triangularizes():
     a = random_band(14, 3, 13, seed=2, diag_shift=3.0)
     fact = qr_factor_lower_band(a)
-    ustar = expand_transform_product(fact.ustar_product())
+    ustar = expand_transform_product(fact.inverse_product())
     prod = ustar @ a.to_dense()
     assert np.abs(np.tril(prod, -1)).max() <= 1e-12 * np.linalg.norm(a.to_dense())
 
 
 def test_partition_of_identity_factors():
     n, r = 7, 2
-    t = TransformProduct(n, r, [np.eye(3)] * (n - r), np.eye(2), order="descending")
+    t = TransformProduct(n, r, [np.eye(3)] * (n - r), np.eye(2))
     g, d = generators_from_transforms(t)
     for k in range(n - r):
         np.testing.assert_array_equal(g.p[k], [1.0, 0.0])
@@ -76,17 +74,10 @@ def test_generators_match_expanded_product():
     )
 
 
-def test_generators_require_descending_order():
-    t = random_product(8, 2, seed=4, order="ascending")
-    with pytest.raises(ValueError):
-        generators_from_transforms(t)
-
-
 def test_round_trip_is_bit_exact():
     t = random_product(9, 3, seed=5)
     g, d = generators_from_transforms(t)
     t2 = transforms_from_generators(g, d)
-    assert t2.order == "descending"
     for f1, f2 in zip(t.factors, t2.factors):
         assert np.array_equal(f1, f2)
     assert np.array_equal(t.last, t2.last)
@@ -134,9 +125,3 @@ def test_descending_products_are_green_and_upper_banded():
         dense = expand_transform_product(t)
         assert check_green_rank(dense, r, 1e-10)
         assert np.all(np.triu(dense, r + 1) == 0.0)
-
-
-def test_ascending_products_are_lower_banded():
-    t = random_product(10, 2, seed=60, order="ascending")
-    dense = expand_transform_product(t)
-    assert np.all(np.tril(dense, -3) == 0.0)
