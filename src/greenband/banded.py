@@ -20,6 +20,7 @@ import numpy as np
 from scipy.linalg.blas import dgbmv, dgemm, dtrsm
 from scipy.linalg.lapack import dtrtri
 
+from .dense_oracle import ROWS
 from .errors import BandPatternError
 
 __all__ = [
@@ -87,7 +88,9 @@ class BandedMatrix:
 
     @classmethod
     def from_dense(cls, dense, r_lower, r_upper):
-        """Compress a dense array, requiring exact zeros outside the band."""
+        """Compress a dense array, requiring exact zeros outside the band.
+
+        Working memory besides the band: O(ROWS n)."""
         dense = np.asarray(dense, dtype=float)
         n = dense.shape[0]
         if dense.shape != (n, n):
@@ -97,13 +100,16 @@ class BandedMatrix:
             diag = np.diagonal(dense, offset=-off)
             j0 = max(0, -off)
             bands[r_upper + off, j0 : j0 + diag.size] = diag
-        # everything off the band must vanish exactly
-        off_band = dense - np.tril(np.triu(dense, -r_lower), r_upper)
-        if np.any(off_band != 0.0):
-            bad = np.argwhere(off_band != 0.0)[0]
-            raise BandPatternError(
-                f"entry ({bad[0]}, {bad[1]}) is nonzero outside the declared band"
-            )
+        # everything off the band must vanish exactly: checked ROWS rows at a
+        # time, the first offending block naming its first such entry
+        for i0 in range(0, n, ROWS):
+            block = dense[i0 : i0 + ROWS]
+            off_band = block - np.tril(np.triu(block, i0 - r_lower), i0 + r_upper)
+            if np.any(off_band != 0.0):
+                bad = np.argwhere(off_band != 0.0)[0]
+                raise BandPatternError(
+                    f"entry ({i0 + bad[0]}, {bad[1]}) is nonzero outside the declared band"
+                )
         return cls(n, r_lower, r_upper, bands)
 
     def to_dense(self):
@@ -564,11 +570,20 @@ def write_rows(fh, mat, sep, head="", tail="", join=""):
 
 def write_matrix(path, banded):
     """Write the matrix text format: header ``N r_lower r_upper``, then N lines
-    of N comma-separated values (dense image, 17 significant digits)."""
-    dense = banded.to_dense()
+    of N comma-separated values (dense image, 17 significant digits).
+
+    The image is formatted ROWS rows at a time, each block of rows cut from
+    the band (``rows_block``): working memory O(ROWS n), with no n x n
+    array."""
+    n, r_lower, r_upper = banded.n, banded.r_lower, banded.r_upper
     with open(path, "w") as fh:
-        fh.write(f"{banded.n} {banded.r_lower} {banded.r_upper}\n")
-        write_rows(fh, dense, ",", tail="\n")
+        fh.write(f"{n} {r_lower} {r_upper}\n")
+        for i0 in range(0, n, ROWS):
+            i1 = min(i0 + ROWS, n)
+            j0, j1 = max(0, i0 - r_lower), min(n, i1 + r_upper)  # the block's band columns
+            rows = np.zeros((i1 - i0, n))
+            rows[:, j0:j1] = banded.rows_block(i0, i1, j0, j1)
+            write_rows(fh, rows, ",", tail="\n")
 
 
 def read_matrix(path):

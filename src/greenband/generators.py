@@ -31,7 +31,7 @@ from .dense_oracle import ROWS, norm_inf, numerical_rank
 
 TREE = 64  # blocks in a chain from which ``entry`` multiplies them pairwise
 TREE_MAX_R = 16  # past this order a block product costs more than the call it saves
-IMAGE_PANEL = 64  # block columns per panel of ``reconstruct_structured``
+IMAGE_PANEL = 64  # rows per panel of ``reconstruct_structured``
 
 __all__ = [
     "GreenGenerators",
@@ -212,45 +212,53 @@ def entry(g, i, j):
 def reconstruct_structured(g):
     """Dense n x n image of the covered region (zero above it), C-ordered.
 
-    Walks panels of IMAGE_PANEL block columns k0..k1-1 (1-based) from the
-    right.  With P_k = [p(k); P_{k+1} a(k)] the tail stack of block row k,
-    column k holds P_k q(k-1) from row k-1 down.  In a panel the stack
-    E_k = [p(k); E_{k+1} a(k)] starting from E_{k1} = I_r walks only the
-    panel's rows and r more: its top rows give the panel's diagonal
-    triangle, its last r rows the products C_k = a(k1-1) ... a(k) q(k-1),
-    so the rows below the panel are one gemm P_{k1} [C_k0 ... C_k1-1], and
-    the stack moves on with one gemm by E_{k0}'s last r rows.  O(n^2 r)
-    arithmetic in O(n / IMAGE_PANEL) gemms, plus a walk of
-    O(IMAGE_PANEL r^2) per column; no n x n array besides the result.
+    Row k < n - r of the image is p[k] H_k on its first k + r columns
+    (0-based arrays), with the row heads H_0 = I_r and
+    H_k = [a[k-1] H_{k-1} | q[k-1]] (r x (k + r)); the bottom r rows are
+    p_last H_{n-r}.  In a panel of IMAGE_PANEL rows from row ``base``,
+    H_k = [X_k[:, :r] H_base | X_k[:, r:]] with X_base = I_r and
+    X_k = [a[k-1] X_{k-1} | q[k-1]].  Every panel's X starts from I_r, so
+    all panels walk in lockstep: a step is one batched ``np.matmul`` for X
+    over the panels, one assignment of q and one batched ``np.matmul`` for
+    y_k = p[k] X_k.  A short last panel drops out of the batch after its
+    own steps, its X left at X_{n-r}.  Then each panel's rows are written
+    once, contiguously: Y[:, :r] H_base in one gemm, the lower triangle
+    from Y[:, r:] and zeros right of it; H_base moves on by one gemm with
+    the panel's last X.
+
+    O(n^2 r) arithmetic, plus O(n r^2 (r + IMAGE_PANEL)) in the walk, in
+    O(IMAGE_PANEL + n / IMAGE_PANEL) numpy calls.  Every cell of the result
+    is written once, from ``np.empty``; the working memory besides it, the
+    panels' X and Y, is O(n (r + IMAGE_PANEL)) for r up to IMAGE_PANEL.
     """
-    n, r, a = g.n, g.r, g.a
+    n, r, a, p, q = g.n, g.r, g.a, g.p, g.q
     m = n - r
-    out = np.zeros((n, n))
-    stack = np.empty((n, r))  # P_k in rows k-1.., 1-based k
-    stack[m:] = g.p_last
-    out[m:, n - 1] = g.p_last @ g.q[m - 1]
     b = IMAGE_PANEL
-    bufs = np.empty((2, b + r, r))  # each column writes the one it does not read
-    cols = np.zeros((b, b + r))  # row k - k0: E_k q(k-1) in the columns k - k0..
-    eye = np.eye(r)
-    for k1 in range(m + 1, 2, -b):
-        k0 = max(2, k1 - b)
-        w = k1 - k0
-        e = eye
-        for k in range(k1 - 1, k0 - 1, -1):
-            t = k - k0
-            nxt = bufs[k & 1]
-            np.dot(e, a[k - 1], out=nxt[t + 1 : w + r])
-            nxt[t] = g.p[k - 1]
-            e = nxt[t : w + r]
-            np.dot(e, g.q[k - 2], out=cols[t, t : w + r])
-        band = slice(r + k0 - 2, r + k1 - 2)
-        out[k0 - 1 : k1 - 1, band] = cols[:w, :w].T
-        np.matmul(stack[k1 - 1 :], cols[:w, w : w + r].T, out=out[k1 - 1 :, band])
-        stack[k1 - 1 :] = stack[k1 - 1 :] @ e[w:]
-        stack[k0 - 1 : k1 - 1] = e[:w]
-    out[0, :r] = g.p[0]
-    np.matmul(stack[1:], a[0], out=out[1:, :r])
+    x = np.empty((-(-m // b), r, r + b))  # X of each panel, in its first r + t columns at step t
+    x[:, :, :r] = np.eye(r)
+    # row t of a panel: y_{base+t} in its first r + t columns, zeros after them
+    y = np.zeros((len(x), b, r + b))
+    y[:, 0, :r] = p[::b]
+    for t in range(1, b + 1):
+        live = len(range(t - 1, m, b))  # the panels with a row base + t - 1
+        # numpy buffers an operand that overlaps the output, so X is updated in place
+        np.matmul(a[t - 1 :: b], x[:live, :, : r + t - 1], out=x[:live, :, : r + t - 1])
+        x[:live, :, r + t - 1] = q[t - 1 :: b]
+        if t < b:
+            live = len(range(t, m, b))
+            np.matmul(p[t::b, None], x[:live, :, : r + t], out=y[:live, t : t + 1, : r + t])
+    out = np.empty((n, n))
+    head = np.empty((r, n))  # H_base in its first base + r columns
+    head[:, :r] = np.eye(r)
+    for i, base in enumerate(range(0, m, b)):
+        rows, w = min(b, m - base), base + r
+        block = out[base : base + rows]
+        np.matmul(y[i, :rows, :r], head[:, :w], out=block[:, :w])
+        block[:, w : w + rows] = y[i, :rows, r : r + rows]
+        block[:, w + rows :] = 0.0
+        head[:, :w] = x[i, :, :r] @ head[:, :w]
+        head[:, w : w + rows] = x[i, :, r : r + rows]
+    np.matmul(g.p_last, head, out=out[m:])
     return out
 
 

@@ -1,0 +1,83 @@
+"""The summary of tools/ab_pairs.py on canned run results; no benchmark runs."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "tools" / "ab_pairs.py")
+ab_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ab_pairs)
+
+
+def line(workload, seed, side, failed=0, **metrics):
+    # the last line of a perfbench run
+    result = {"correct": True, "attempted": 10, "failed": failed,
+              "metrics": {k: {"value": v, "unit": "ratio"} for k, v in metrics.items()}}
+    return json.dumps({"workload": workload, "seed": seed, "side": side, "result": result})
+
+
+def lines_of(parent, change, metric="round_cal_p50", workload="generator_io", seeds=None):
+    seeds = seeds or range(len(parent))
+    return [line(workload, s, side, **{metric: v})
+            for s, p, c in zip(seeds, parent, change) for side, v in (("parent", p), ("change", c))]
+
+
+def only_row(lines, better=None):
+    (row,) = ab_pairs.summarize(lines, better)
+    return row
+
+
+PARENT = [28.5, 28.9, 29.3, 29.0, 28.7, 29.1, 28.6, 29.4, 28.8, 29.2]
+
+
+def test_nine_wins_and_a_gap_past_the_quartiles_hold():
+    change = [25.2, 25.3, 25.4, 25.6, 25.1, 25.5, 25.2, 25.3, 29.0, 25.4]  # loses seed 8
+    row = only_row(lines_of(PARENT, change))
+    assert (row["wins"], row["pairs"], row["claim"]) == (9, 10, True)
+    assert row["parent"] == pytest.approx((28.725, 28.95, 29.175))
+    assert row["change"][1] == pytest.approx(25.35)
+
+
+def test_eight_wins_do_not_hold():
+    change = [25.2, 25.3, 25.4, 25.6, 25.1, 25.5, 25.2, 30.0, 29.0, 25.4]
+    row = only_row(lines_of(PARENT, change))
+    assert (row["wins"], row["claim"]) == (8, False)
+
+
+def test_every_pair_won_inside_the_quartiles_does_not_hold():
+    # the parent's quartile distance is 0.45; every pair won by 0.1
+    row = only_row(lines_of(PARENT, [p - 0.1 for p in PARENT]))
+    assert (row["wins"], row["claim"]) == (10, False)
+
+
+def test_ties_count_for_neither_side():
+    row = only_row(lines_of(PARENT, PARENT))
+    assert (row["wins"], row["claim"]) == (0, False)
+
+
+def test_a_higher_is_better_metric_wins_upward():
+    change = [p + 5.0 for p in PARENT]
+    assert only_row(lines_of(PARENT, change, "qr.gflops"), {"qr.gflops": "higher"})["claim"]
+    assert only_row(lines_of(PARENT, change, "qr.gflops"))["wins"] == 0
+
+
+def test_unpaired_runs_are_left_out_and_failed_ops_summed():
+    lines = lines_of(PARENT[:3], PARENT[:3])
+    lines.append(line("generator_io", 99, "parent", round_cal_p50=1.0))
+    lines.append(line("generator_io", 0, "change", failed=2, round_cal_p50=28.5))  # a later run replaces it
+    row = only_row(lines)
+    assert row["pairs"] == 3 and row["failed"] == {"parent": [0, 30], "change": [2, 30]}
+
+
+def test_workloads_and_metrics_have_rows_of_their_own():
+    lines = [line(w, s, side, round_cal_p50=1.0 + s, setup_s=0.01)
+             for w in ("narrow_band", "generator_io") for s in range(2) for side in ("parent", "change")]
+    rows = ab_pairs.summarize(lines)
+    assert [(r["workload"], r["metric"]) for r in rows] == [
+        ("generator_io", "round_cal_p50"), ("generator_io", "setup_s"),
+        ("narrow_band", "round_cal_p50"), ("narrow_band", "setup_s"),
+    ]
+    assert "generator_io" in ab_pairs.report(rows)

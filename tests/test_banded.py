@@ -17,6 +17,7 @@ from greenband import (
     read_matrix,
     write_matrix,
 )
+from greenband.dense_oracle import ROWS
 
 # (n, r_lower, r_upper): r_upper 0, below, equal to and above r_lower, and
 # n - 1 (a full upper part); the last two have n = r_lower + 1
@@ -135,6 +136,24 @@ def test_band_pattern_enforced():
     dense[3, 0] = 1.0  # outside lower bandwidth 2
     with pytest.raises(BandPatternError):
         BandedMatrix.from_dense(dense, 2, 1)
+
+
+@pytest.mark.parametrize("r_lower, r_upper", [(2, 1), (3, 0), (1, 130)])
+def test_band_pattern_error_names_the_first_off_band_entry(r_lower, r_upper):
+    # the check goes over blocks of ROWS rows; the entry named is still the
+    # first off-band one in row-major order, wherever the blocks cut
+    n = 2 * ROWS + 9
+    base = np.tril(np.triu(np.ones((n, n)), -r_lower), r_upper)
+    rows = [ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 8]
+    cells = [(i, 0) for i in rows] + [(i, i + r_upper + 1) for i in rows if i + r_upper + 1 < n]
+    cells = [(i, j) for i, j in cells if i - j > r_lower or j - i > r_upper]
+    for k in range(len(cells)):
+        dense = base.copy()
+        for i, j in cells[k:]:
+            dense[i, j] = -0.5
+        i, j = min(cells[k:])
+        with pytest.raises(BandPatternError, match=re.escape(f"entry ({i}, {j}) is nonzero")):
+            BandedMatrix.from_dense(dense, r_lower, r_upper)
 
 
 def test_sparsity_pattern_reproduced_exactly():

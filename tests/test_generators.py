@@ -721,6 +721,63 @@ def test_reconstruct_matches_per_column_image(r, source):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), n
 
 
+def row_panel_sizes(r):
+    # the image's panels cut its n - r upper rows into runs of IMAGE_PANEL:
+    # one row, a single short panel, one exact panel, a short last panel of
+    # one row, exact multiples and short last panels of other lengths
+    b = IMAGE_PANEL
+    return [r + 1, b - 1, r + b, r + b + 1, r + 2 * b, r + 2 * b + 17, r + 3 * b - 1]
+
+
+@pytest.mark.parametrize(
+    "source, scale",
+    [("random", 1.0)] + [(m, s) for m in ("qr", "lu") for s in (1.0, 1e150, 1e-150)],
+)
+@pytest.mark.parametrize("r", [1, 4])
+def test_row_panels_match_per_column_image(r, source, scale):
+    # the rows' heads carry the chains a ... q to the right, where the
+    # per-column image carries tail stacks p a ... a: far from 1 in scale,
+    # both must still agree
+    for n in row_panel_sizes(r):
+        if source == "random":
+            g = random_generators(n, r, seed=n)
+        else:
+            g = inverse_of(instance(n, r, r, n, scale), source)
+        want = per_column_image(g)
+        got = reconstruct_structured(g)
+        assert got.flags.c_contiguous and np.all(np.triu(got, r) == 0.0)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), n
+
+
+@pytest.mark.parametrize("r", [1, 4])
+def test_reconstruct_writes_every_cell(monkeypatch, r):
+    # the result comes from np.empty: with every np.empty array filled with
+    # NaN, a cell the panels do not write would show
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        arr = empty(*args, **kwargs)
+        arr.fill(np.nan)
+        return arr
+
+    for n in row_panel_sizes(r):
+        g = random_generators(n, r, seed=n)
+        want = per_column_image(g)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "empty", poisoned)
+            got = reconstruct_structured(g)
+        assert np.all(np.triu(got, r) == 0.0)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), n
+
+
+@pytest.mark.parametrize("r", [3, 16])
+def test_reconstruct_holds_no_second_image(r):
+    # besides its n x n result only the panels' walks, O(n (r + IMAGE_PANEL))
+    n = 600
+    g = random_generators(n, r, seed=r)
+    assert traced_peak(reconstruct_structured, g) <= 8 * n * n + 16 * n * (r + IMAGE_PANEL)
+
+
 def test_generator_file_matches_per_value_format(tmp_path):
     # more than one chunk of rows for p, q and a; values whose text is easy
     # to get wrong: signed zero, the smallest subnormal, the largest finite

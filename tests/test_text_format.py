@@ -24,6 +24,7 @@ from greenband import (
     write_matrix,
 )
 from greenband.banded import TEXT_CHUNK, write_rows
+from greenband.dense_oracle import ROWS
 
 LITERALS = [0.0, -0.0, 1.0, -1.0]
 ULP = [np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)]  # 1 + 1 ulp, 1 - 1 ulp
@@ -193,6 +194,27 @@ def test_matrix_writer_keeps_templates_for_one_chunk_only(tmp_path):
     path = tmp_path / "m.txt"
     write_matrix(path, a)
     assert traced_peak(write_matrix, path, a) < 9 * n * n
+
+
+@pytest.mark.parametrize("n, r_upper", [(1500, 3), (600, 599)])
+def test_matrix_writer_holds_no_image(tmp_path, n, r_upper):
+    # the image is formatted in blocks of ROWS rows cut from the band, with
+    # their text written as it is made: a few such blocks of doubles, 17%
+    # and 43% of the n x n image's 8 n^2 bytes here
+    a = band(n, 3, r_upper, seed=3)
+    path = tmp_path / "m.txt"
+    write_matrix(path, a)
+    assert traced_peak(write_matrix, path, a) < 4 * 8 * ROWS * n
+
+
+def test_matrix_reader_holds_one_image(tmp_path):
+    # loadtxt's n x n result and O(ROWS n) more: the band check makes no
+    # n x n temporary
+    n = 2000
+    a = band(n, 3, 3, seed=2)
+    path = tmp_path / "m.txt"
+    write_matrix(path, a)
+    assert traced_peak(read_matrix, path) < 1.25 * 8 * n * n
 
 
 def planted(shape):
