@@ -20,7 +20,6 @@ import numpy as np
 from scipy.linalg.blas import dgbmv, dgemm, dtrsm
 from scipy.linalg.lapack import dtrtri
 
-from .dense_oracle import ROWS
 from .errors import BandPatternError
 
 __all__ = [
@@ -41,6 +40,7 @@ TILE = 128  # diagonals per tile of the constructor's copy and checks
 CHUNK = 2**15  # cells per chunk of ``all_finite``, 256 KB of doubles
 NORM_CHUNK = 2**18  # doubles per chunk of ``max_abs_row_sum``, 2 MB
 TEXT_CHUNK = 2**13  # values formatted by one ``%`` in ``write_rows``
+ROWS = 64  # rows per block of a dense n x n array written, read or checked
 
 
 class BandedMatrix:

@@ -14,12 +14,12 @@ import warnings
 import numpy as np
 import scipy.linalg
 
+from .banded import ROWS
 from .errors import SingularMatrixError
 
 __all__ = ["dense_invert", "numerical_rank"]
 
 _EPS = np.finfo(float).eps
-ROWS = 64  # rows per block of the dense checks
 
 
 def norm_inf(m):

@@ -26,8 +26,8 @@ import functools
 import numpy as np
 from scipy.linalg.blas import dtrsm
 
-from .banded import CHUNK, TEXT_CHUNK, all_finite, write_rows  # noqa: F401 (the writer's chunk, re-exported)
-from .dense_oracle import ROWS, norm_inf, numerical_rank
+from .banded import CHUNK, ROWS, TEXT_CHUNK, all_finite, write_rows  # noqa: F401 (the writer's chunk, re-exported)
+from .dense_oracle import norm_inf, numerical_rank
 
 TREE = 64  # blocks in a chain from which ``entry`` multiplies them pairwise
 TREE_MAX_R = 16  # past this order a block product costs more than the call it saves
@@ -226,10 +226,20 @@ def reconstruct_structured(g):
     from Y[:, r:] and zeros right of it; H_base moves on by one gemm with
     the panel's last X.
 
+    H_base is a product of up to n - r blocks without p, and LU blocks are
+    not bounded by 1.  So each panel's Y[:, :r] is scaled by a power of two
+    to at most 1 in size and H_base by the inverse power (exact scalings):
+    the head then holds about the panel's largest image row, and underflows
+    only where every row of the panel does.  When the head or the walk
+    overflows all the same (the image itself overflows in that row, and
+    the panel's smaller rows may not yet), the image is rebuilt by the
+    column walk ``_column_image``.
+
     O(n^2 r) arithmetic, plus O(n r^2 (r + IMAGE_PANEL)) in the walk, in
-    O(IMAGE_PANEL + n / IMAGE_PANEL) numpy calls.  Every cell of the result
-    is written once, from ``np.empty``; the working memory besides it, the
-    panels' X and Y, is O(n (r + IMAGE_PANEL)) for r up to IMAGE_PANEL.
+    O(IMAGE_PANEL + n / IMAGE_PANEL) numpy calls (O(n) on the column walk).
+    Every cell of the result is written once, from ``np.empty``; the working
+    memory besides it, the panels' X and Y, is O(n (r + IMAGE_PANEL)) for r
+    up to IMAGE_PANEL.
     """
     n, r, a, p, q = g.n, g.r, g.a, g.p, g.q
     m = n - r
@@ -239,26 +249,53 @@ def reconstruct_structured(g):
     # row t of a panel: y_{base+t} in its first r + t columns, zeros after them
     y = np.zeros((len(x), b, r + b))
     y[:, 0, :r] = p[::b]
-    for t in range(1, b + 1):
-        live = len(range(t - 1, m, b))  # the panels with a row base + t - 1
-        # numpy buffers an operand that overlaps the output, so X is updated in place
-        np.matmul(a[t - 1 :: b], x[:live, :, : r + t - 1], out=x[:live, :, : r + t - 1])
-        x[:live, :, r + t - 1] = q[t - 1 :: b]
-        if t < b:
-            live = len(range(t, m, b))
-            np.matmul(p[t::b, None], x[:live, :, : r + t], out=y[:live, t : t + 1, : r + t])
     out = np.empty((n, n))
-    head = np.empty((r, n))  # H_base in its first base + r columns
-    head[:, :r] = np.eye(r)
-    for i, base in enumerate(range(0, m, b)):
-        rows, w = min(b, m - base), base + r
-        block = out[base : base + rows]
-        np.matmul(y[i, :rows, :r], head[:, :w], out=block[:, :w])
-        block[:, w : w + rows] = y[i, :rows, r : r + rows]
-        block[:, w + rows :] = 0.0
-        head[:, :w] = x[i, :, :r] @ head[:, :w]
-        head[:, w : w + rows] = x[i, :, r : r + rows]
-    np.matmul(g.p_last, head, out=out[m:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, b + 1):
+            live = len(range(t - 1, m, b))  # the panels with a row base + t - 1
+            # numpy buffers an operand that overlaps the output, so X is updated in place
+            np.matmul(a[t - 1 :: b], x[:live, :, : r + t - 1], out=x[:live, :, : r + t - 1])
+            x[:live, :, r + t - 1] = q[t - 1 :: b]
+            if t < b:
+                live = len(range(t, m, b))
+                np.matmul(p[t::b, None], x[:live, :, : r + t], out=y[:live, t : t + 1, : r + t])
+        # panel i's Y[:, :r] is scaled by 2^-s[i], the head by 2^s[i]; s[-1] is p_last's
+        size = np.append(np.abs(y[:, :, :r]).max(axis=(1, 2)), np.abs(g.p_last).max())
+        s = np.minimum(np.frexp(size)[1], 1023)
+        y[:, :, :r] = np.ldexp(y[:, :, :r], -s[:-1, None, None])
+        head = np.empty((r, n))  # H_base 2^s[i] in its first base + r columns
+        head[:, :r] = np.ldexp(np.eye(r), s[0])
+        for i, base in enumerate(range(0, m, b)):
+            rows, w = min(b, m - base), base + r
+            block = out[base : base + rows]
+            np.matmul(y[i, :rows, :r], head[:, :w], out=block[:, :w])
+            block[:, w : w + rows] = y[i, :rows, r : r + rows]
+            block[:, w + rows :] = 0.0
+            head[:, :w] = np.ldexp(x[i, :, :r], s[i + 1] - s[i]) @ head[:, :w]
+            head[:, w : w + rows] = np.ldexp(x[i, :, r : r + rows], s[i + 1])
+        np.matmul(np.ldexp(g.p_last, -s[-1]), head, out=out[m:])
+        finite = all_finite(head)
+    return out if finite else _column_image(g, out)
+
+
+def _column_image(g, out):
+    """``reconstruct_structured`` into ``out`` one block column at a time:
+    column r + k - 2 from row k - 1 down is P_k q(k-1), with the tail stacks
+    P_k = [p(k); P_{k+1} a(k)] (1-based k) updated in one (n, r) array.  The
+    stacks carry p, so they overflow only where the image does.  O(n) numpy
+    calls, for the images whose panel heads overflowed."""
+    n, r = g.n, g.r
+    m = n - r
+    out.fill(0.0)
+    stack = np.empty((n, r))
+    stack[m:] = g.p_last
+    out[m:, n - 1] = g.p_last @ g.q[m - 1]
+    for k in range(m, 0, -1):
+        stack[k:] = stack[k:] @ g.a[k - 1]
+        stack[k - 1] = g.p[k - 1]
+        if k >= 2:
+            out[k - 1 :, r + k - 2] = stack[k - 1 :] @ g.q[k - 2]
+    out[:, :r] = stack
     return out
 
 

@@ -17,7 +17,7 @@ from greenband import (
     read_matrix,
     write_matrix,
 )
-from greenband.dense_oracle import ROWS
+from greenband.banded import ROWS
 
 # (n, r_lower, r_upper): r_upper 0, below, equal to and above r_lower, and
 # n - 1 (a full upper part); the last two have n = r_lower + 1

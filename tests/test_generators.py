@@ -25,8 +25,8 @@ from greenband import (
     write_generators,
 )
 from conftest import instance, random_generators, traced_peak
-from greenband.banded import CHUNK
-from greenband.dense_oracle import ROWS
+from greenband.banded import CHUNK, ROWS
+from greenband import generators
 from greenband.generators import IMAGE_PANEL, TEXT_CHUNK, TREE, TREE_MAX_R
 
 
@@ -701,52 +701,73 @@ def test_entry_keeps_the_chain_for_wide_blocks():
 
 
 def image_sizes(r):
-    # the panels cover block columns 2..n-r, n - r - 1 of them
+    # block columns 2..n-r in panels of IMAGE_PANEL, and the image's n - r
+    # upper rows in panels of IMAGE_PANEL: one row, a single short panel,
+    # exact multiples and short last panels of one row and of other lengths
     full = r + 1 + 2 * IMAGE_PANEL
-    return [r + 1, r + 2, r + 1 + IMAGE_PANEL // 2, full - 1, full, full + 1, full + 37]
+    b = IMAGE_PANEL
+    return sorted({r + 1, r + 2, r + 1 + b // 2, full - 1, full, full + 1, full + 37,
+                   b - 1, r + b, r + b + 1, r + 2 * b, r + 2 * b + 17, r + 3 * b - 1})
 
 
 @pytest.mark.parametrize("source", ["qr", "lu", "random"])
-@pytest.mark.parametrize("r", [1, 3])
+@pytest.mark.parametrize("r", [1, 3, 4])
 def test_reconstruct_matches_per_column_image(r, source):
+    # inverses of bands scaled far from 1 too: the rows' heads carry the
+    # chains a ... q, the per-column image the tail stacks p a ... a
+    scales = [1.0] if source == "random" else [1.0, 1e150, 1e-150]
     for n in image_sizes(r):
-        if source == "random":
-            g = random_generators(n, r, seed=n)
-        else:
-            g = inverse_of(instance(n, r, r, n, 1.0), source)
-        want = per_column_image(g)
-        got = reconstruct_structured(g)
-        assert got.shape == (n, n) and got.flags.c_contiguous
-        assert np.all(np.triu(got, r) == 0.0)
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), n
+        for scale in scales:
+            if source == "random":
+                g = random_generators(n, r, seed=n)
+            else:
+                g = inverse_of(instance(n, r, r, n, scale), source)
+            want = per_column_image(g)
+            got = reconstruct_structured(g)
+            assert got.shape == (n, n) and got.flags.c_contiguous
+            assert np.all(np.triu(got, r) == 0.0)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (n, scale)
 
 
-def row_panel_sizes(r):
-    # the image's panels cut its n - r upper rows into runs of IMAGE_PANEL:
-    # one row, a single short panel, one exact panel, a short last panel of
-    # one row, exact multiples and short last panels of other lengths
-    b = IMAGE_PANEL
-    return [r + 1, b - 1, r + b, r + b + 1, r + 2 * b, r + 2 * b + 17, r + 3 * b - 1]
+def bidiagonal(n, diag, sub):
+    bands = np.zeros((2, n))
+    bands[0], bands[1, :-1] = diag, sub
+    return BandedMatrix(n, 1, 0, bands)
+
+
+def assert_same_entries(got, want):
+    # entry by entry, for r = 1: the same non-finite cells, and each normal
+    # one, a product of at most n numbers, to n roundings
+    assert np.array_equal(np.isfinite(got), np.isfinite(want))
+    normal = np.isfinite(want) & (np.abs(want) >= np.finfo(float).tiny)
+    got, want = got[normal], want[normal]
+    assert np.all(np.abs(got - want) <= len(normal) * np.finfo(float).eps * np.abs(want))
 
 
 @pytest.mark.parametrize(
-    "source, scale",
-    [("random", 1.0)] + [(m, s) for m in ("qr", "lu") for s in (1.0, 1e150, 1e-150)],
+    "diag, sub, methods",
+    # p = 1e-150 and a = 2: heads past 2^1024, entries up to 1e-150 2^1098;
+    # p = 1e150 and a = 1/2: heads below 2^-1074, entries down to 1e150 2^-1098
+    [(1e150, -2e150, ["lu"]), (1e-150, -0.5e-150, ["lu", "qr"])],
 )
-@pytest.mark.parametrize("r", [1, 4])
-def test_row_panels_match_per_column_image(r, source, scale):
-    # the rows' heads carry the chains a ... q to the right, where the
-    # per-column image carries tail stacks p a ... a: far from 1 in scale,
-    # both must still agree
-    for n in row_panel_sizes(r):
-        if source == "random":
-            g = random_generators(n, r, seed=n)
-        else:
-            g = inverse_of(instance(n, r, r, n, scale), source)
-        want = per_column_image(g)
+def test_reconstruct_long_chains_of_growing_and_shrinking_blocks(monkeypatch, diag, sub, methods):
+    n = 1100
+    monkeypatch.setattr(generators, "_column_image", None)  # the panels alone
+    for method in methods:
+        g = inverse_of(bidiagonal(n, diag, sub), method)
+        assert_same_entries(reconstruct_structured(g), per_column_image(g))
+
+
+def test_reconstruct_rebuilds_an_overflowing_image_by_columns():
+    # p = 1 and a = 2: B[k, j] = 2^(k - j) overflows from k - j = 1024 on, and
+    # the heads, scaled to each panel's largest row, overflow in the panels'
+    # upper rows a little before the image does
+    g = inverse_of(bidiagonal(1100, 1.0, -2.0), "lu")
+    with np.errstate(over="ignore", invalid="ignore"):
         got = reconstruct_structured(g)
-        assert got.flags.c_contiguous and np.all(np.triu(got, r) == 0.0)
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), n
+        want = per_column_image(g)
+    assert not np.isfinite(want).all() and np.all(np.triu(got, 1) == 0.0)
+    assert_same_entries(got, want)
 
 
 @pytest.mark.parametrize("r", [1, 4])
@@ -760,7 +781,7 @@ def test_reconstruct_writes_every_cell(monkeypatch, r):
         arr.fill(np.nan)
         return arr
 
-    for n in row_panel_sizes(r):
+    for n in image_sizes(r):
         g = random_generators(n, r, seed=n)
         want = per_column_image(g)
         with monkeypatch.context() as patch:

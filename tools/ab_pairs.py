@@ -1,25 +1,23 @@
 """Alternating benchmark runs of two checkouts, and the rule for claiming a gain.
 
     python tools/ab_pairs.py PARENT CHANGE --workloads W [W ...] --seeds S [S ...]
-                             --seconds SEC [--trace 0|1] [--log FILE]
-    python tools/ab_pairs.py --summarize FILE
+                             --seconds SEC [--trace 0|1]
 
 PARENT and CHANGE are checkouts of the repository: say the parent commit
 unpacked by ``git archive`` and the working tree.  For each workload and
 seed the script runs ``perfbench/run.py`` once in each checkout, one process
 at a time; the side that goes first alternates from each seed to the next.
 Each run's result (the last line of its output) is printed as one JSON line
-``{"workload", "seed", "side", "result"}``, and appended to FILE with
-``--log``; ``--summarize`` reads such lines back.  The script itself writes
-nothing inside either checkout.
+``{"workload", "seed", "side", "result"}`` as soon as it ends, and the summary
+follows the last run.  The script itself writes nothing inside either
+checkout.
 
 The summary gives, per workload and metric, each side's median and
 quartiles, the change's wins out of all pairs (ties count for neither side)
 and whether a gain may be claimed: the change wins at least nine in ten
 pairs, and its median is better than the parent's by more than the parent's
 quartile distance.  Which way is better comes from the ``BENCHMARK.json``
-of CHANGE, or of the current directory with ``--summarize`` (lower when a
-metric is not listed there).
+of CHANGE (lower when a metric is not listed there).
 """
 
 import argparse
@@ -107,34 +105,24 @@ def report(rows):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", nargs="?")
-    ap.add_argument("change", nargs="?")
-    ap.add_argument("--workloads", nargs="+", default=[])
-    ap.add_argument("--seeds", nargs="+", type=int, default=[])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--workloads", nargs="+", required=True)
+    ap.add_argument("--seeds", nargs="+", type=int, required=True)
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--log", help="append each run's JSON line to this file")
-    ap.add_argument("--summarize", help="summarize the JSON lines of this file; run nothing")
     args = ap.parse_args(argv)
     lines = []
-    if args.summarize:
-        lines = Path(args.summarize).read_text().splitlines()
-    else:
-        if not (args.parent and args.change and args.workloads and args.seeds):
-            ap.error("give PARENT, CHANGE, --workloads and --seeds, or --summarize")
-        for k, seed in enumerate(args.seeds):
-            for workload in args.workloads:
-                # each workload's pairs alternate which side runs first
-                for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-                    checkout = args.parent if side == "parent" else args.change
-                    result = run_once(checkout, workload, seed, args.seconds, args.trace)
-                    line = json.dumps({"workload": workload, "seed": seed, "side": side, "result": result})
-                    print(line, flush=True)
-                    if args.log:
-                        with open(args.log, "a") as fh:
-                            fh.write(line + "\n")
-                    lines.append(line)
-    benchmark = Path(args.change or ".") / "BENCHMARK.json"
+    for k, seed in enumerate(args.seeds):
+        for workload in args.workloads:
+            # each workload's pairs alternate which side runs first
+            for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                checkout = args.parent if side == "parent" else args.change
+                result = run_once(checkout, workload, seed, args.seconds, args.trace)
+                line = json.dumps({"workload": workload, "seed": seed, "side": side, "result": result})
+                print(line, flush=True)
+                lines.append(line)
+    benchmark = Path(args.change) / "BENCHMARK.json"
     better = directions(benchmark) if benchmark.is_file() else {}
     print(report(summarize(lines, better)))
     return 0
