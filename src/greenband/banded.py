@@ -38,7 +38,7 @@ __all__ = [
 PANEL = 32  # columns per panel of the blocked QR and LU factorizations
 TILE = 128  # diagonals per tile of the constructor's copy and checks
 CHUNK = 2**15  # cells per chunk of ``all_finite``, 256 KB of doubles
-NORM_CHUNK = 2**18  # doubles per chunk of ``max_abs_row_sum``, 2 MB
+NORM_CHUNK = 2**18  # doubles per chunk of ``BandedMatrix.norm_inf``, 2 MB
 TEXT_CHUNK = 2**13  # values formatted by one ``%`` in ``write_rows``
 ROWS = 64  # rows per block of a dense n x n array written, read or checked
 
@@ -156,9 +156,25 @@ class BandedMatrix:
 
     def norm_inf(self):
         """Max absolute row sum, computed once per matrix from the
-        compressed band (``max_abs_row_sum``)."""
+        compressed band.
+
+        Columns j0:j1 of the (d, n) band array, read as stored, are the band
+        of a lower banded (j1 - j0 + d - 1) x (j1 - j0) matrix of order
+        d - 1 whose row t is row j0 - r_upper + t of A, so one ``dgbmv`` per
+        chunk of NORM_CHUNK cells adds their absolute values into the row
+        sums; the rows outside the matrix collect the zero corner cells.
+        """
         if self._norm is None:
-            self._norm = max_abs_row_sum(self.bands, self.r_upper)
+            d, n = self.bands.shape
+            step = max(1, NORM_CHUNK // d)
+            buf = np.empty((d, min(step, n)), order="F")
+            ones = np.ones(buf.shape[1])
+            sums = np.zeros(n + d - 1)  # rows -r_upper .. n - 1 + r_lower
+            for j0 in range(0, n, step):
+                blk = np.abs(self.bands[:, j0 : j0 + step], out=buf[:, : min(step, n - j0)])
+                c = blk.shape[1]
+                dgbmv(c + d - 1, c, d - 1, 0, 1.0, blk, ones, beta=1.0, y=sums, offy=j0, overwrite_y=1)
+            self._norm = float(sums[self.r_upper : self.r_upper + n].max())
         return self._norm
 
     def __eq__(self, other):
@@ -205,29 +221,6 @@ def band_block(bands, diagonal, above, below, i0, i1, j0, j1):
     below = min(max(below - i0 + j0, -cols), rows)
     out.T.reshape(-1)[_outside(rows, cols, above, below)] = 0.0
     return out
-
-
-def max_abs_row_sum(bands, diagonal):
-    """Largest absolute row sum of the n x n matrix whose cell (i, j) sits at
-    ``bands[diagonal + i - j, j]`` of the (d, n) array ``bands`` (any
-    strides), every cell of the array inside the matrix or zero.
-
-    Columns j0:j1 of the array, read as stored, are the band of a lower
-    banded (j1 - j0 + d - 1) x (j1 - j0) matrix of order d - 1 whose row t
-    is row j0 - diagonal + t of the matrix, so one ``dgbmv`` per chunk of
-    columns adds their absolute values into the row sums; the rows outside
-    the matrix collect the zero corner cells.
-    """
-    d, n = bands.shape
-    step = max(1, NORM_CHUNK // d)
-    buf = np.empty((d, min(step, n)), order="F")
-    ones = np.ones(buf.shape[1])
-    sums = np.zeros(n + d - 1)  # rows -diagonal .. n - 1 + d - 1 - diagonal
-    for j0 in range(0, n, step):
-        blk = np.abs(bands[:, j0 : j0 + step], out=buf[:, : min(step, n - j0)])
-        c = blk.shape[1]
-        dgbmv(c + d - 1, c, d - 1, 0, 1.0, blk, ones, beta=1.0, y=sums, offy=j0, overwrite_y=1)
-    return float(sums[diagonal : diagonal + n].max())
 
 
 def all_finite(arr):

@@ -26,7 +26,7 @@ import functools
 import numpy as np
 from scipy.linalg.blas import dtrsm
 
-from .banded import CHUNK, ROWS, TEXT_CHUNK, all_finite, write_rows  # noqa: F401 (the writer's chunk, re-exported)
+from .banded import CHUNK, ROWS, all_finite, write_rows
 from .dense_oracle import norm_inf, numerical_rank
 
 TREE = 64  # blocks in a chain from which ``entry`` multiplies them pairwise
@@ -506,8 +506,11 @@ def identity_residual(a, g):
 
     Working memory: the n x n reconstruction and O(ROWS n) more.  A @ B is
     formed ROWS rows at a time, cut to the columns left of the rows'
-    diagonal, from A's diagonals in turn.
+    diagonal, from A's diagonals in turn.  Raises ValueError when A and the
+    generators differ in size.
     """
+    if g.n != a.n:
+        raise ValueError(f"size mismatch: matrix n={a.n}, generators n={g.n}")
     b = reconstruct_structured(g)
     n, ru = a.n, a.r_upper
     worst = []

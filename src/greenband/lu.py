@@ -22,10 +22,12 @@ elimination reaches the columns right of it through ``dtrsm`` and
 ``dgemm`` or, on a right block wider than 2 (b + r) columns, as its
 explicit transform, one ``dgemm``.  No row is ever swapped: the method
 requires strong regularity, and a pivot that is zero to working precision
-raises ZeroPivotError.  The factorization records its growth factor so
-instability on nearly-singular leading blocks is observable, and which of
-the two factorizations ran.
+raises ZeroPivotError.  The factorization names which of the two ran, and
+gives its growth factor, computed on first read from R's panels, so that
+instability on nearly-singular leading blocks is observable.
 """
+
+import functools
 
 import numpy as np
 import scipy.linalg
@@ -38,7 +40,6 @@ from .banded import (
     band_block,
     elimination_transform,
     factor_panels,
-    max_abs_row_sum,
     panel_edges,
     require_two_sided,
     singularity_tol,
@@ -65,22 +66,28 @@ class LuFactorization(PanelFactorization):
     columns 1.. of ``u``, holds in ``f[k-1]`` the r multipliers eliminating
     column k (they sit in L(k+1:k+r, k), 1-based); the rows k > n-r, whose
     columns of L shrink at the matrix edge, are zero-padded.  ``width`` =
-    max(r_lower, r_upper) is at least the upper bandwidth of R.  ``growth``
-    is max_k ||R(k, k:)||_1 / ||A||_inf, the largest absolute row sum of R
-    against that of A; row k of R is the pivot row of step k.  ``path``
-    names the factorization that ran: ``"dgbtrf"`` (LAPACK's band LU in one
-    call) or ``"panels"`` (the panel loop).
+    max(r_lower, r_upper) is at least the upper bandwidth of R.  ``norm`` is
+    ||A||_inf.  ``path`` names the factorization that ran: ``"dgbtrf"``
+    (LAPACK's band LU in one call) or ``"panels"`` (the panel loop).
     """
 
-    def __init__(self, n, r, u, x, tops, width, growth, path="panels"):
+    def __init__(self, n, r, u, x, tops, width, norm, path="panels"):
         super().__init__(n, r, x, tops, width, u, np.broadcast_to(np.eye(1, r + 1), u.shape))
         self.f = u[:, 1:]
-        self.growth = growth
+        self.norm = norm
         self._path = path
 
     @property
     def path(self):
         return self._path
+
+    @functools.cached_property
+    def growth(self):
+        """max_k ||R(k, k:)||_1 / ||A||_inf, the largest absolute row sum of
+        R against that of A (row k of R is the pivot row of step k), computed
+        on first read from ``tops``, whatever the route: ``triu`` drops L's
+        multipliers below each panel's diagonal."""
+        return max(np.abs(np.triu(top)).sum(axis=1).max() for top in self.tops) / (self.norm or 1.0)
 
     def panel_transform(self, i, u, w):
         """No M, and F of the elimination steps of panel i, given as the
@@ -131,10 +138,9 @@ def _factor_band(a, width, tol, norm):
     U's diagonal, the r_upper rows above it U's superdiagonals (the r_lower
     rows on top are fill-in, zero when no row was swapped) and the r_lower
     rows below it L's multipliers.  So x is one row, u = [0 | f] one
-    transposing copy, each panel's ``tops`` one strided read
-    (``banded.band_block``) and the growth one ``dgbmv`` on |U|'s band
-    (``banded.max_abs_row_sum``).  An exactly zero pivot (``info`` > 0) is
-    left in place by ``dgbtrf`` and caught by the pivot check.
+    transposing copy and each panel's ``tops`` one strided read
+    (``banded.band_block``).  An exactly zero pivot (``info`` > 0) is left
+    in place by ``dgbtrf`` and caught by the pivot check.
     """
     n, r, s = a.n, a.r_lower, a.r_upper
     diag = r + s
@@ -155,8 +161,7 @@ def _factor_band(a, width, tol, norm):
         band_block(band, diag, s, r, k0, k1, k0, min(k1 + width, n))
         for k0, k1 in panel_edges(n, r)
     ]
-    growth = max_abs_row_sum(band[r : diag + 1], s) / (norm or 1.0)
-    return LuFactorization(n, r, u, x, tops, width, growth, path="dgbtrf")
+    return LuFactorization(n, r, u, x, tops, width, norm, path="dgbtrf")
 
 
 def _factor_panels(a, width, tol, norm):
@@ -165,9 +170,7 @@ def _factor_panels(a, width, tol, norm):
     that is the unpivoted factorization up to rounding; otherwise the panel
     is restored from a copy and eliminated one column at a time
     (``_eliminate``), as the unpivoted method requires.  Then ``_update``
-    gives the panel's rows of R right of it and updates the r rows below.
-    The growth factor is summed after the loop, over R's contiguous panels
-    (``_growth``)."""
+    gives the panel's rows of R right of it and updates the r rows below."""
     n, r = a.n, a.r_lower
     b_max = min(n, PANEL + r)  # columns of the widest panel, the last one
     saved = np.empty((b_max + r, b_max), order="F")
@@ -189,25 +192,7 @@ def _factor_panels(a, width, tol, norm):
 
     x, tops, u = factor_panels(a, width, reduce)
     u[:, 0] = 0.0
-    return LuFactorization(n, r, u, x, tops, width, _growth(tops) / (norm or 1.0))
-
-
-def _growth(tops):
-    """The largest absolute row sum of R, from its panels ``tops``: one
-    ``dgemv`` per panel on its contiguous absolute values, in one buffer,
-    with L's multipliers below the panel's diagonal masked out."""
-    b_max = max(len(top) for top in tops)
-    cols = max(top.shape[1] for top in tops)
-    buf = np.empty(b_max * cols)
-    ones = np.ones(cols)
-    upper = np.triu(np.ones((b_max, b_max)))
-    growth = 0.0
-    for top in tops:
-        b, c = top.shape
-        rows = np.abs(top, out=buf[: b * c].reshape((b, c), order="F"))
-        rows[:, :b] *= upper[:b, :b]
-        growth = max(growth, (rows @ ones[:c]).max())
-    return growth
+    return LuFactorization(n, r, u, x, tops, width, norm)
 
 
 def _update(w, b):

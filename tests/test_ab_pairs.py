@@ -25,8 +25,8 @@ def lines_of(parent, change, metric="round_cal_p50", workload="generator_io", se
             for s, p, c in zip(seeds, parent, change) for side, v in (("parent", p), ("change", c))]
 
 
-def only_row(lines, better=None):
-    (row,) = ab_pairs.summarize(lines, better)
+def only_row(lines, better=None, bound=None):
+    (row,) = ab_pairs.summarize(lines, better, bound)
     return row
 
 
@@ -81,3 +81,51 @@ def test_workloads_and_metrics_have_rows_of_their_own():
         ("narrow_band", "round_cal_p50"), ("narrow_band", "setup_s"),
     ]
     assert "generator_io" in ab_pairs.report(rows)
+
+
+BOUND = {"round_cal_p50": 0.25, "setup_s": 0.25, "qr.gflops": 0.25}
+# two modes, as setup_s shows: quartiles 9.575 and 13.95 about a median of
+# 10.1, a distance past a quarter of the median
+BIMODAL = [9.0, 9.5, 10.0, 14.0, 15.0, 9.2, 14.5, 9.8, 13.8, 10.2]
+
+
+def test_the_bound_in_the_benchmark_file_is_read_for_end_to_end_metrics_only():
+    assert ab_pairs.bounds(ROOT / "BENCHMARK.json") == {"setup_s": 0.25, "peak_rss_mb": 0.05, "round_cal_p50": 0.25}
+
+
+def test_a_median_worse_by_more_than_the_bound_is_worse():
+    row = only_row(lines_of(PARENT, [1.3 * p for p in PARENT]), bound=BOUND)
+    assert row["verdict"] == "worse"
+    # worse even where the parent's quartiles are too far apart to resolve
+    assert only_row(lines_of(BIMODAL, [1.3 * p for p in BIMODAL], "setup_s"), bound=BOUND)["verdict"] == "worse"
+
+
+def test_a_median_worse_within_the_bound_is_in_bound():
+    row = only_row(lines_of(PARENT, [1.2 * p for p in PARENT]), bound=BOUND)
+    assert (row["wins"], row["verdict"]) == (0, "in bound")
+
+
+def test_quartiles_wider_than_the_bound_leave_it_unresolved():
+    assert only_row(lines_of(BIMODAL, BIMODAL, "setup_s"), bound=BOUND)["verdict"] == "unresolved"
+    # a change better than the parent in the median is unresolved too
+    change = [0.9 * p for p in BIMODAL]
+    assert only_row(lines_of(BIMODAL, change, "setup_s"), bound=BOUND)["verdict"] == "unresolved"
+
+
+def test_every_change_run_beating_every_parent_run_is_in_bound():
+    change = [p - 6.5 for p in BIMODAL]  # the largest, 8.5, below the parent's least, 9.0
+    assert only_row(lines_of(BIMODAL, change, "setup_s"), bound=BOUND)["verdict"] == "in bound"
+
+
+def test_a_higher_is_better_metric_is_worse_downward():
+    better = {"qr.gflops": "higher"}
+    down = only_row(lines_of(PARENT, [0.7 * p for p in PARENT], "qr.gflops"), better, BOUND)
+    up = only_row(lines_of(PARENT, [1.3 * p for p in PARENT], "qr.gflops"), better, BOUND)
+    assert (down["verdict"], up["verdict"]) == ("worse", "in bound")
+
+
+def test_a_metric_without_a_bound_gets_no_verdict():
+    rows = ab_pairs.summarize(lines_of(PARENT, [2.0 * p for p in PARENT], "lu.invert_s"), bound=BOUND)
+    assert rows[0]["verdict"] is None
+    text = ab_pairs.report(rows + ab_pairs.summarize(lines_of(PARENT, PARENT), bound=BOUND))
+    assert "in bound" in text and " - " in text

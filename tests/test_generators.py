@@ -25,9 +25,9 @@ from greenband import (
     write_generators,
 )
 from conftest import instance, random_generators, traced_peak
-from greenband.banded import CHUNK, ROWS
+from greenband.banded import CHUNK, ROWS, TEXT_CHUNK
 from greenband import generators
-from greenband.generators import IMAGE_PANEL, TEXT_CHUNK, TREE, TREE_MAX_R
+from greenband.generators import IMAGE_PANEL, TREE, TREE_MAX_R
 
 
 def ones_generators(n, r=1):
@@ -386,6 +386,16 @@ def test_identity_residual_cannot_see_q(method):
     assert identity_residual(a, scaled["q"]) <= 1e-15
     assert covered_relative_error(reconstruct_structured(scaled["q"]), ref, 3) >= 0.05
     assert identity_residual(a, scaled["p"]) >= 1e-2
+
+
+@pytest.mark.parametrize("n_gens", [50, 30])
+def test_identity_residual_names_both_sizes_on_a_mismatch(n_gens):
+    # generators larger than the matrix would give a number, smaller ones
+    # numpy's broadcast error; either way both sizes are named first
+    a = random_band(40, 3, 3, seed=17, diag_shift=3.0)
+    g = invert_lower_band_qr(random_band(n_gens, 3, 3, seed=17, diag_shift=3.0))
+    with pytest.raises(ValueError, match=f"matrix n=40, generators n={n_gens}"):
+        identity_residual(a, g)
 
 
 def three_array_error(b, reference, r):

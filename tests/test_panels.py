@@ -303,7 +303,7 @@ def test_lu_panels_that_dgetrf_would_pivot_take_the_column_loop(
         x, tops, f = column_loop_factorization(a)
         assert same_bits(fact, (x, tops, f))
         u = np.hstack((np.zeros((n, 1)), f))
-        want = inverse_generators(lu_module.LuFactorization(n, r, u, x, tops, fact.width, fact.growth))
+        want = inverse_generators(lu_module.LuFactorization(n, r, u, x, tops, fact.width, a.norm_inf()))
         got = invert_lower_band_lu(a)
         for name in ("p", "q", "p_last", "a"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -364,9 +364,9 @@ def test_lu_zero_pivot_is_named_on_both_branches(monkeypatch, plant, column, r_l
     ],
 )
 def test_lu_growth_is_the_largest_row_sum_of_r(offset, upper, last):
-    # growth = max_k ||R(k, k:)||_1 / ||A||_inf: on dgbtrf's branch one dgbmv
-    # on |U|'s band, on the panel loop's summed panel by panel with the
-    # multipliers below each panel's diagonal masked out.  The loop runs
+    # growth = max_k ||R(k, k:)||_1 / ||A||_inf: on either branch summed
+    # over R's panels with the multipliers below each panel's diagonal
+    # masked out, when it is first read.  The loop runs
     # where dgbtrf would swap (an entry three times its pivot below it) and
     # on a full upper part past dgbtrf's rule (n - 1 > 2 (PANEL + r)).
     # Scaling the rows of the last panel (PANEL + r - 1 or PANEL + r + 1
@@ -392,6 +392,31 @@ def test_lu_growth_is_the_largest_row_sum_of_r(offset, upper, last):
     loop = upper in ("equal, swapped", "full past the rule") or (last and upper == "zero")
     assert fact.path == ("panels" if loop else "dgbtrf")
     assert fact.growth == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("route", ["dgbtrf", "dgetrf", "column loop"])
+def test_no_inversion_computes_the_growth(monkeypatch, route):
+    # the growth is computed on its first read, so the stage, which reads
+    # every panel of R, leaves it uncomputed on each route: dgbtrf's, the
+    # panel loop past dgbtrf's rule, and the column loop after a swap
+    r = 5
+    n = r + 3 * PANEL + 1
+    r_upper = n - 1 if route == "dgetrf" else r
+    dense = instance(n, r, r_upper, seed=n, scale=1.0).to_dense()
+    if route == "column loop":
+        dense[PANEL // 2 + 1, PANEL // 2] = 3.0 * dense[PANEL // 2, PANEL // 2]
+    a = BandedMatrix.from_dense(dense, r, r_upper)
+    calls = {}
+    counting(monkeypatch, lu_module, "_eliminate", calls)
+    fact = lu_factor_lower_band(a)
+    assert fact.path == ("dgbtrf" if route == "dgbtrf" else "panels")
+    assert calls == ({"_eliminate": 1} if route == "column loop" else {})
+    inverse_generators(fact)
+    assert "growth" not in vars(fact)
+    _, up = dense_unpivoted_lu(dense)
+    expected = np.abs(up).sum(axis=1).max() / np.abs(dense).sum(axis=1).max()
+    assert fact.growth == pytest.approx(expected, rel=1e-13)
+    assert vars(fact)["growth"] == fact.growth
 
 
 def loop_factorization(a):

@@ -18,6 +18,13 @@ and whether a gain may be claimed: the change wins at least nine in ten
 pairs, and its median is better than the parent's by more than the parent's
 quartile distance.  Which way is better comes from the ``BENCHMARK.json``
 of CHANGE (lower when a metric is not listed there).
+
+Each ``end_to_end`` metric of that file also gets a no-regression verdict,
+its ``bound`` read as a fraction of the parent's median: ``worse`` when the
+change's median is worse than the parent's by more than the bound;
+otherwise ``unresolved`` when the parent's quartile distance exceeds the
+bound, unless every change run beats every parent run; otherwise
+``in bound``.  Per-layer metrics get no verdict.
 """
 
 import argparse
@@ -49,6 +56,25 @@ def directions(benchmark):
     return {m["name"]: m["better"] for key in ("end_to_end", "per_layer") for m in spec.get(key, [])}
 
 
+def bounds(benchmark):
+    """End-to-end metric name -> its bound, from a BENCHMARK.json file."""
+    spec = json.loads(Path(benchmark).read_text())
+    return {m["name"]: m["bound"] for m in spec.get("end_to_end", [])}
+
+
+def verdict(parent, change, sign, bound):
+    """The no-regression verdict on one metric's runs, ``bound`` a fraction
+    of the parent's median; ``sign`` is 1 when lower is better, -1 when
+    higher is."""
+    (p1, pm, p3), cm = quartiles(parent), statistics.median(change)
+    margin = bound * abs(pm)
+    if sign * (cm - pm) > margin:
+        return "worse"
+    if p3 - p1 > margin and not all(sign * c < sign * p for c in change for p in parent):
+        return "unresolved"
+    return "in bound"
+
+
 def quartiles(values):
     """(first quartile, median, third quartile) of the values."""
     if len(values) == 1:
@@ -57,14 +83,16 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def summarize(lines, better=None):
+def summarize(lines, better=None, bound=None):
     """One row per (workload, metric) from JSON lines of runs.
 
     A row holds each side's (q1, median, q3), the failed and attempted ops
-    of each side, the change's wins, the pairs and ``claim``: at least nine
+    of each side, the change's wins, the pairs, ``claim``: at least nine
     tenths of the pairs won and a median gain larger than the parent's
-    quartile distance.  A pair is a workload and seed run on both sides."""
-    better = better or {}
+    quartile distance, and ``verdict``: the no-regression verdict of a
+    metric with a ``bound``, None for the others.  A pair is a workload and
+    seed run on both sides."""
+    better, bound = better or {}, bound or {}
     runs = {}
     for line in lines:
         if line.strip():
@@ -87,6 +115,7 @@ def summarize(lines, better=None):
                 "workload": workload, "metric": metric, "pairs": len(pairs), "wins": wins,
                 **stats, "failed": ops,
                 "claim": wins >= 0.9 * len(pairs) and sign * (pm - cm) > p3 - p1,
+                "verdict": verdict(vals["parent"], vals["change"], sign, bound[metric]) if metric in bound else None,
             })
     return rows
 
@@ -94,12 +123,13 @@ def summarize(lines, better=None):
 def report(rows):
     """The summary rows as text, one line each."""
     out = [f"{'workload':<14} {'metric':<32} {'parent median [q1, q3]':>36} {'change median [q1, q3]':>36} "
-           f"{'wins':>7}  claim   failed (parent, change)"]
+           f"{'wins':>7}  claim   {'verdict':<10}  failed (parent, change)"]
     for row in rows:
         parent, change = ("{1:.6g} [{0:.6g}, {2:.6g}]".format(*row[side]) for side in SIDES)
         failed = ", ".join(f"{f}/{a}" for f, a in (row["failed"][s] for s in SIDES))
         out.append(f"{row['workload']:<14} {row['metric']:<32} {parent:>36} {change:>36} "
-                   f"{row['wins']:>3}/{row['pairs']:<3}  {'holds' if row['claim'] else 'no':<6}  {failed}")
+                   f"{row['wins']:>3}/{row['pairs']:<3}  {'holds' if row['claim'] else 'no':<6}  "
+                   f"{row['verdict'] or '-':<10}  {failed}")
     return "\n".join(out)
 
 
@@ -123,8 +153,8 @@ def main(argv=None):
                 print(line, flush=True)
                 lines.append(line)
     benchmark = Path(args.change) / "BENCHMARK.json"
-    better = directions(benchmark) if benchmark.is_file() else {}
-    print(report(summarize(lines, better)))
+    better, bound = (directions(benchmark), bounds(benchmark)) if benchmark.is_file() else ({}, {})
+    print(report(summarize(lines, better, bound)))
     return 0
 
 
