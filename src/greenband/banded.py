@@ -104,9 +104,10 @@ class BandedMatrix:
         # time, the first offending block naming its first such entry
         for i0 in range(0, n, ROWS):
             block = dense[i0 : i0 + ROWS]
-            off_band = block - np.tril(np.triu(block, i0 - r_lower), i0 + r_upper)
-            if np.any(off_band != 0.0):
-                bad = np.argwhere(off_band != 0.0)[0]
+            off_band = np.tril(block, i0 - r_lower - 1) != 0.0
+            off_band |= np.triu(block, i0 + r_upper + 1) != 0.0
+            if np.any(off_band):
+                bad = np.argwhere(off_band)[0]
                 raise BandPatternError(
                     f"entry ({i0 + bad[0]}, {bad[1]}) is nonzero outside the declared band"
                 )
@@ -326,14 +327,15 @@ class PanelFactorization:
 
     def inverse_product(self):
         """G^{-1} as a descending ``TransformProduct``: the blocks
-        G_0 .. G_{n-r-1} whole, and the product G_{n-2} ... G_{n-r} of the
-        closing blocks, shrunk to sizes r..2 at the matrix edge, on the
-        trailing r x r window (G_{n-1} is the identity)."""
+        G_0 .. G_{n-r-1} whole, as one (n - r, r + 1, r + 1) array, and the
+        product G_{n-2} ... G_{n-r} of the closing blocks, shrunk to sizes
+        r..2 at the matrix edge, on the trailing r x r window (G_{n-1} is
+        the identity)."""
         # not at the top: transforms imports generators, which imports banded
         from .transforms import TransformProduct
 
         n, r, u, w = self.n, self.r, self.u, self.w
-        factors = [np.eye(r + 1) - np.outer(u[k], w[k]) for k in range(n - r)]
+        factors = np.eye(r + 1) - u[: n - r, :, None] * w[: n - r, None, :]
         last = np.eye(r)
         for j in range(r - 1):
             k, size = n - r + j, r - j

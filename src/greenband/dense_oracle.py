@@ -14,12 +14,10 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from .banded import ROWS
+from .banded import ROWS, singularity_tol
 from .errors import SingularMatrixError
 
 __all__ = ["dense_invert", "numerical_rank"]
-
-_EPS = np.finfo(float).eps
 
 
 def norm_inf(m):
@@ -41,7 +39,7 @@ def dense_invert(m):
     n = m.shape[0]
     if m.shape != (n, n):
         raise ValueError("input must be square")
-    tol = n * _EPS * norm_inf(m)
+    tol = singularity_tol(n, norm_inf(m))
     try:
         with warnings.catch_warnings():
             # exact singularity surfaces through the pivot check below

@@ -279,9 +279,8 @@ def elementary_factors_from_entrywise(l, r):
     corner[:r, :r] = scipy.linalg.solve_triangular(
         l[:r, :r], np.eye(r), lower=True, unit_diagonal=True, check_finite=False
     )
-    factors = []
-    for k1 in range(1, n - r + 1):
-        blk = np.eye(r + 1)
-        blk[r, :r] = -l[k1 + r - 1, k1 - 1 : k1 + r - 1]
-        factors.append(blk if k1 > 1 else blk @ corner)
+    k = np.arange(n - r)[:, None]
+    factors = np.tile(np.eye(r + 1), (n - r, 1, 1))
+    factors[:, r, :r] = -l[k + r, k + np.arange(r)]
+    factors[0] = factors[0] @ corner
     return TransformProduct(n, r, factors, np.eye(r))

@@ -13,11 +13,14 @@ generators are read off the 2 x 2 partition of each factor
            [a(k), q(k)]]        (1 x r, 1 x 1, r x r, r x 1)
 
 with p_last = G_{n-r+1}, and d(k) = G[k-1, k+r-1] are the block-diagonal
-entries.
+entries.  A ``TransformProduct`` holds the G_k as one (n - r, r + 1, r + 1)
+array: the generators are read from it as four slices, and it is built from
+them by four slice assignments, with no loop over the blocks.
 """
 
 import numpy as np
 
+from .banded import all_finite
 from .generators import GreenGenerators
 
 __all__ = [
@@ -30,24 +33,31 @@ __all__ = [
 
 class TransformProduct:
     """The descending product of the factors G_k ((r+1) x (r+1),
-    k = 1..n-r) and a trailing r x r block."""
+    k = 1..n-r) and a trailing r x r block.
+
+    ``factors`` holds the G_k as one C-contiguous (n - r, r + 1, r + 1)
+    array, ``factors[k - 1]`` being G_k; any array-like of that shape, such
+    as a list of blocks, is accepted.  ``factors`` and ``last`` are
+    read-only views, as in ``GreenGenerators``: the generators that
+    ``generators_from_transforms`` slices from them may share their memory.
+    The caller's arrays stay writable."""
 
     def __init__(self, n, r, factors, last):
         if not n > r > 0:
             raise ValueError(f"need n > r > 0, got n={n}, r={r}")
-        factors = [np.ascontiguousarray(f, dtype=float) for f in factors]
-        if len(factors) != n - r:
-            raise ValueError(f"expected {n - r} factors, got {len(factors)}")
-        for f in factors:
-            if f.shape != (r + 1, r + 1):
-                raise ValueError(f"factors must be {(r + 1, r + 1)}, got {f.shape}")
+        factors = np.ascontiguousarray(factors, dtype=float)
+        if factors.shape != (n - r, r + 1, r + 1):
+            raise ValueError(f"factors must be {(n - r, r + 1, r + 1)}, got {factors.shape}")
         last = np.ascontiguousarray(last, dtype=float)
         if last.shape != (r, r):
             raise ValueError(f"trailing block must be {(r, r)}, got {last.shape}")
+        if not (all_finite(factors) and all_finite(last)):
+            raise ValueError("factor entries must be finite")
         self.n = int(n)
         self.r = int(r)
-        self.factors = factors
-        self.last = last
+        self.factors, self.last = factors.view(), last.view()
+        for arr in (self.factors, self.last):
+            arr.setflags(write=False)
 
     def __repr__(self):
         return f"TransformProduct(n={self.n}, r={self.r})"
@@ -69,34 +79,21 @@ def generators_from_transforms(t):
     Returns (GreenGenerators, d) where d[k] holds the entries G[k, k + r]
     (0-based).
     """
-    n, r = t.n, t.r
-    m = n - r
-    p = np.empty((m, r))
-    q = np.empty((m, r))
-    a = np.empty((m, r, r))
-    d = np.empty(m)
-    for k in range(m):
-        f = t.factors[k]
-        p[k] = f[0, :r]
-        d[k] = f[0, r]
-        a[k] = f[1:, :r]
-        q[k] = f[1:, r]
-    return GreenGenerators(n, r, p, q, a, t.last), d
+    f, r = t.factors, t.r
+    g = GreenGenerators(t.n, r, f[:, 0, :r], f[:, 1:, r], f[:, 1:, :r], t.last)
+    return g, f[:, 0, r].copy()
 
 
 def transforms_from_generators(g, d):
     """Assemble the descending product whose generators and block-diagonal
     entries are (g, d); inverse of generators_from_transforms."""
     d = np.asarray(d, dtype=float)
-    m = g.n - g.r
-    if d.shape != (m,):
-        raise ValueError(f"expected {m} diagonal entries, got {d.shape}")
-    factors = []
-    for k in range(m):
-        f = np.empty((g.r + 1, g.r + 1))
-        f[0, : g.r] = g.p[k]
-        f[0, g.r] = d[k]
-        f[1:, : g.r] = g.a[k]
-        f[1:, g.r] = g.q[k]
-        factors.append(f)
-    return TransformProduct(g.n, g.r, factors, g.p_last)
+    n, r = g.n, g.r
+    if d.shape != (n - r,):
+        raise ValueError(f"expected {n - r} diagonal entries, got {d.shape}")
+    f = np.empty((n - r, r + 1, r + 1))
+    f[:, 0, :r] = g.p
+    f[:, 0, r] = d
+    f[:, 1:, :r] = g.a
+    f[:, 1:, r] = g.q
+    return TransformProduct(n, r, f, g.p_last)

@@ -157,6 +157,50 @@ def test_band_pattern_error_names_the_first_off_band_entry(r_lower, r_upper):
             BandedMatrix.from_dense(dense, r_lower, r_upper)
 
 
+NONFINITE_BAND = (2 * ROWS + 9, 2, 1)
+# in-band cells on both sides of the first ROWS block edge
+IN_BAND_CELLS = [(ROWS - 1, ROWS - 3), (ROWS - 1, ROWS), (ROWS, ROWS - 2), (ROWS, ROWS + 1)]
+
+
+def matrix_text(dense, r_lower, r_upper):
+    """The matrix file format of ``dense``, written without a ``BandedMatrix``
+    (which cannot hold a non-finite entry)."""
+    rows = (",".join(repr(float(x)) for x in row) for row in dense)
+    return f"{len(dense)} {r_lower} {r_upper}\n" + "".join(row + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("cell", IN_BAND_CELLS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_in_band_nonfinite_entries_are_reported_as_not_finite(tmp_path, cell, bad):
+    # an in-band NaN or inf is no band violation: the constructor rejects it,
+    # and read_matrix names the path
+    n, r_lower, r_upper = NONFINITE_BAND
+    dense = np.tril(np.triu(np.ones((n, n)), -r_lower), r_upper)
+    dense[cell] = bad
+    with pytest.raises(ValueError, match="finite") as info:
+        BandedMatrix.from_dense(dense, r_lower, r_upper)
+    assert not isinstance(info.value, BandPatternError)
+    path = tmp_path / "m.txt"
+    path.write_text(matrix_text(dense, r_lower, r_upper))
+    with pytest.raises(BandPatternError, match=re.escape(f"{path}: ") + ".*finite"):
+        read_matrix(path)
+
+
+@pytest.mark.parametrize("cell", [(ROWS - 1, 0), (ROWS - 1, ROWS + 1), (ROWS, ROWS - 3), (ROWS, ROWS + 2)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_off_band_nonfinite_entries_are_named(tmp_path, cell, bad):
+    n, r_lower, r_upper = NONFINITE_BAND
+    dense = np.tril(np.triu(np.ones((n, n)), -r_lower), r_upper)
+    dense[cell] = bad
+    message = re.escape(f"entry {cell} is nonzero outside the declared band")
+    with pytest.raises(BandPatternError, match=message):
+        BandedMatrix.from_dense(dense, r_lower, r_upper)
+    path = tmp_path / "m.txt"
+    path.write_text(matrix_text(dense, r_lower, r_upper))
+    with pytest.raises(BandPatternError, match=re.escape(f"{path}: ") + message):
+        read_matrix(path)
+
+
 def test_sparsity_pattern_reproduced_exactly():
     a = random_band(12, 2, 4, seed=3, diag_shift=0.5)
     dense = a.to_dense()

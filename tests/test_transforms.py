@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from greenband import (
     TransformProduct,
     check_green_rank,
+    elementary_factors_from_entrywise,
     expand_transform_product,
     generators_from_transforms,
+    lu_factor_lower_band,
     qr_factor_lower_band,
     random_band,
     reconstruct_structured,
@@ -125,3 +128,84 @@ def test_descending_products_are_green_and_upper_banded():
         dense = expand_transform_product(t)
         assert check_green_rank(dense, r, 1e-10)
         assert np.all(np.triu(dense, r + 1) == 0.0)
+
+
+def test_factors_are_one_stacked_array():
+    # a list of blocks is stacked into one C-contiguous array, read as before
+    t = random_product(7, 2, seed=9)
+    assert t.factors.shape == (5, 3, 3) and t.factors.flags.c_contiguous
+    assert len(t.factors) == 5 and t.factors[4].shape == (3, 3)
+    assert all(f.shape == (3, 3) for f in t.factors)
+    blocks = [np.array(f) for f in t.factors]
+    t2 = TransformProduct(7, 2, blocks, t.last)
+    assert np.array_equal(t2.factors, t.factors)
+
+
+@pytest.mark.parametrize(
+    "n, r, factors, last, message",
+    [
+        (2, 2, [], np.eye(2), "need n > r > 0"),
+        (3, 0, [np.eye(1)] * 3, np.eye(0), "need n > r > 0"),
+        (4, 1, [np.eye(2)] * 2, [[1.0]], "factors must be"),  # one factor short
+        (4, 1, [np.eye(2)] * 4, [[1.0]], "factors must be"),  # one too many
+        (4, 1, [np.eye(3)] * 3, [[1.0]], "factors must be"),  # blocks of size r + 2
+        (4, 1, [np.eye(2), np.eye(2), np.eye(3)], [[1.0]], None),  # ragged
+        (4, 1, [np.eye(2)] * 3, np.eye(2), "trailing block must be"),
+        (4, 1, [np.eye(2)] * 3, [1.0], "trailing block must be"),
+    ],
+    ids=["n-equals-r", "r-zero", "too-few", "too-many", "block-size", "ragged", "last-2x2",
+         "last-1d"],
+)
+def test_constructor_rejects_bad_shapes(n, r, factors, last, message):
+    with pytest.raises(ValueError, match=message):
+        TransformProduct(n, r, factors, last)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_constructor_rejects_nonfinite_entries(bad):
+    blocks = [np.eye(2), np.eye(2)]
+    wrong = np.eye(2)
+    wrong[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        TransformProduct(3, 1, [blocks[0], wrong], [[1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        TransformProduct(3, 1, blocks, [[bad]])
+
+
+def test_factors_are_read_only_views():
+    # generators sliced from a product (p is C-contiguous at n = r + 1, so
+    # shared) cannot change under their feet; the caller's arrays can
+    blocks, last = np.eye(3)[None].copy(), np.eye(2)
+    t = TransformProduct(3, 2, blocks, last)
+    g, _ = generators_from_transforms(t)
+    for arr in (t.factors, t.last):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 5.0
+    blocks[0, 0, 0] = last[0, 0] = 5.0
+    assert t.factors[0, 0, 0] == 5.0 and g.p[0, 0] == 5.0 and t.last[0, 0] == 5.0
+
+
+@pytest.mark.parametrize("n, r_lower, r_upper", [(40, 3, 3), (40, 4, 39), (70, 40, 30)])
+def test_product_builders_match_the_per_block_reference(n, r_lower, r_upper):
+    # the stacked builders do each block's arithmetic as the per-block loop
+    # does, so the blocks are equal, bit for bit
+    a = random_band(n, r_lower, r_upper, seed=31, diag_shift=float(r_lower + r_upper + 2))
+    for fact in (qr_factor_lower_band(a), lu_factor_lower_band(a)):
+        u, w, r = fact.u, fact.w, fact.r
+        t = fact.inverse_product()
+        reference = [np.eye(r + 1) - np.outer(u[k], w[k]) for k in range(n - r)]
+        assert np.array_equal(t.factors, np.stack(reference))
+        g, d = generators_from_transforms(t)
+        for k, f in enumerate(reference):
+            assert np.array_equal(g.p[k], f[0, :r]) and d[k] == f[0, r]
+            assert np.array_equal(g.a[k], f[1:, :r]) and np.array_equal(g.q[k], f[1:, r])
+    low, r = fact.l_dense(), r_lower
+    corner = np.eye(r + 1)
+    corner[:r, :r] = scipy.linalg.solve_triangular(low[:r, :r], np.eye(r), lower=True,
+                                                   unit_diagonal=True)
+    reference = []
+    for k in range(n - r):
+        blk = np.eye(r + 1)
+        blk[r, :r] = -low[k + r, k : k + r]
+        reference.append(blk if k else blk @ corner)
+    assert np.array_equal(elementary_factors_from_entrywise(low, r).factors, np.stack(reference))
