@@ -236,6 +236,20 @@ def all_finite(arr):
     return True
 
 
+def checked(arr, shape, name):
+    """A read-only view of ``arr`` as a C-contiguous float array: the
+    caller's own memory when it is one already, and the caller's array stays
+    writable.  Raises ValueError, naming the array ``name``, when its shape
+    is not ``shape`` or an entry is not finite."""
+    out = np.ascontiguousarray(arr, dtype=float).view()
+    if out.shape != shape:
+        raise ValueError(f"{name} must be {shape}, got {out.shape}")
+    if not all_finite(out):
+        raise ValueError(f"{name} entries must be finite")
+    out.setflags(write=False)
+    return out
+
+
 def _corner_nonzero(bands, k):
     """True if a cell (d, j) of ``bands`` with d + j < k, in the top-left
     triangle of the band layout, is nonzero.
@@ -497,10 +511,11 @@ def prescribed_condition_band(n, r, target_cond, seed):
     Since U is orthogonal and 0.8 <= sigma(B) <= 1.2, kappa_2(A) lands in
     [target_cond / 1.5, 1.5 * target_cond] by construction, no iteration
     needed.  B couples the graded diagonal so that inverting A genuinely
-    suffers the usual eps * kappa error growth.
+    suffers the usual eps * kappa error growth.  Raises ValueError unless
+    ``target_cond`` is finite and at least 1.
     """
-    if target_cond < 1.0:
-        raise ValueError("target_cond must be >= 1")
+    if not 1.0 <= target_cond < np.inf:
+        raise ValueError(f"target_cond must be finite and >= 1, got {target_cond}")
     if not n > r > 0:
         raise ValueError(f"need n > r > 0, got n={n}, r={r}")
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -82,14 +82,14 @@ class SlopeFit:
 def slope_fit(points):
     """Ordinary least squares on (ln n, ln t) for a list of (n, t) pairs.
 
-    Requires at least three points with positive values and non-degenerate
-    abscissae.
+    Requires at least three points with positive finite values and
+    non-degenerate abscissae; raises ValueError otherwise.
     """
     pts = [(float(n), float(t)) for n, t in points]
     if len(pts) < 3:
         raise ValueError("slope fit needs at least 3 points")
-    if any(n <= 0 or t <= 0 for n, t in pts):
-        raise ValueError("slope fit needs positive sizes and times")
+    if not all(0 < v < np.inf for pt in pts for v in pt):
+        raise ValueError("slope fit needs positive finite sizes and times")
     ln = np.log([n for n, _ in pts])
     lt = np.log([t for _, t in pts])
     if np.ptp(ln) == 0.0:

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from .banded import ROWS, singularity_tol
+from .banded import ROWS, all_finite, checked, singularity_tol
 from .errors import SingularMatrixError
 
 __all__ = ["dense_invert", "numerical_rank"]
@@ -30,15 +30,15 @@ def norm_inf(m):
 def dense_invert(m):
     """Inverse of a square matrix by row-pivoted Gaussian elimination.
 
-    Raises SingularMatrixError when some elimination pivot falls below
+    Raises ValueError when M is not square or an entry is not finite, and
+    SingularMatrixError when some elimination pivot falls below
     ``n * eps * ||M||_inf`` (singular to working precision).  Besides its
-    n x n result it holds one n x n array, the LU factors: the solve
-    overwrites an identity allocated in LAPACK's (Fortran) order.
+    n x n result it holds one n x n array, the LU factors (and a copy of M
+    unless M is a C-contiguous float array): the solve overwrites an
+    identity allocated in LAPACK's (Fortran) order.
     """
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError("input must be square")
+    n = len(m)
+    m = checked(m, (n, n), "M")
     tol = singularity_tol(n, norm_inf(m))
     try:
         with warnings.catch_warnings():
@@ -61,13 +61,16 @@ def dense_invert(m):
 def numerical_rank(m, tol):
     """Numerical rank by Gaussian elimination with complete pivoting.
 
-    Counts the pivots whose magnitude exceeds ``tol`` times the largest pivot.
+    Counts the pivots whose magnitude exceeds ``tol`` times the largest
+    pivot.  Raises ValueError when M is not 2-D or an entry is not finite.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     work = np.array(m, dtype=float)
     if work.ndim != 2:
         raise ValueError("input must be a matrix")
+    if not all_finite(work):
+        raise ValueError("M entries must be finite")
     pivots = []
     for _ in range(min(work.shape)):
         i, j = np.unravel_index(np.argmax(np.abs(work)), work.shape)

@@ -26,7 +26,7 @@ import functools
 import numpy as np
 from scipy.linalg.blas import dtrsm
 
-from .banded import CHUNK, ROWS, all_finite, write_rows
+from .banded import CHUNK, ROWS, all_finite, checked, write_rows
 from .dense_oracle import norm_inf, numerical_rank
 
 TREE = 64  # blocks in a chain from which ``entry`` multiplies them pairwise
@@ -52,10 +52,11 @@ class GreenGenerators:
 
     p : (n - r, r) rows, q : (n - r, r) columns, a : (n - r, r, r) blocks,
     p_last : (r, r) closing block.  Any finite parameter set defines a valid
-    lower Green matrix; no further constraints are imposed.  C-contiguous
-    float arrays are shared with the caller, not copied; the instance holds
-    read-only views of them so it can be shared across threads, and the
-    caller's arrays stay writable.
+    lower Green matrix; no further constraints are imposed, and a wrong
+    shape or an entry that is not finite raises ValueError naming the array.
+    C-contiguous float arrays are shared with the caller, not copied; the
+    instance holds read-only views of them so it can be shared across
+    threads, and the caller's arrays stay writable.
 
     The generators of an inverse hold the factors (u, w) of their blocks
     instead of a: a(k) = S - u_k[1:] w_k[:r]^T, S the r x r shift, is an
@@ -67,13 +68,7 @@ class GreenGenerators:
 
     def __init__(self, n, r, p, q, a, p_last):
         self._hold(n, r, p, q, p_last)
-        m = self.n - self.r
-        self._a = np.ascontiguousarray(a, dtype=float).view()
-        if self._a.shape != (m, r, r):
-            raise ValueError(f"a must have shape {(m, r, r)}")
-        if not all_finite(self._a):
-            raise ValueError("generator entries must be finite")
-        self._a.setflags(write=False)
+        self._a = checked(a, (self.n - self.r, self.r, self.r), "a")
 
     @classmethod
     def _compact(cls, n, r, p, q, p_last, u, w):
@@ -106,20 +101,11 @@ class GreenGenerators:
         p_last."""
         if not n > r > 0:
             raise ValueError(f"need n > r > 0, got n={n}, r={r}")
-        self.n = int(n)
-        self.r = int(r)
-        self.p, self.q, self.p_last = (
-            np.ascontiguousarray(arr, dtype=float).view() for arr in (p, q, p_last)
-        )
+        self.n, self.r = int(n), int(r)
         m = self.n - self.r
-        if self.p.shape != (m, r) or self.q.shape != (m, r):
-            raise ValueError(f"p and q must have shape {(m, r)}")
-        if self.p_last.shape != (r, r):
-            raise ValueError(f"p_last must have shape {(r, r)}")
-        if not all(all_finite(arr) for arr in (self.p, self.q, self.p_last)):
-            raise ValueError("generator entries must be finite")
-        for arr in (self.p, self.q, self.p_last):
-            arr.setflags(write=False)
+        self.p = checked(p, (m, self.r), "p")
+        self.q = checked(q, (m, self.r), "q")
+        self.p_last = checked(p_last, (self.r, self.r), "p_last")
 
     @property
     def a(self):
@@ -321,12 +307,11 @@ def check_green_rank(b, r, tol, upper=False):
     rank at most r.
 
     With ``upper=True`` the transposed pattern ``B[:k + r, k:]`` is checked
-    instead (the two-sided case).
+    instead (the two-sided case).  Raises ValueError when B is not square or
+    an entry is not finite.
     """
-    b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    if b.shape != (n, n):
-        raise ValueError("input must be square")
+    n = len(b)
+    b = checked(b, (n, n), "B")
     if upper:
         b = b.T
     for k in range(n - r):
@@ -340,12 +325,12 @@ def multiply_upper_triangular(s, g):
 
     The product is again lower Green of the same order: q and a carry over
     unchanged, the closing block becomes S[n-r:, n-r:] p_last, and p(k)
-    becomes S[k-1, k-1:] P_k, the row of S on the tail stack of B.
+    becomes S[k-1, k-1:] P_k, the row of S on the tail stack of B.  Raises
+    ValueError when S is not n x n, has an entry that is not finite or is not
+    upper triangular.
     """
-    s = np.asarray(s, dtype=float)
     n, r = g.n, g.r
-    if s.shape != (n, n):
-        raise ValueError(f"S must be {n} x {n}")
+    s = checked(s, (n, n), "S")
     if np.any(np.tril(s, -1) != 0.0):
         raise ValueError("S must be upper triangular")
     stacks = tail_stacks(g)
@@ -557,7 +542,11 @@ def write_generators(path, g):
 
 
 def read_generators(path):
-    """Parse the generator interchange format written by write_generators."""
+    """Parse the generator interchange format written by write_generators.
+
+    Each field must have the shape that the writer writes and finite
+    values; a file that is not so, or not JSON, raises ValueError with its
+    path."""
     import json
 
     try:
@@ -571,13 +560,12 @@ def read_generators(path):
             raise ValueError(f"n and r must be integers, got {n!r} and {r!r}")
         n, r = int(n), int(r)
         m = n - r
-        p = np.array(data["p"], dtype=float).reshape(m, r)
-        q = np.array(data["q"], dtype=float).reshape(m, r)
-        a = np.array(data["a"], dtype=float).reshape(m, r, r)
-        p_last = np.array(data["p_last"], dtype=float).reshape(r, r)
-        return GreenGenerators(n, r, p, q, a, p_last)
+        a = checked(data["a"], (m, r * r), "a").reshape(m, r, r)
+        p_last = checked(data["p_last"], (r * r,), "p_last").reshape(r, r)
+        return GreenGenerators(n, r, data["p"], data["q"], a, p_last)
     # a truncated or otherwise unparsable file raises json.JSONDecodeError,
-    # and bad sizes or a NaN or Infinity entry (which json accepts) raise in
-    # GreenGenerators: each a ValueError, reported with the path
+    # and a field of the wrong shape or with a NaN or Infinity entry (which
+    # json accepts) raises in ``checked``: each a ValueError, reported with
+    # the path
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed generator file: {exc}") from exc

@@ -38,6 +38,7 @@ from .banded import (
     PANEL,
     PanelFactorization,
     band_block,
+    checked,
     elimination_transform,
     factor_panels,
     panel_edges,
@@ -263,12 +264,11 @@ def elementary_factors_from_entrywise(l, r):
     fill an (r+1)-window) acts on rows/columns 1..r, so it is absorbed into
     the k = 1 factor.  Multiplying L by the expanded result gives the
     identity.  The input must be exactly unit lower triangular with lower
-    bandwidth r.
+    bandwidth r; a non-square L, an entry that is not finite or any other
+    pattern raises ValueError.
     """
-    l = np.asarray(l, dtype=float)
-    n = l.shape[0]
-    if l.shape != (n, n):
-        raise ValueError("input must be square")
+    n = len(l)
+    l = checked(l, (n, n), "L")
     if np.any(np.diagonal(l) != 1.0):
         raise ValueError("input must have a unit diagonal")
     if np.any(np.triu(l, 1) != 0.0):

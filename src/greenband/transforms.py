@@ -20,7 +20,7 @@ them by four slice assignments, with no loop over the blocks.
 
 import numpy as np
 
-from .banded import all_finite
+from .banded import checked
 from .generators import GreenGenerators
 
 __all__ = [
@@ -40,24 +40,15 @@ class TransformProduct:
     as a list of blocks, is accepted.  ``factors`` and ``last`` are
     read-only views, as in ``GreenGenerators``: the generators that
     ``generators_from_transforms`` slices from them may share their memory.
-    The caller's arrays stay writable."""
+    The caller's arrays stay writable.  A wrong shape or an entry that is
+    not finite raises ValueError naming the array."""
 
     def __init__(self, n, r, factors, last):
         if not n > r > 0:
             raise ValueError(f"need n > r > 0, got n={n}, r={r}")
-        factors = np.ascontiguousarray(factors, dtype=float)
-        if factors.shape != (n - r, r + 1, r + 1):
-            raise ValueError(f"factors must be {(n - r, r + 1, r + 1)}, got {factors.shape}")
-        last = np.ascontiguousarray(last, dtype=float)
-        if last.shape != (r, r):
-            raise ValueError(f"trailing block must be {(r, r)}, got {last.shape}")
-        if not (all_finite(factors) and all_finite(last)):
-            raise ValueError("factor entries must be finite")
-        self.n = int(n)
-        self.r = int(r)
-        self.factors, self.last = factors.view(), last.view()
-        for arr in (self.factors, self.last):
-            arr.setflags(write=False)
+        self.n, self.r = int(n), int(r)
+        self.factors = checked(factors, (self.n - self.r, self.r + 1, self.r + 1), "factors")
+        self.last = checked(last, (self.r, self.r), "trailing block")
 
     def __repr__(self):
         return f"TransformProduct(n={self.n}, r={self.r})"
@@ -86,11 +77,10 @@ def generators_from_transforms(t):
 
 def transforms_from_generators(g, d):
     """Assemble the descending product whose generators and block-diagonal
-    entries are (g, d); inverse of generators_from_transforms."""
-    d = np.asarray(d, dtype=float)
+    entries are (g, d); inverse of generators_from_transforms.  Raises
+    ValueError when d does not hold n - r finite entries."""
     n, r = g.n, g.r
-    if d.shape != (n - r,):
-        raise ValueError(f"expected {n - r} diagonal entries, got {d.shape}")
+    d = checked(d, (n - r,), "d")
     f = np.empty((n - r, r + 1, r + 1))
     f[:, 0, :r] = g.p
     f[:, 0, r] = d

@@ -129,3 +129,28 @@ def test_a_metric_without_a_bound_gets_no_verdict():
     assert rows[0]["verdict"] is None
     text = ab_pairs.report(rows + ab_pairs.summarize(lines_of(PARENT, PARENT), bound=BOUND))
     assert "in bound" in text and " - " in text
+
+
+def test_saved_runs_of_two_sessions_are_summarized_together(tmp_path, capsys):
+    # each file as the script prints it: the run lines, then the summary
+    first, second = lines_of(PARENT[:5], PARENT[:5]), lines_of(PARENT[5:], PARENT[5:], seeds=range(5, 10))
+    paths = [tmp_path / "first.txt", tmp_path / "second.txt"]
+    for path, lines in zip(paths, (first, second)):
+        path.write_text("\n".join(lines + [ab_pairs.report(ab_pairs.summarize(lines))]) + "\n")
+    assert ab_pairs.saved_lines(paths) == first + second
+    assert ab_pairs.main(["--saved", *map(str, paths)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 and " 0/10 " in out[1]
+    assert out[1].split()[:2] == ["generator_io", "round_cal_p50"] and "in bound" in out[1]
+
+
+def test_a_run_saved_twice_is_an_error(tmp_path):
+    lines = lines_of(PARENT[:3], PARENT[:3])
+    paths = [tmp_path / "first.txt", tmp_path / "again.txt"]
+    paths[0].write_text("\n".join(lines) + "\n")
+    paths[1].write_text(lines[4] + "\n")  # seed 2, parent side, once more
+    with pytest.raises(ValueError, match=r"again.txt:1: run \('generator_io', 2, 'parent'\) also at .*first.txt:5"):
+        ab_pairs.saved_lines(paths)
+    with pytest.raises(SystemExit) as info:
+        ab_pairs.main(["--saved", *map(str, paths)])
+    assert info.value.code == 2

@@ -243,6 +243,13 @@ def test_prescribed_condition_unitary_limit():
     assert 1.0 <= np.linalg.cond(a.to_dense(), 2) <= 2.0
 
 
+@pytest.mark.parametrize("target", [float("nan"), float("inf"), float("1e400"), 0.5],
+                         ids=["nan", "inf", "1e400", "0.5"])
+def test_prescribed_condition_rejects_a_target_that_is_not_finite_or_below_one(target):
+    with pytest.raises(ValueError, match="target_cond must be finite and >= 1"):
+        prescribed_condition_band(10, 2, target, seed=0)
+
+
 @pytest.mark.parametrize("target,lo,hi", [(1e6, 5e5, 2e6), (1e1, 5.0, 20.0)])
 def test_prescribed_condition_hits_target(target, lo, hi):
     a = prescribed_condition_band(100, 5, target, seed=9)

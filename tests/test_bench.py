@@ -44,6 +44,16 @@ def test_slope_fit_rejects_degenerate_input():
         slope_fit([(10, 1.0), (20, 0.0), (30, 3.0)])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("1e400")],
+                         ids=["nan", "inf", "1e400"])
+@pytest.mark.parametrize("where", [0, 1], ids=["size", "time"])
+def test_slope_fit_rejects_a_nonfinite_size_or_time(bad, where):
+    points = [[10, 1.0], [20, 2.0], [30, 3.0]]
+    points[1][where] = bad
+    with pytest.raises(ValueError, match="finite"):
+        slope_fit(points)
+
+
 def test_run_bench_records_and_csv(tmp_path):
     recs = run_bench([12, 16, 24], r=2, method="qr", trials=1, seed=0, oracle_cutoff=16)
     assert [rec.n for rec in recs] == [12, 16, 24]

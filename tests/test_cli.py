@@ -61,6 +61,15 @@ def test_gen_cond_with_banded_upper_part_exit_2(tmp_path, capsys, r_upper):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cond", ["nan", "inf", "1e400"])
+def test_gen_cond_not_finite_exit_2(tmp_path, capsys, cond):
+    # no RuntimeWarning either: pytest.ini turns one into an error
+    out = tmp_path / "x.txt"
+    assert run("gen", "--n", 10, "--r", 2, "--cond", cond, "--out", out) == 2
+    assert "target_cond must be finite and >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("r_upper", ["full", 9])
 def test_gen_cond_with_full_upper_part(tmp_path, r_upper):
     out = tmp_path / "x.txt"

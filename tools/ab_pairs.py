@@ -2,6 +2,7 @@
 
     python tools/ab_pairs.py PARENT CHANGE --workloads W [W ...] --seeds S [S ...]
                              --seconds SEC [--trace 0|1]
+    python tools/ab_pairs.py --saved FILE [FILE ...]
 
 PARENT and CHANGE are checkouts of the repository: say the parent commit
 unpacked by ``git archive`` and the working tree.  For each workload and
@@ -19,6 +20,13 @@ pairs, and its median is better than the parent's by more than the parent's
 quartile distance.  Which way is better comes from the ``BENCHMARK.json``
 of CHANGE (lower when a metric is not listed there).
 
+``--saved`` runs nothing: it reads the JSON run lines from files of the
+script's saved output (other lines, such as a summary, are skipped) and
+prints their summary, so that pairs from several sessions, such as a second
+set on fresh seeds, are judged together.  A (workload, seed, side) found
+twice is an error, so that no run counts twice.  Directions and bounds then
+come from the ``BENCHMARK.json`` of the checkout that holds the script.
+
 Each ``end_to_end`` metric of that file also gets a no-regression verdict,
 its ``bound`` read as a fraction of the parent's median: ``worse`` when the
 change's median is worse than the parent's by more than the bound;
@@ -35,6 +43,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_once(checkout, workload, seed, seconds, trace):
@@ -48,6 +57,39 @@ def run_once(checkout, workload, seed, seconds, trace):
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{checkout}: {workload} seed {seed} exited {proc.returncode}: {proc.stderr[-2000:]}")
     return json.loads(lines[-1])
+
+
+def run_pairs(args):
+    """Run every pair that ``args`` names, printing each run's line as it
+    ends; returns the lines."""
+    lines = []
+    for k, seed in enumerate(args.seeds):
+        for workload in args.workloads:
+            # each workload's pairs alternate which side runs first
+            for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                checkout = args.parent if side == "parent" else args.change
+                result = run_once(checkout, workload, seed, args.seconds, args.trace)
+                line = json.dumps({"workload": workload, "seed": seed, "side": side, "result": result})
+                print(line, flush=True)
+                lines.append(line)
+    return lines
+
+
+def saved_lines(paths):
+    """The run lines of files of saved output, in order; any other line is
+    skipped.  Raises ValueError when a (workload, seed, side) appears twice,
+    naming both places."""
+    lines, seen = [], {}
+    for path in paths:
+        for number, line in enumerate(Path(path).read_text().splitlines(), 1):
+            if line.startswith("{"):
+                rec = json.loads(line)
+                key = rec["workload"], rec["seed"], rec["side"]
+                if key in seen:
+                    raise ValueError(f"{path}:{number}: run {key} also at {seen[key]}")
+                seen[key] = f"{path}:{number}"
+                lines.append(line)
+    return lines
 
 
 def directions(benchmark):
@@ -135,24 +177,30 @@ def report(rows):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent")
-    ap.add_argument("change")
-    ap.add_argument("--workloads", nargs="+", required=True)
-    ap.add_argument("--seeds", nargs="+", type=int, required=True)
+    ap.add_argument("parent", nargs="?")
+    ap.add_argument("change", nargs="?")
+    ap.add_argument("--saved", nargs="+", metavar="FILE",
+                    help="summarize the runs saved in these files instead of running any")
+    ap.add_argument("--workloads", nargs="+")
+    ap.add_argument("--seeds", nargs="+", type=int)
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
-    lines = []
-    for k, seed in enumerate(args.seeds):
-        for workload in args.workloads:
-            # each workload's pairs alternate which side runs first
-            for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-                checkout = args.parent if side == "parent" else args.change
-                result = run_once(checkout, workload, seed, args.seconds, args.trace)
-                line = json.dumps({"workload": workload, "seed": seed, "side": side, "result": result})
-                print(line, flush=True)
-                lines.append(line)
-    benchmark = Path(args.change) / "BENCHMARK.json"
+    if args.saved:
+        if args.parent or args.workloads or args.seeds:
+            ap.error("--saved takes no checkouts, workloads or seeds")
+        try:
+            lines = saved_lines(args.saved)
+        except ValueError as exc:
+            ap.error(str(exc))
+        benchmark = ROOT / "BENCHMARK.json"
+    else:
+        if not (args.change and args.workloads and args.seeds):
+            ap.error("PARENT, CHANGE, --workloads and --seeds are required without --saved")
+        if len(set(args.seeds)) < len(args.seeds):
+            ap.error("a seed is given twice")
+        lines = run_pairs(args)
+        benchmark = Path(args.change) / "BENCHMARK.json"
     better, bound = (directions(benchmark), bounds(benchmark)) if benchmark.is_file() else ({}, {})
     print(report(summarize(lines, better, bound)))
     return 0
