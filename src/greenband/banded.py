@@ -286,6 +286,15 @@ def _outside(rows, cols, above, below):
 
 
 @functools.lru_cache(maxsize=256)
+def strictly_lower(rows, cols):
+    """The rows x cols mask of the cells below the diagonal, Fortran-ordered
+    like the windows that it masks, read-only."""
+    low = np.greater.outer(np.arange(rows), np.arange(cols)).astype(float, order="F")
+    low.setflags(write=False)
+    return low
+
+
+@functools.lru_cache(maxsize=256)
 def _diagonals(b, rows):
     """Fortran-order flat indices of the cells (l + t, l), l < b and
     t = 0..rows - b, of a window of ``rows`` rows: row l holds the
@@ -313,13 +322,20 @@ class PanelFactorization:
     product of the blocks G_k = I - u_k w_k^T on rows and columns k..k+r,
     with ``u`` and ``w`` (n, r+1), zero past the matrix edge.  The
     inversions read only (u, w); ``inverse_product`` builds G^{-1}'s blocks
-    from it on demand.  Each method's class gives the generator stage its
-    panels' explicit transforms: ``panel_transform(i, u, w)`` returns panel
-    i's (M, F): F the descending product of its blocks, M the factor of
-    their ascending product, or None where the stage needs none (LU).
+    from it on demand.
+
+    The generator stage takes each panel's explicit transforms from
+    ``panel_transform(i, u, w)``: panel i's (M, F), F the descending
+    product of its blocks and M the factor of their ascending product, or
+    None where the stage needs none (LU).  ``transforms[i]`` is the pair
+    that ``factor_panels`` kept for a panel with a wide right block,
+    read-only, so that threads can share it, and None for the others,
+    whose pair each method's class builds on each call
+    (``build_transform``): every panel's transform is built once per
+    inversion.
     """
 
-    def __init__(self, n, r, x, tops, width, u, w):
+    def __init__(self, n, r, x, tops, width, u, w, transforms=None):
         self.n = n
         self.r = r
         self.x = x
@@ -327,6 +343,14 @@ class PanelFactorization:
         self.width = width
         self.u = u
         self.w = w
+        self.transforms = transforms or [None] * len(tops)
+
+    def panel_transform(self, i, u, w):
+        """Panel i's (M, F): the kept pair, or else the one that
+        ``build_transform`` makes from the panel's (b + r) x b matrices u
+        and w."""
+        kept = self.transforms[i]
+        return self.build_transform(i, u, w) if kept is None else kept
 
     @property
     def rows(self):
@@ -365,39 +389,61 @@ def factor_panels(a, width, reduce):
     Panels of PANEL columns, the last one running to column n, each read
     their (b + r) x (b + width) window, clipped at the matrix edge, with the
     r rows that the previous panel transformed in its corner, and
-    ``reduce(w, k0, b)`` turns the window's top b rows into the panel's rows
-    of R, with the method's r entries below each diagonal entry, in place.
-    Column k's transform spans rows k..k+r: O(n r (r + width)) arithmetic up
-    to the panel's fill, O(n r^2) for a two-sided band and O(n^2 r) for a
-    full upper part.
+    ``reduce(w, k0, b, wide)`` turns the window's first b columns into the
+    panel's part of R, with the method's r entries below each diagonal
+    entry, in place.  Column k's transform spans rows k..k+r:
+    O(n r (r + width)) arithmetic up to the panel's fill, O(n r^2) for a
+    two-sided band and O(n^2 r) for a full upper part.
 
-    Returns x (R's diagonal), the panels' Fortran-ordered ``tops`` and an
+    The panel's transform reaches the block C right of it in one of two
+    ways.  A block at most 2 (b + r) columns wide (every two-sided
+    window's, at most 2 r wide) takes LAPACK's blocked update inside
+    ``reduce``, which returns None: an explicit matrix would cost as much
+    as it saves there.  A wider block (``wide``, by ``wide_right_block``:
+    the long rows of a one-sided band) is left alone by ``reduce``, which
+    returns the panel's (M, F) instead (``compact_transform``,
+    ``reflection_transform`` or ``elimination_transform``), and the loop
+    applies F in two ``dgemm`` calls, several times faster there than the
+    blocked update: F[:b] C straight into the panel's new top, right of its
+    b x b block, and F[b:] C, the r rows carried to the next panel, back
+    into the window.  The pair is kept, read-only, for the generator stage,
+    which then builds none for that panel.
+
+    Returns x (R's diagonal), the panels' Fortran-ordered ``tops``, an
     (n, r + 1) array whose columns 1.. hold the entries below each diagonal
-    entry, zero past the matrix edge; column 0, a copy of x, is left to the
-    method.  Each panel's diagonal and the entries below it are one gather
-    from its window, at indices cached per window height (``_diagonals``).
-
-    ``reduce`` also applies the panel's transform to the columns right of
-    it.  A right block wider than 2 (b + r) columns (``wide_right_block``:
-    the long rows of a one-sided band) takes it as an explicit matrix
-    (``compact_transform``, ``reflection_transform`` or
-    ``elimination_transform``) in one ``dgemm``, several times faster there
-    than LAPACK's blocked update, which narrower blocks keep (every
-    two-sided window's, at most 2 r wide): there the matrix costs as much
-    as it saves.
+    entry, zero past the matrix edge (column 0, a copy of x, is left to the
+    method), and each panel's kept (M, F) or None.  Each panel's diagonal
+    and the entries below it are one gather from its window, at indices
+    cached per window height (``_diagonals``).
     """
     n, r = a.n, a.r_lower
-    tops = []
+    tops, kept = [], []
     below = np.empty((n, r + 1))
     carried = None
     for k0, k1 in panel_edges(n, r):
         b = k1 - k0
         w = a.panel(k0, b + r, min(b + width, n - k0), carried)
-        reduce(w, k0, b)
+        transform = reduce(w, k0, b, wide_right_block(w.shape[1] - b, b + r))
         below[k0:k1] = w.T.reshape(-1)[_diagonals(b, b + r)]
-        tops.append(w[:b].copy(order="F"))
+        if transform is None:
+            top = w[:b].copy(order="F")
+        else:
+            f, c = transform[1], w[:, b:]
+            top = np.empty((b, w.shape[1]), order="F")
+            top[:, :b] = w[:b, :b]
+            dgemm(1.0, f[:b], c, c=top[:, b:], overwrite_c=1)
+            # the carried rows go back into the window, as on the narrow
+            # path: as an array of their own, alive across the next panel's
+            # allocations, they fragmented the heap and raised the peak RSS
+            # of a loop of one-sided inversions by 7%
+            w[b:, b:] = dgemm(1.0, f[b:], c)
+            for arr in transform:
+                if arr is not None:
+                    arr.setflags(write=False)
+        tops.append(top)
         carried = w[b:, b:]
-    return below[:, 0].copy(), tops, below
+        kept.append(transform)
+    return below[:, 0].copy(), tops, below, kept
 
 
 def panel_edges(n, r):

@@ -26,7 +26,7 @@ import functools
 import numpy as np
 from scipy.linalg.blas import dtrsm
 
-from .banded import CHUNK, ROWS, all_finite, checked, write_rows
+from .banded import CHUNK, ROWS, all_finite, checked, strictly_lower, write_rows
 from .dense_oracle import norm_inf, numerical_rank
 
 TREE = 64  # blocks in a chain from which ``entry`` multiplies them pairwise
@@ -348,14 +348,6 @@ def _skewed(b, r, count):
     return mats, buf.reshape(count, b, b + r + 1)[:, :, : r + 1]
 
 
-@functools.lru_cache(maxsize=8)
-def _strictly_lower(b):
-    """The b x b mask of the cells below the diagonal, read-only."""
-    low = np.tri(b, b, -1)
-    low.setflags(write=False)
-    return low
-
-
 def inverse_generators(fact):
     """Generators of A^{-1} = R^{-1} V from the factorization A = G R,
     ``fact`` a ``QrFactorization`` or an ``LuFactorization``, one panel of
@@ -380,10 +372,13 @@ def inverse_generators(fact):
 
     - F = G_{j1-1} ... G_{j0} on the rows and columns j0..j1+r-1 is an
       explicit matrix, and M the factor of the ascending product
-      G_{j0} ... G_{j1-1} = I - M W^T, both built by the factorization from
-      the panel's one triangular factor (``fact.panel_transform``): QR's
-      from LAPACK's T or from the compact form, LU's F from L11^{-1},
-      with no M;
+      G_{j0} ... G_{j1-1} = I - M W^T, both from the factorization
+      (``fact.panel_transform``): the read-only pair that its panel loop
+      built and kept for a panel with a wide right block, else built here
+      from the panel's one triangular factor, QR's from LAPACK's T or from
+      the compact form, LU's F from L11^{-1}, with no M.  Either way each
+      panel's pair is built once per inversion, and the stage writes into
+      no array of the factorization, so threads may share one;
     - Z = R(J, J)^{-1} (F[:b] - R(J, j1:) P F[b:]) is Z_{j0} there, where P
       is the stack below J (none below the last panel);
     - the stack at row j0 is [Z[:, :r]; P F[b:, :r]], cut to ``width`` rows;
@@ -399,7 +394,7 @@ def inverse_generators(fact):
     G_{m-1} (m = n - r): the closing block p_last is Z_m[m:, m:m+r].
 
     A panel costs about ten BLAS calls: one ``dtrsm`` (the solve with
-    R(J, J)) besides its transform's.  Its arithmetic is
+    R(J, J)) besides its transform's, if it builds one.  Its arithmetic is
     O(b (b + r)^2 + h r (b + r)) for a stack of h <= width rows: O(n r^2)
     in all for a two-sided band (width <= 2r, r up to b) and O(n^2 r) for
     a full upper part (width n - 1).
@@ -442,7 +437,7 @@ def inverse_generators(fact):
         e = min(m - j0, b)  # rows e.. of the last panel are the bottom r rows
         if mult is not None:
             prefix = z @ mult
-            prefix *= _strictly_lower(b)
+            prefix *= strictly_lower(b, b)
             prefix[:, e:] = 0.0  # the bottom rows' prefix stops at row m
             z -= prefix @ wt
         p[j0 : j0 + e] = bands[2, :e, :r]

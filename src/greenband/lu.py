@@ -20,7 +20,8 @@ reduces each panel, and a panel on which its partial pivoting would swap
 rows is restored and eliminated column by column instead.  The panel's
 elimination reaches the columns right of it through ``dtrsm`` and
 ``dgemm`` or, on a right block wider than 2 (b + r) columns, as its
-explicit transform, one ``dgemm``.  No row is ever swapped: the method
+explicit transform, built once, applied by the panel loop and kept for
+the generator stage.  No row is ever swapped: the method
 requires strong regularity, and a pivot that is zero to working precision
 raises ZeroPivotError.  The factorization names which of the two ran, and
 gives its growth factor, computed on first read from R's panels, so that
@@ -44,6 +45,7 @@ from .banded import (
     panel_edges,
     require_two_sided,
     singularity_tol,
+    strictly_lower,
     wide_right_block,
 )
 from .errors import ZeroPivotError
@@ -69,11 +71,14 @@ class LuFactorization(PanelFactorization):
     columns of L shrink at the matrix edge, are zero-padded.  ``width`` =
     max(r_lower, r_upper) is at least the upper bandwidth of R.  ``norm`` is
     ||A||_inf.  ``path`` names the factorization that ran: ``"dgbtrf"``
-    (LAPACK's band LU in one call) or ``"panels"`` (the panel loop).
+    (LAPACK's band LU in one call) or ``"panels"`` (the panel loop), and
+    ``transforms`` holds the (None, F) kept for the panel loop's panels
+    with a wide right block.
     """
 
-    def __init__(self, n, r, u, x, tops, width, norm, path="panels"):
-        super().__init__(n, r, x, tops, width, u, np.broadcast_to(np.eye(1, r + 1), u.shape))
+    def __init__(self, n, r, u, x, tops, width, norm, path="panels", transforms=None):
+        w = np.broadcast_to(np.eye(1, r + 1), u.shape)
+        super().__init__(n, r, x, tops, width, u, w, transforms)
         self.f = u[:, 1:]
         self.norm = norm
         self._path = path
@@ -90,7 +95,7 @@ class LuFactorization(PanelFactorization):
         multipliers below each panel's diagonal."""
         return max(np.abs(np.triu(top)).sum(axis=1).max() for top in self.tops) / (self.norm or 1.0)
 
-    def panel_transform(self, i, u, w):
+    def build_transform(self, i, u, w):
         """No M, and F of the elimination steps of panel i, given as the
         (b + r) x b matrices u (the multipliers) and w (unused), from
         L11^{-1} (``banded.elimination_transform``).  A step I - u_k e_k^T
@@ -170,13 +175,16 @@ def _factor_panels(a, width, tol, norm):
     reduces each panel in place.  If its partial pivoting swapped no row,
     that is the unpivoted factorization up to rounding; otherwise the panel
     is restored from a copy and eliminated one column at a time
-    (``_eliminate``), as the unpivoted method requires.  Then ``_update``
-    gives the panel's rows of R right of it and updates the r rows below."""
+    (``_eliminate``), as the unpivoted method requires.  Then, on a wide
+    right block (``banded.factor_panels``), the panel's (None, F) is
+    returned for the panel loop to apply and keep, from its multipliers
+    (``banded.elimination_transform``); otherwise ``_update`` gives the
+    panel's rows of R right of it and updates the r rows below."""
     n, r = a.n, a.r_lower
     b_max = min(n, PANEL + r)  # columns of the widest panel, the last one
     saved = np.empty((b_max + r, b_max), order="F")
 
-    def reduce(w, k0, b):
+    def reduce(w, k0, b, wide):
         panel = w[:, :b]
         saved[: b + r, :b] = panel
         # in place, as the window is in Fortran order; an exactly zero
@@ -189,24 +197,23 @@ def _factor_panels(a, width, tol, norm):
             small = np.abs(panel.diagonal()) <= tol
             if small.any():
                 raise _zero_pivot(k0 + int(small.argmax()))
+        if wide:
+            return None, elimination_transform(panel * strictly_lower(b + r, b))
         _update(w, b)
 
-    x, tops, u = factor_panels(a, width, reduce)
+    x, tops, u, transforms = factor_panels(a, width, reduce)
     u[:, 0] = 0.0
-    return LuFactorization(n, r, u, x, tops, width, norm)
+    return LuFactorization(n, r, u, x, tops, width, norm, transforms=transforms)
 
 
 def _update(w, b):
     """Apply the elimination of the panel in the first b columns of the
     window ``w`` (unit lower triangular L11 over L21) to the columns right
-    of it: a wide block (``banded.factor_panels``) by the explicit
-    [[L11^{-1}, 0], [-L21 L11^{-1}, I]] (``banded.elimination_transform``,
-    one ``dtrtri``) in one ``dgemm``, a narrower one by one ``dtrsm`` for
-    the panel's rows of R and one ``dgemm`` for the r rows below."""
-    if wide_right_block(w.shape[1] - b, len(w)):
-        f = elimination_transform(np.tril(w[:, :b], -1))
-        w[:, b:] = dgemm(1.0, f, w[:, b:])
-    elif w.shape[1] > b:
+    of it, at most 2 (b + r) of them: one ``dtrsm`` for the panel's rows of
+    R and one ``dgemm`` for the r rows below.  A wider block takes the
+    explicit [[L11^{-1}, 0], [-L21 L11^{-1}, I]] in
+    ``banded.factor_panels``."""
+    if w.shape[1] > b:
         w[:b, b:] = dtrsm(1.0, w[:b, :b], w[:b, b:], lower=1, diag=1)
         w[b:, b:] = dgemm(-1.0, w[b:, :b], w[:b, b:], 1.0, w[b:, b:])
 

@@ -18,11 +18,11 @@ the trailing update (``dgemqrt``) and the generator stage take the panel's
 transform; a narrower band reduces each panel with ``dgeqrf``, whose
 reflections reach the columns right of it through ``dormqr``.  Either way
 a right block wider than 2 (b + r) columns takes the panel's transform as
-an explicit matrix, one ``dgemm``.
+an explicit matrix, built once by ``_transforms``, applied by the panel
+loop and kept for the generator stage.
 """
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dgemqrt, dgeqrf, dgeqrt, dormqr
 
 from .banded import (
@@ -33,7 +33,7 @@ from .banded import (
     reflection_transform,
     require_two_sided,
     singularity_tol,
-    wide_right_block,
+    strictly_lower,
 )
 from .errors import SingularMatrixError
 from .generators import inverse_generators
@@ -60,11 +60,12 @@ class QrFactorization(PanelFactorization):
     ``t_factors`` holds each panel's compact-WY factor T
     (H_{j0} ... H_{j1-1} = I - V T V^T on the panel's rows, tau its
     diagonal) when ``dgeqrt`` reduced the panels, else None; ``path`` names
-    the reduction that ran, ``"dgeqrt"`` or ``"dgeqrf"``.
+    the reduction that ran, ``"dgeqrt"`` or ``"dgeqrf"``.  ``transforms``
+    holds the (M, F) kept for panels with a wide right block.
     """
 
-    def __init__(self, n, r, v, tau, x, tops, width, t_factors):
-        super().__init__(n, r, x, tops, width, tau[:, None] * v, v)
+    def __init__(self, n, r, v, tau, x, tops, width, t_factors, transforms=None):
+        super().__init__(n, r, x, tops, width, tau[:, None] * v, v, transforms)
         self.v = v
         self.tau = tau
         self.t_factors = t_factors
@@ -73,7 +74,7 @@ class QrFactorization(PanelFactorization):
     def path(self):
         return "dgeqrf" if self.t_factors is None else "dgeqrt"
 
-    def panel_transform(self, i, u, w):
+    def build_transform(self, i, u, w):
         """M and F of the reflections of panel i, given as the (b + r) x b
         matrices u = V diag(tau) and w = V (``_transforms``); tau is u's
         diagonal, as v_k[0] = 1."""
@@ -98,44 +99,47 @@ def qr_factor_lower_band(a):
     """Structured QR of a lower banded matrix of order r.
 
     Each panel's ``dgeqrt`` call (``keeps_t``) or ``dgeqrf`` call reduces
-    it, and ``_update`` applies its reflections to the rest of the window;
-    the last panel also triangulates the trailing r x r window.  Zero
-    columns simply produce x_k = 0, which the inversion stage rejects.
+    it.  On a wide right block (``banded.factor_panels``) its reflections'
+    (M, F) are returned for the panel loop to apply and keep, with V the
+    window's vectors below the diagonal after a unit diagonal; otherwise
+    ``_update`` applies them to the rest of the window.  The last panel
+    also triangulates the trailing r x r window.  Zero columns simply
+    produce x_k = 0, which the inversion stage rejects.
     """
     n, r = a.n, a.r_lower
     tau = np.empty(n)
     t_factors = [] if keeps_t(r) else None
 
-    def reduce(w, k0, b):
+    def reduce(w, k0, b, wide):
+        scalars = tau[k0 : k0 + b]
         # w is in Fortran order, so dgeqrt and dgeqrf work in place
         if t_factors is None:
             t = None
-            tau[k0 : k0 + b] = dgeqrf(w[:, :b], lwork=PANEL * b, overwrite_a=1)[1]
+            scalars[:] = dgeqrf(w[:, :b], lwork=PANEL * b, overwrite_a=1)[1]
         else:
             t = dgeqrt(b, w[:, :b], overwrite_a=1)[1]
-            tau[k0 : k0 + b] = t.diagonal()
+            scalars[:] = t.diagonal()
             t_factors.append(t)
-        _update(w, b, tau[k0 : k0 + b], t)
+        if wide:
+            v = w[:, :b] * strictly_lower(len(w), b)
+            np.fill_diagonal(v, 1.0)
+            return _transforms(v * scalars, v, scalars, t)
+        _update(w, b, scalars, t)
 
     width = min(r + a.r_upper, n - 1)  # upper bandwidth of R
-    x, tops, v = factor_panels(a, width, reduce)
+    x, tops, v, transforms = factor_panels(a, width, reduce)
     v[:, 0] = 1.0
-    return QrFactorization(n, r, v, tau, x, tops, width, t_factors)
+    return QrFactorization(n, r, v, tau, x, tops, width, t_factors, transforms)
 
 
 def _update(w, b, tau, t):
     """Apply the reflections of the panel in the first b columns of the
     window ``w`` (their vectors below its diagonal, scalars ``tau``, and
-    ``dgeqrt``'s T or None) to the columns right of it: a wide block
-    (``banded.factor_panels``) by their explicit product (``_transforms``)
-    in one ``dgemm``, a narrower one in one ``dgemqrt`` or ``dormqr``
-    call."""
+    ``dgeqrt``'s T or None) to the columns right of it, at most 2 (b + r)
+    of them, in one ``dgemqrt`` or ``dormqr`` call.  A wider block takes
+    their explicit product in ``banded.factor_panels``."""
     c = w[:, b:]
-    if wide_right_block(w.shape[1] - b, len(w)):
-        v = np.tril(w[:, :b], -1)
-        np.fill_diagonal(v, 1.0)
-        w[:, b:] = dgemm(1.0, _transforms(v * tau, v, tau, t)[1], c)
-    elif c.shape[1]:
+    if c.shape[1]:
         # c is a column slice of the Fortran-ordered window: in place
         if t is None:
             dormqr("L", "T", w[:, :b], tau, c, lwork=PANEL * c.shape[1], overwrite_c=1)

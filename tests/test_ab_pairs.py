@@ -66,10 +66,14 @@ def test_a_higher_is_better_metric_wins_upward():
 
 def test_unpaired_runs_are_left_out_and_failed_ops_summed():
     lines = lines_of(PARENT[:3], PARENT[:3])
+    lines[1] = line("generator_io", 0, "change", failed=2, round_cal_p50=28.5)
     lines.append(line("generator_io", 99, "parent", round_cal_p50=1.0))
-    lines.append(line("generator_io", 0, "change", failed=2, round_cal_p50=28.5))  # a later run replaces it
     row = only_row(lines)
     assert row["pairs"] == 3 and row["failed"] == {"parent": [0, 30], "change": [2, 30]}
+    # a second run of seed 0's change side would count twice: an error
+    lines.append(line("generator_io", 0, "change", round_cal_p50=28.5))
+    with pytest.raises(ValueError, match=r"run \('generator_io', 0, 'change'\) appears twice"):
+        ab_pairs.summarize(lines)
 
 
 def test_workloads_and_metrics_have_rows_of_their_own():

@@ -5,6 +5,7 @@ need no reflection, planted entries that LU's partial pivoting in LAPACK
 would swap up, and a count of the LAPACK/BLAS calls per inversion (one
 panel of PANEL columns per call, never one per row)."""
 
+import copy
 import math
 import sys
 import threading
@@ -124,28 +125,31 @@ def test_one_lapack_call_per_panel(monkeypatch, r_upper):
     # a deterministic guard against per-row dispatch: n = 1000, r = 4 takes
     # ceil((n - r) / PANEL) = 32 panels, each one window read and one panel
     # call, plus the trailing-block calls on every panel but the last: one
-    # explicit transform and one dgemm where the block right of the panel is
-    # wider than 2 (PANEL + r) = 72 columns (QR: compact_transform, below the
-    # dgeqrt rule; LU: elimination_transform), else one dormqr (QR) or one
-    # dtrsm and one dgemm (LU).  With r_upper = 999 the first 28 blocks are
-    # 1000 - 32 (k + 1) columns wide, the last three 72, 40 and 8 columns.
-    # The whole inversions add only the generator stage's one explicit
-    # transform per panel, built by the function that the wide updates
-    # call: their bottom r rows are steps of the one backward recursion (no
-    # closing blocks, no triangular inverse or solve for LU's trailing
-    # block), and they read the factorizations' (u, w), never a block of G
-    # built from it.  LU factors the two-sided band in one dgbtrf call
-    # instead, with no window read and no panel call
+    # explicit transform where the block right of the panel is wider than
+    # 2 (PANEL + r) = 72 columns (QR: compact_transform, below the dgeqrt
+    # rule; LU: elimination_transform), applied by the panel loop, else one
+    # dormqr (QR) or one dtrsm and one dgemm (LU).  With r_upper = 999 the
+    # first 28 blocks are 1000 - 32 (k + 1) columns wide, the last three 72,
+    # 40 and 8 columns.  The whole inversions add only the generator stage's
+    # one explicit transform per panel that kept none, built by the
+    # function that the factorization calls, so each panel's transform is
+    # built once: their bottom r rows are steps of the one backward
+    # recursion (no closing blocks, no triangular inverse or solve for LU's
+    # trailing block), and they read the factorizations' (u, w), never a
+    # block of G built from it.  LU factors the two-sided band in one dgbtrf
+    # call instead, with no window read and no panel call
     n, r = 1000, 4
     panels = math.ceil((n - r) / PANEL)
     if r_upper == 4:
+        wide = 0
         qr_calls = {"dormqr": 31}
         lu_calls = {"dgbtrf": 1}
     else:
+        wide = 28
         assert right_blocks(n, r, n - 1)[-4:] == [104, 72, 40, 8]
-        qr_calls = {"dormqr": 3, "dgemm": 28, "compact_transform": 28}
-        lu_calls = {"panel": panels, "dgetrf": panels, "dtrsm": 3, "dgemm": 31,
-                    "elimination_transform": 28}
+        qr_calls = {"dormqr": 3, "compact_transform": wide}
+        lu_calls = {"panel": panels, "dgetrf": panels, "dtrsm": 3, "dgemm": 3,
+                    "elimination_transform": wide}
     a = random_band(n, r, r_upper, seed=0, diag_shift=r + 1.0)
     calls = {}
     for name in ("panel", "row_segment", "col_segment"):
@@ -158,14 +162,14 @@ def test_one_lapack_call_per_panel(monkeypatch, r_upper):
         counting(monkeypatch, lu_module, name, calls)
 
     qr_calls = {"panel": panels, "dgeqrf": panels, **qr_calls}
-    for run, stage in ((qr_factor_lower_band, 0), (invert_lower_band_qr, panels)):
+    for run, stage in ((qr_factor_lower_band, 0), (invert_lower_band_qr, panels - wide)):
         calls.clear()
         run(a)
         assert calls == plus(qr_calls, "compact_transform", stage), run.__name__
     assert qr_factor_lower_band(a).path == "dgeqrf"
     # the diagonal shift leaves dgbtrf and dgetrf nothing to swap: no panel
     # takes the column loop
-    for run, stage in ((lu_factor_lower_band, 0), (invert_lower_band_lu, panels)):
+    for run, stage in ((lu_factor_lower_band, 0), (invert_lower_band_lu, panels - wide)):
         calls.clear()
         run(a)
         assert calls == plus(lu_calls, "elimination_transform", stage), run.__name__
@@ -221,8 +225,8 @@ def test_one_sided_inversions_with_wide_right_blocks(monkeypatch, offset, r_lowe
     # the first panels are wider than 2 (b + r) columns and take the
     # explicit transform, those of the last ones the blocked update.  QR
     # builds it from the panel's T past the dgeqrt rule (r_l = PANEL + 3),
-    # else from (u, w); LU from L11^{-1}.  The generator stage takes one
-    # more per panel, from the same function
+    # else from (u, w); LU from L11^{-1}.  The generator stage builds one,
+    # by the same function, for each panel that kept none: one per panel
     n = r_lower + 8 * PANEL + offset
     wide = sum(c > 2 * (PANEL + r_lower) for c in right_blocks(n, r_lower, n - 1))
     assert wide >= 4
@@ -238,24 +242,142 @@ def test_one_sided_inversions_with_wide_right_blocks(monkeypatch, offset, r_lowe
         err = covered_relative_error(reconstruct_structured(invert(a)), ref, r_lower)
         assert err <= 1e-12, (invert.__name__, err)
         transform = qr_transform if invert.__name__.endswith("_qr") else "elimination_transform"
-        assert calls == {transform: wide + len(panel_edges(n, r_lower))}, invert.__name__
+        assert calls == {transform: len(panel_edges(n, r_lower))}, invert.__name__
+
+
+WIDE_ROUTES = {
+    "qr dgeqrf": (qr_factor_lower_band, 4, "compact_transform"),
+    "qr dgeqrt": (qr_factor_lower_band, PANEL + 3, "reflection_transform"),
+    "lu dgetrf": (lu_factor_lower_band, 4, "elimination_transform"),
+    "lu column loop": (lu_factor_lower_band, 4, "elimination_transform"),
+}
+
+
+def one_sided(route, n, r):
+    """A one-sided instance for ``route``: on the column loop's, an entry
+    three times its pivot below the diagonal in the middle of every panel,
+    which dgetrf's partial pivoting would swap up."""
+    dense = instance(n, r, n - 1, seed=n + r, scale=1.0).to_dense()
+    if route == "lu column loop":
+        for k0, k1 in panel_edges(n, r):
+            j = (k0 + k1) // 2
+            dense[j + 1, j] = 3.0 * dense[j, j]
+    return BandedMatrix.from_dense(dense, r, n - 1)
+
+
+def rebuilt(fact):
+    """``fact`` with no kept transform: its stage builds every panel's."""
+    out = copy.copy(fact)
+    out.transforms = [None] * len(fact.tops)
+    return out
+
+
+@pytest.mark.parametrize("size", ["r + 8 PANEL + 1", "600"])
+@pytest.mark.parametrize("route", list(WIDE_ROUTES))
+def test_wide_panels_build_each_transform_once(monkeypatch, route, size):
+    # one-sided bands on the four routes of the panel loop (QR's dgeqrf and,
+    # at r = PANEL + 3, dgeqrt; LU's dgetrf and its column loop): the
+    # factorization builds and keeps, read-only, the (M, F) of each panel
+    # with a wide right block, whose update is two dgemm calls in the panel
+    # loop, and the stage builds only the other panels', so each panel's
+    # transform is built once per inversion.  The kept pairs are the ones
+    # that the stage would build, entry for entry (LU's masked multipliers
+    # may leave a zero negative), and the generators are its bit for bit;
+    # they match the dense inverse.  n = 600 makes most panels wide (16 of
+    # 19 at r = 4).  LU's elimination_transform makes one more dgemm call
+    factor, r, builder = WIDE_ROUTES[route]
+    n = r + 8 * PANEL + 1 if size != "600" else 600
+    a = one_sided(route, n, r)
+    panels = len(panel_edges(n, r))
+    wide = sum(c > 2 * (PANEL + r) for c in right_blocks(n, r, n - 1))
+    assert wide >= panels // 2
+    lu = factor is lu_factor_lower_band
+    module = lu_module if lu else qr_module
+    calls = {}
+    counting(monkeypatch, module, builder, calls)
+    counting(monkeypatch, lu_module, "_eliminate", calls)
+    counting(monkeypatch, banded_module, "dgemm", calls)
+    fact = factor(a)
+    want = plus({builder: wide, "dgemm": (3 if lu else 2) * wide}, "_eliminate",
+                panels if route == "lu column loop" else 0)
+    assert calls == want
+    assert fact.path == {"qr dgeqrt": "dgeqrt", "qr dgeqrf": "dgeqrf"}.get(route, "panels")
+    kept = [t is not None for t in fact.transforms]
+    assert kept == [True] * wide + [False] * (panels - wide)
+    assert all(top.flags.f_contiguous for top in fact.tops)
+    calls.clear()
+    g = inverse_generators(fact)
+    assert calls == plus({builder: panels - wide}, "dgemm", panels - wide if lu else 0)
+    for i, (u, w, _, _) in enumerate(panel_bands(fact)[:wide]):
+        for got, built in zip(fact.transforms[i], fact.build_transform(i, u, w)):
+            if got is None:
+                assert built is None and lu
+            else:
+                assert not got.flags.writeable and np.array_equal(got, built), i
+    ref = inverse_generators(rebuilt(fact))
+    for name in ("p", "q", "p_last", "a"):
+        assert getattr(g, name).tobytes() == getattr(ref, name).tobytes(), name
+    err = covered_relative_error(reconstruct_structured(g), dense_invert(a.to_dense()), r)
+    assert err <= 1e-12
+
+
+@pytest.mark.parametrize("factor", [qr_factor_lower_band, lu_factor_lower_band])
+def test_kept_transforms_are_safe_to_share(factor):
+    # the kept arrays refuse writes, and two threads that run the stage on
+    # one factorization at once get the bytes of a stage run alone, and
+    # leave the kept arrays as they were
+    n, r = 300, 6
+    fact = factor(instance(n, r, n - 1, seed=n, scale=1.0))
+    kept = [arr for pair in fact.transforms if pair is not None for arr in pair if arr is not None]
+    assert len(kept) >= (5 if factor is lu_factor_lower_band else 10)
+    assert not any(arr.flags.writeable for arr in kept)
+    with pytest.raises(ValueError):
+        kept[0][0, 0] = 0.0
+    before = [arr.tobytes() for arr in kept]
+    alone = inverse_generators(fact)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            start = threading.Barrier(2)
+            outs = [None] * 2
+
+            def run(t, start=start, outs=outs):
+                start.wait(timeout=10)
+                outs[t] = inverse_generators(fact)
+
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(2)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+            assert not any(th.is_alive() for th in threads)
+            for g in outs:
+                for name in ("p", "q", "p_last", "a"):
+                    assert getattr(g, name).tobytes() == getattr(alone, name).tobytes(), name
+    finally:
+        sys.setswitchinterval(switch)
+    assert [arr.tobytes() for arr in kept] == before
 
 
 def column_loop_factorization(a):
     """x, tops and the multipliers of the LU factorization with every panel
     eliminated one column at a time, the elimination that a panel which
     dgetrf would pivot must reproduce bit for bit (the reference); the
-    columns right of each panel take the library's own trailing update."""
+    columns right of each panel take the library's own trailing update, or
+    on a wide block its explicit transform."""
     r = a.r_lower
 
-    def reduce(w, k0, b):
+    def reduce(w, k0, b, wide):
         for j in range(b):
             mult = w[j + 1 : j + 1 + r, j]
             mult /= w[j, j]
             w[j + 1 : j + 1 + r, j + 1 : b] -= mult[:, None] * w[j, j + 1 : b]
+        if wide:
+            return None, elimination_transform(w[:, :b] * banded_module.strictly_lower(b + r, b))
         lu_module._update(w, b)
 
-    x, tops, below = factor_panels(a, max(r, a.r_upper), reduce)
+    x, tops, below, _ = factor_panels(a, max(r, a.r_upper), reduce)
     return x, tops, below[:, 1:]
 
 
@@ -789,10 +911,13 @@ def test_generator_stage_calls_blas_per_panel(monkeypatch, r_upper):
     # compact_transform's (QR below the dgeqrt rule), and LU's transform
     # takes one dtrtri; the prefix corrections solve nothing.  Each
     # factorization's class builds its transforms (qr and lu call them).
-    # Counted over the stage alone, since wide trailing updates build
-    # transforms too
+    # Counted over the stage alone: with r_upper = 999 the factorization
+    # keeps the transforms of the 28 panels with a wide right block, and
+    # the stage builds only the other four
     n, r = 1000, 4
     panels = math.ceil((n - r) / PANEL)
+    wide = sum(c > 2 * (PANEL + r) for c in right_blocks(n, r, min(r + r_upper, n - 1)))
+    assert wide == (28 if r_upper == 999 else 0)
     a = random_band(n, r, r_upper, seed=0, diag_shift=r + 1.0)
     calls = {}
     counting(monkeypatch, generators_module, "dtrsm", calls)
@@ -802,8 +927,9 @@ def test_generator_stage_calls_blas_per_panel(monkeypatch, r_upper):
     for name in ("dtrsm", "dtrtri"):
         counting(monkeypatch, banded_module, name, calls)
     expected = {
-        qr_factor_lower_band: {"dtrsm": 2 * panels, "compact_transform": panels},
-        lu_factor_lower_band: {"dtrsm": panels, "dtrtri": panels, "elimination_transform": panels},
+        qr_factor_lower_band: {"dtrsm": 2 * panels - wide, "compact_transform": panels - wide},
+        lu_factor_lower_band: {"dtrsm": panels, "dtrtri": panels - wide,
+                               "elimination_transform": panels - wide},
     }
     for factor, want in expected.items():
         fact = factor(a)
@@ -1086,9 +1212,10 @@ def test_elimination_transform_is_the_compact_form(r, upper, scale):
 def test_dgeqrt_panels_keep_one_t_each(monkeypatch, r_upper):
     # past the rule (r = 3 PANEL / 4) each panel takes one dgeqrt call,
     # whose T serves the trailing update (one dgemqrt, or on a right block
-    # wider than 2 (PANEL + r) = 112 columns one reflection_transform and
-    # one dgemm) and the stage (one reflection_transform, no solve but R's);
-    # dgeqrf, dormqr and compact_transform are never called
+    # wider than 2 (PANEL + r) = 112 columns one reflection_transform, kept
+    # and applied by the panel loop) and the stage (one reflection_transform
+    # for each panel that kept none, no solve but R's); dgeqrf, dormqr,
+    # compact_transform and qr's own dgemm are never called
     n, r = 1000, RULE
     panels = math.ceil((n - r) / PANEL)
     blocks = right_blocks(n, r, min(r + r_upper, n - 1))
@@ -1103,12 +1230,12 @@ def test_dgeqrt_panels_keep_one_t_each(monkeypatch, r_upper):
     fact = qr_factor_lower_band(a)
     want = {"dgeqrt": panels, "dgemqrt": len(blocks) - wide}
     if wide:
-        want.update(reflection_transform=wide, dgemm=wide)
+        want.update(reflection_transform=wide)
     assert calls == want and fact.path == "dgeqrt" and len(fact.t_factors) == panels
     calls.clear()
     invert_lower_band_qr(a)
     want["dtrsm"] = panels
-    want["reflection_transform"] = wide + panels
+    want["reflection_transform"] = panels
     assert calls == want
 
 
@@ -1144,10 +1271,10 @@ def test_panel_loop_gathers_every_windows_diagonals(extra, r, upper):
     rng = np.random.Generator(np.random.PCG64(n))
     gathered = []
 
-    def reduce(w, k0, b):
+    def reduce(w, k0, b, wide):
         w[...] = rng.standard_normal(w.shape)
         gathered.append(arange_gather(w, b))
 
-    x, tops, below = factor_panels(a, min(r + r_upper, n - 1), reduce)
+    x, tops, below, _ = factor_panels(a, min(r + r_upper, n - 1), reduce)
     expected = np.vstack(gathered)
     assert below.tobytes() == expected.tobytes() and x.tobytes() == expected[:, 0].tobytes()

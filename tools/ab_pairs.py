@@ -133,13 +133,17 @@ def summarize(lines, better=None, bound=None):
     tenths of the pairs won and a median gain larger than the parent's
     quartile distance, and ``verdict``: the no-regression verdict of a
     metric with a ``bound``, None for the others.  A pair is a workload and
-    seed run on both sides."""
+    seed run on both sides.  Raises ValueError, naming the run, when a
+    (workload, seed, side) appears twice."""
     better, bound = better or {}, bound or {}
     runs = {}
     for line in lines:
         if line.strip():
             rec = json.loads(line)
-            runs[rec["workload"], rec["seed"], rec["side"]] = rec["result"]
+            key = rec["workload"], rec["seed"], rec["side"]
+            if key in runs:
+                raise ValueError(f"run {key} appears twice")
+            runs[key] = rec["result"]
     rows = []
     for workload in sorted({w for w, _, _ in runs}):
         seeds = sorted(s for w, s, side in runs if w == workload and side == "parent" and (w, s, "change") in runs)
