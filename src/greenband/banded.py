@@ -328,11 +328,11 @@ class PanelFactorization:
     ``panel_transform(i, u, w)``: panel i's (M, F), F the descending
     product of its blocks and M the factor of their ascending product, or
     None where the stage needs none (LU).  ``transforms[i]`` is the pair
-    that ``factor_panels`` kept for a panel with a wide right block,
-    read-only, so that threads can share it, and None for the others,
-    whose pair each method's class builds on each call
-    (``build_transform``): every panel's transform is built once per
-    inversion.
+    that ``factor_panels`` kept for the panel (QR's panels with a wide
+    right block, every panel of LU's loop), read-only, so that threads can
+    share it, and None for the others, whose pair each method's class
+    builds on each call (``build_transform``): every panel's transform is
+    built once per inversion.
     """
 
     def __init__(self, n, r, x, tops, width, u, w, transforms=None):
@@ -396,18 +396,20 @@ def factor_panels(a, width, reduce):
     two-sided band and O(n^2 r) for a full upper part.
 
     The panel's transform reaches the block C right of it in one of two
-    ways.  A block at most 2 (b + r) columns wide (every two-sided
-    window's, at most 2 r wide) takes LAPACK's blocked update inside
-    ``reduce``, which returns None: an explicit matrix would cost as much
-    as it saves there.  A wider block (``wide``, by ``wide_right_block``:
-    the long rows of a one-sided band) is left alone by ``reduce``, which
-    returns the panel's (M, F) instead (``compact_transform``,
-    ``reflection_transform`` or ``elimination_transform``), and the loop
-    applies F in two ``dgemm`` calls, several times faster there than the
-    blocked update: F[:b] C straight into the panel's new top, right of its
+    ways, which ``reduce`` picks.  It may apply LAPACK's blocked update to
+    C itself and return None: QR does so on a block at most 2 (b + r)
+    columns wide (``wide`` False, by ``wide_right_block``; every
+    two-sided window's, at most 2 r wide), where an explicit matrix would
+    cost QR as much as it saves.  Or it leaves C alone and returns the
+    panel's (M, F) (``compact_transform``, ``reflection_transform`` or
+    ``elimination_transform``): QR on a wider block (the long rows of a
+    one-sided band), LU on every panel.  The loop then applies F in two
+    ``dgemm`` calls, several times faster than the blocked update on a
+    wide block: F[:b] C straight into the panel's new top, right of its
     b x b block, and F[b:] C, the r rows carried to the next panel, back
-    into the window.  The pair is kept, read-only, for the generator stage,
-    which then builds none for that panel.
+    into the window; the last panel has no C, and none is made.  The pair
+    is kept, read-only, for the generator stage, which then builds none
+    for that panel.
 
     Returns x (R's diagonal), the panels' Fortran-ordered ``tops``, an
     (n, r + 1) array whose columns 1.. hold the entries below each diagonal
@@ -431,12 +433,13 @@ def factor_panels(a, width, reduce):
             f, c = transform[1], w[:, b:]
             top = np.empty((b, w.shape[1]), order="F")
             top[:, :b] = w[:b, :b]
-            dgemm(1.0, f[:b], c, c=top[:, b:], overwrite_c=1)
-            # the carried rows go back into the window, as on the narrow
-            # path: as an array of their own, alive across the next panel's
-            # allocations, they fragmented the heap and raised the peak RSS
-            # of a loop of one-sided inversions by 7%
-            w[b:, b:] = dgemm(1.0, f[b:], c)
+            if c.shape[1]:  # the last panel has no columns right of it
+                dgemm(1.0, f[:b], c, c=top[:, b:], overwrite_c=1)
+                # the carried rows go back into the window, as on the narrow
+                # path: as an array of their own, alive across the next
+                # panel's allocations, they fragmented the heap and raised
+                # the peak RSS of a loop of one-sided inversions by 7%
+                w[b:, b:] = dgemm(1.0, f[b:], c)
             for arr in transform:
                 if arr is not None:
                     arr.setflags(write=False)

@@ -374,7 +374,8 @@ def inverse_generators(fact):
       explicit matrix, and M the factor of the ascending product
       G_{j0} ... G_{j1-1} = I - M W^T, both from the factorization
       (``fact.panel_transform``): the read-only pair that its panel loop
-      built and kept for a panel with a wide right block, else built here
+      built and kept (QR's panels with a wide right block, every panel of
+      LU's loop), else built here
       from the panel's one triangular factor, QR's from LAPACK's T or from
       the compact form, LU's F from L11^{-1}, with no M.  Either way each
       panel's pair is built once per inversion, and the stage writes into
@@ -555,12 +556,16 @@ def read_generators(path):
             raise ValueError(f"n and r must be integers, got {n!r} and {r!r}")
         n, r = int(n), int(r)
         m = n - r
-        a = checked(data["a"], (m, r * r), "a").reshape(m, r, r)
-        p_last = checked(data["p_last"], (r * r,), "p_last").reshape(r, r)
-        return GreenGenerators(n, r, data["p"], data["q"], a, p_last)
+        # a and p_last are written flat: their shapes are checked here, and
+        # their finiteness by GreenGenerators, with p's and q's
+        a, p_last = np.asarray(data["a"], dtype=float), np.asarray(data["p_last"], dtype=float)
+        for name, arr, shape in (("a", a, (m, r * r)), ("p_last", p_last, (r * r,))):
+            if arr.shape != shape:
+                raise ValueError(f"{name} must be {shape}, got {arr.shape}")
+        return GreenGenerators(n, r, data["p"], data["q"], a.reshape(m, r, r), p_last.reshape(r, r))
     # a truncated or otherwise unparsable file raises json.JSONDecodeError,
     # and a field of the wrong shape or with a NaN or Infinity entry (which
-    # json accepts) raises in ``checked``: each a ValueError, reported with
-    # the path
+    # json accepts) raises here or in ``checked``: each a ValueError,
+    # reported with the path
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed generator file: {exc}") from exc

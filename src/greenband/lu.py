@@ -18,8 +18,7 @@ runs the panel loop shared with the QR path (``banded.factor_panels``),
 with R's rows stored max(r_lower, r_upper) wide: LAPACK's ``dgetrf``
 reduces each panel, and a panel on which its partial pivoting would swap
 rows is restored and eliminated column by column instead.  The panel's
-elimination reaches the columns right of it through ``dtrsm`` and
-``dgemm`` or, on a right block wider than 2 (b + r) columns, as its
+elimination reaches the columns right of it, however many, as its
 explicit transform, built once, applied by the panel loop and kept for
 the generator stage.  No row is ever swapped: the method
 requires strong regularity, and a pivot that is zero to working precision
@@ -32,7 +31,6 @@ import functools
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dgemm, dtrsm
 from scipy.linalg.lapack import dgbtrf, dgetrf
 
 from .banded import (
@@ -72,8 +70,8 @@ class LuFactorization(PanelFactorization):
     max(r_lower, r_upper) is at least the upper bandwidth of R.  ``norm`` is
     ||A||_inf.  ``path`` names the factorization that ran: ``"dgbtrf"``
     (LAPACK's band LU in one call) or ``"panels"`` (the panel loop), and
-    ``transforms`` holds the (None, F) kept for the panel loop's panels
-    with a wide right block.
+    ``transforms`` holds the (None, F) that the panel loop kept for each
+    of its panels (none on the ``dgbtrf`` route).
     """
 
     def __init__(self, n, r, u, x, tops, width, norm, path="panels", transforms=None):
@@ -98,7 +96,8 @@ class LuFactorization(PanelFactorization):
     def build_transform(self, i, u, w):
         """No M, and F of the elimination steps of panel i, given as the
         (b + r) x b matrices u (the multipliers) and w (unused), from
-        L11^{-1} (``banded.elimination_transform``).  A step I - u_k e_k^T
+        L11^{-1} (``banded.elimination_transform``), for the ``dgbtrf``
+        route: the panel loop keeps every panel's pair.  A step I - u_k e_k^T
         changes only column k, so the stage's prefix correction would
         change only columns left of each row's p(k): it is never run."""
         return None, elimination_transform(u)
@@ -175,16 +174,16 @@ def _factor_panels(a, width, tol, norm):
     reduces each panel in place.  If its partial pivoting swapped no row,
     that is the unpivoted factorization up to rounding; otherwise the panel
     is restored from a copy and eliminated one column at a time
-    (``_eliminate``), as the unpivoted method requires.  Then, on a wide
-    right block (``banded.factor_panels``), the panel's (None, F) is
-    returned for the panel loop to apply and keep, from its multipliers
-    (``banded.elimination_transform``); otherwise ``_update`` gives the
-    panel's rows of R right of it and updates the r rows below."""
+    (``_eliminate``), as the unpivoted method requires.  Then, whatever
+    the width of the block right of it, the panel's (None, F) is returned
+    for the panel loop to apply and keep, from its multipliers
+    (``banded.elimination_transform``), so the stage builds no transform
+    for this route."""
     n, r = a.n, a.r_lower
     b_max = min(n, PANEL + r)  # columns of the widest panel, the last one
     saved = np.empty((b_max + r, b_max), order="F")
 
-    def reduce(w, k0, b, wide):
+    def reduce(w, k0, b, _wide):
         panel = w[:, :b]
         saved[: b + r, :b] = panel
         # in place, as the window is in Fortran order; an exactly zero
@@ -197,25 +196,11 @@ def _factor_panels(a, width, tol, norm):
             small = np.abs(panel.diagonal()) <= tol
             if small.any():
                 raise _zero_pivot(k0 + int(small.argmax()))
-        if wide:
-            return None, elimination_transform(panel * strictly_lower(b + r, b))
-        _update(w, b)
+        return None, elimination_transform(panel * strictly_lower(b + r, b))
 
     x, tops, u, transforms = factor_panels(a, width, reduce)
     u[:, 0] = 0.0
     return LuFactorization(n, r, u, x, tops, width, norm, transforms=transforms)
-
-
-def _update(w, b):
-    """Apply the elimination of the panel in the first b columns of the
-    window ``w`` (unit lower triangular L11 over L21) to the columns right
-    of it, at most 2 (b + r) of them: one ``dtrsm`` for the panel's rows of
-    R and one ``dgemm`` for the r rows below.  A wider block takes the
-    explicit [[L11^{-1}, 0], [-L21 L11^{-1}, I]] in
-    ``banded.factor_panels``."""
-    if w.shape[1] > b:
-        w[:b, b:] = dtrsm(1.0, w[:b, :b], w[:b, b:], lower=1, diag=1)
-        w[b:, b:] = dgemm(-1.0, w[b:, :b], w[:b, b:], 1.0, w[b:, b:])
 
 
 def _eliminate(panel, k0, r, tol):

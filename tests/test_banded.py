@@ -95,6 +95,23 @@ def test_constructor_rejects_nonfinite_cells():
                 BandedMatrix(300, 2, 299, wrong)
 
 
+@pytest.mark.parametrize(
+    "n, r_lower, r_upper, shape, message",
+    [
+        (4, 4, 1, (6, 4), "need n > r_lower > 0, got n=4, r_lower=4"),
+        (4, 0, 1, (2, 4), "need n > r_lower > 0, got n=4, r_lower=0"),
+        (4, 1, -1, (1, 4), "r_upper must be in [0, n-1], got -1"),
+        (4, 1, 4, (6, 4), "r_upper must be in [0, n-1], got 4"),
+        (4, 1, 1, (3, 5), "bands must have shape (3, 4), got (3, 5)"),
+        (4, 1, 1, (4, 4), "bands must have shape (3, 4), got (4, 4)"),
+    ],
+    ids=["n=r_lower", "r_lower=0", "r_upper<0", "r_upper=n", "wide-bands", "tall-bands"],
+)
+def test_constructor_rejects_bad_bandwidths_and_band_shapes(n, r_lower, r_upper, shape, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BandedMatrix(n, r_lower, r_upper, np.zeros(shape))
+
+
 def test_cells_outside_the_matrix_are_rejected():
     # a 30 x 30 band of order 3 has 3 + 2 + 1 cells outside the matrix in
     # each corner of its band array
@@ -137,6 +154,8 @@ def test_band_pattern_enforced():
     dense[3, 0] = 1.0  # outside lower bandwidth 2
     with pytest.raises(BandPatternError):
         BandedMatrix.from_dense(dense, 2, 1)
+    with pytest.raises(ValueError, match="dense input must be square"):
+        BandedMatrix.from_dense(np.eye(4)[:3], 2, 1)
 
 
 @pytest.mark.parametrize("r_lower, r_upper", [(2, 1), (3, 0), (1, 130)])
@@ -243,11 +262,19 @@ def test_prescribed_condition_unitary_limit():
     assert 1.0 <= np.linalg.cond(a.to_dense(), 2) <= 2.0
 
 
-@pytest.mark.parametrize("target", [float("nan"), float("inf"), float("1e400"), 0.5],
-                         ids=["nan", "inf", "1e400", "0.5"])
-def test_prescribed_condition_rejects_a_target_that_is_not_finite_or_below_one(target):
-    with pytest.raises(ValueError, match="target_cond must be finite and >= 1"):
-        prescribed_condition_band(10, 2, target, seed=0)
+@pytest.mark.parametrize(
+    "n, target, message",
+    [(10, float("nan"), "target_cond must be finite and >= 1"),
+     (10, float("inf"), "target_cond must be finite and >= 1"),
+     (10, float("1e400"), "target_cond must be finite and >= 1"),
+     (10, 0.5, "target_cond must be finite and >= 1"),
+     (2, 10.0, "need n > r > 0, got n=2, r=2")],
+    ids=["nan", "inf", "1e400", "0.5", "n=r"],
+)
+def test_prescribed_condition_rejects_a_target_that_is_not_finite_or_below_one(n, target, message):
+    # and a size that leaves no room for a band of order r = 2
+    with pytest.raises(ValueError, match=re.escape(message)):
+        prescribed_condition_band(n, 2, target, seed=0)
 
 
 @pytest.mark.parametrize("target,lo,hi", [(1e6, 5e5, 2e6), (1e1, 5.0, 20.0)])
@@ -393,8 +420,11 @@ def test_matrix_file_parse_errors(tmp_path, mutate):
         (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:], "bad data row"),
         (lambda lines: [lines[0]] + [ln + ",0" for ln in lines[1:]], "expected 6 values per row"),
         (lambda lines: lines[:2] + [lines[2].replace(",", ",1#", 1)] + lines[3:], "bad data row"),
+        (lambda lines: ["6 2"] + lines[1:], "header must be 'N r_lower r_upper'"),
+        (lambda lines: ["6 2 3 3"] + lines[1:], "header must be 'N r_lower r_upper'"),
     ],
-    ids=["empty", "header-only", "ragged-row", "wide-rows", "hash-in-value"],
+    ids=["empty", "header-only", "ragged-row", "wide-rows", "hash-in-value", "two-field-header",
+         "four-field-header"],
 )
 def test_matrix_file_errors_name_the_path(tmp_path, mutate, message):
     # a '#' is a bad value, not the start of a comment; numpy's warning that

@@ -1,11 +1,12 @@
 import csv
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from greenband import run_bench, slope_fit, write_bench_csv
-from greenband.bench import fit_records, instability_matrix
+from greenband.bench import fit_records, instability_matrix, run_example
 
 
 def test_slope_of_linear_law():
@@ -80,6 +81,10 @@ def test_bench_csv_of_no_records_is_its_header(tmp_path):
 def test_run_bench_rejects_unknown_method():
     with pytest.raises(ValueError):
         run_bench([8, 12, 16], r=2, method="cholesky")
+    # and run_example an unknown example id, before it runs anything
+    for example_id in (0, 6):
+        with pytest.raises(ValueError, match=re.escape("example id must be one of (1, 2, 3, 4, 5)")):
+            run_example(example_id, "unused")
 
 
 def test_instability_matrix_shape():

@@ -175,7 +175,7 @@ def test_lu_on_small_pivot_matrix_succeeds_but_fails_verify(tmp_path):
     assert run("verify", m, g) == 0
 
 
-def test_verify_detects_planted_corruption(tmp_path):
+def test_verify_detects_planted_corruption(tmp_path, capsys):
     m, g = tmp_path / "a.txt", tmp_path / "g.json"
     a = random_band(20, 2, 2, seed=3, diag_shift=2.0)
     write_matrix(m, a)
@@ -186,6 +186,11 @@ def test_verify_detects_planted_corruption(tmp_path):
     write_generators(g, GreenGenerators(gens.n, gens.r, p_bad, gens.q, gens.a,
                                         gens.p_last))
     assert run("verify", m, g) == 4
+    # generators of another size are a bad input, not a failed check
+    write_matrix(m, random_band(21, 2, 2, seed=3, diag_shift=2.0))
+    capsys.readouterr()
+    assert run("verify", m, g) == 2
+    assert "size mismatch: matrix n=21, generators n=20" in capsys.readouterr().err
 
 
 def test_verify_trivial_identity_case(tmp_path, capsys):

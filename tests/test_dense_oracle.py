@@ -97,6 +97,9 @@ def test_rank_outer_product():
 def test_rank_requires_positive_tol():
     with pytest.raises(ValueError):
         numerical_rank(np.eye(2), 0.0)
+    # and a matrix
+    with pytest.raises(ValueError, match="input must be a matrix"):
+        numerical_rank(np.ones(3), 1e-8)
 
 
 def test_rank_of_inverse_submatrices_is_low():

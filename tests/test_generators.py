@@ -1,4 +1,5 @@
 import functools
+import json
 import re
 import warnings
 
@@ -26,7 +27,7 @@ from greenband import (
 )
 from conftest import instance, random_generators, traced_peak
 from greenband.banded import CHUNK, ROWS, TEXT_CHUNK
-from greenband import generators
+from greenband import banded as banded_module, generators
 from greenband.generators import IMAGE_PANEL, TREE, TREE_MAX_R
 
 
@@ -506,16 +507,30 @@ def test_dense_checks_hold_o_rows_n_temporaries():
     assert traced_peak(identity_residual, a, g) <= n * n * 8 + blocks
 
 
-def test_generator_file_round_trip(tmp_path):
+def test_generator_file_round_trip(tmp_path, monkeypatch):
+    # one read scans each of the four arrays for a non-finite entry once
     g = random_generators(9, 3, seed=18)
     path = tmp_path / "g.json"
     write_generators(path, g)
+    scanned = []
+    all_finite = banded_module.all_finite
+    monkeypatch.setattr(banded_module, "all_finite", lambda arr: scanned.append(arr.size) or all_finite(arr))
     h = read_generators(path)
+    assert sorted(scanned) == sorted([6 * 3, 6 * 3, 6 * 9, 9])
     assert h.n == g.n and h.r == g.r
     np.testing.assert_array_equal(h.p, g.p)
     np.testing.assert_array_equal(h.q, g.q)
     np.testing.assert_array_equal(h.a, g.a)
     np.testing.assert_array_equal(h.p_last, g.p_last)
+    for field in ("a", "p_last"):
+        data = json.loads(path.read_text())
+        row = data[field][0] if field == "a" else data[field]
+        row[0] = float("nan")
+        bad = tmp_path / f"{field}.json"
+        bad.write_text(json.dumps(data))
+        message = f"{bad}: malformed generator file: {field} entries must be finite"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_generators(bad)
 
 
 def test_generator_file_rejects_garbage(tmp_path):

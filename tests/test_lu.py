@@ -176,6 +176,10 @@ def test_elementary_factors_validate_input():
     low[5, 0] = 1.0  # below bandwidth 2
     with pytest.raises(ValueError):
         elementary_factors_from_entrywise(low, 2)
+    scaled = np.eye(6)
+    scaled[3, 3] = 2.0
+    with pytest.raises(ValueError, match="input must have a unit diagonal"):
+        elementary_factors_from_entrywise(scaled, 2)
 
 
 def test_row_and_column_partitions_share_corner_entry():

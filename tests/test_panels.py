@@ -124,32 +124,34 @@ def right_blocks(n, r, width):
 def test_one_lapack_call_per_panel(monkeypatch, r_upper):
     # a deterministic guard against per-row dispatch: n = 1000, r = 4 takes
     # ceil((n - r) / PANEL) = 32 panels, each one window read and one panel
-    # call, plus the trailing-block calls on every panel but the last: one
-    # explicit transform where the block right of the panel is wider than
-    # 2 (PANEL + r) = 72 columns (QR: compact_transform, below the dgeqrt
-    # rule; LU: elimination_transform), applied by the panel loop, else one
-    # dormqr (QR) or one dtrsm and one dgemm (LU).  With r_upper = 999 the
-    # first 28 blocks are 1000 - 32 (k + 1) columns wide, the last three 72,
-    # 40 and 8 columns.  The whole inversions add only the generator stage's
-    # one explicit transform per panel that kept none, built by the
-    # function that the factorization calls, so each panel's transform is
-    # built once: their bottom r rows are steps of the one backward
-    # recursion (no closing blocks, no triangular inverse or solve for LU's
-    # trailing block), and they read the factorizations' (u, w), never a
-    # block of G built from it.  LU factors the two-sided band in one dgbtrf
-    # call instead, with no window read and no panel call
+    # call, plus the trailing-block calls.  QR's, on every panel but the
+    # last: one explicit transform (compact_transform, below the dgeqrt
+    # rule) where the block right of the panel is wider than
+    # 2 (PANEL + r) = 72 columns, applied by the panel loop, else one
+    # dormqr.  LU's panel loop builds one elimination_transform on every
+    # panel, the last one included, and applies it there, with no dtrsm or
+    # dgemm of its own.  With r_upper = 999 the first 28 blocks are
+    # 1000 - 32 (k + 1) columns wide, the last three 72, 40 and 8 columns.
+    # The whole inversions add only the generator stage's one explicit
+    # transform per panel that kept none, built by the function that the
+    # factorization calls, so each panel's transform is built once: their
+    # bottom r rows are steps of the one backward recursion (no closing
+    # blocks, no triangular inverse or solve for LU's trailing block), and
+    # they read the factorizations' (u, w), never a block of G built from
+    # it.  LU factors the two-sided band in one dgbtrf call instead, with no
+    # window read and no panel call, and its stage builds every transform
     n, r = 1000, 4
     panels = math.ceil((n - r) / PANEL)
     if r_upper == 4:
         wide = 0
         qr_calls = {"dormqr": 31}
-        lu_calls = {"dgbtrf": 1}
+        lu_calls, lu_stage = {"dgbtrf": 1}, panels
     else:
         wide = 28
         assert right_blocks(n, r, n - 1)[-4:] == [104, 72, 40, 8]
         qr_calls = {"dormqr": 3, "compact_transform": wide}
-        lu_calls = {"panel": panels, "dgetrf": panels, "dtrsm": 3, "dgemm": 3,
-                    "elimination_transform": wide}
+        lu_calls = {"panel": panels, "dgetrf": panels, "elimination_transform": panels}
+        lu_stage = 0
     a = random_band(n, r, r_upper, seed=0, diag_shift=r + 1.0)
     calls = {}
     for name in ("panel", "row_segment", "col_segment"):
@@ -169,7 +171,7 @@ def test_one_lapack_call_per_panel(monkeypatch, r_upper):
     assert qr_factor_lower_band(a).path == "dgeqrf"
     # the diagonal shift leaves dgbtrf and dgetrf nothing to swap: no panel
     # takes the column loop
-    for run, stage in ((lu_factor_lower_band, 0), (invert_lower_band_lu, panels - wide)):
+    for run, stage in ((lu_factor_lower_band, 0), (invert_lower_band_lu, lu_stage)):
         calls.clear()
         run(a)
         assert calls == plus(lu_calls, "elimination_transform", stage), run.__name__
@@ -180,12 +182,14 @@ def test_one_lapack_call_per_panel(monkeypatch, r_upper):
 @pytest.mark.parametrize("method", ["qr", "lu"])
 def test_trailing_update_switches_past_twice_the_window_height(monkeypatch, method, extra):
     # r_upper makes the right block of every unclipped window exactly
-    # 2 (PANEL + r) columns, which keep the blocked update, or one more,
-    # which take the explicit transform (QR's window is r + r_upper wide,
-    # LU's max(r, r_upper)); n = r + 8 PANEL + 1 has five such windows.  An
-    # entry three times its pivot in the middle of every panel sends each
-    # LU panel through the column loop, whose reference takes the same
-    # trailing update, so LU must match it bit for bit on both sides
+    # 2 (PANEL + r) columns, on which QR keeps its blocked update, or one
+    # more, on which it takes the explicit transform (QR's window is
+    # r + r_upper wide, LU's max(r, r_upper)); n = r + 8 PANEL + 1 has five
+    # such windows.  LU's panel loop takes its explicit transform on every
+    # panel, on both sides of the rule.  An entry three times its pivot in
+    # the middle of every panel sends each LU panel through the column
+    # loop, whose reference takes the same trailing update, so LU must
+    # match it bit for bit on both sides
     r = 4
     block = 2 * (PANEL + r) + extra
     n = r + 8 * PANEL + 1
@@ -206,8 +210,13 @@ def test_trailing_update_switches_past_twice_the_window_height(monkeypatch, meth
     counting(monkeypatch, module, transform, calls)
     counting(monkeypatch, lu_module, "_eliminate", calls)
     fact = factor(a)
-    assert calls.get(transform, 0) == (5 if extra else 0)
-    assert calls.get("_eliminate", 0) == (len(blocks) + 1 if method == "lu" else 0)
+    panels = len(blocks) + 1
+    if method == "qr":
+        assert calls.get(transform, 0) == (5 if extra else 0)
+    else:
+        assert calls.get(transform, 0) == panels
+        assert all(pair[0] is None and not pair[1].flags.writeable for pair in fact.transforms)
+    assert calls.get("_eliminate", 0) == (panels if method == "lu" else 0)
     for top in fact.tops:
         rows, cols = np.indices(top.shape)
         assert np.all(top[cols > rows + fact.width] == 0.0)
@@ -278,8 +287,9 @@ def test_wide_panels_build_each_transform_once(monkeypatch, route, size):
     # one-sided bands on the four routes of the panel loop (QR's dgeqrf and,
     # at r = PANEL + 3, dgeqrt; LU's dgetrf and its column loop): the
     # factorization builds and keeps, read-only, the (M, F) of each panel
-    # with a wide right block, whose update is two dgemm calls in the panel
-    # loop, and the stage builds only the other panels', so each panel's
+    # whose update is two dgemm calls in the panel loop (QR's panels with a
+    # wide right block, every LU panel, the last one's update being empty),
+    # and the stage builds only the other panels', so each panel's
     # transform is built once per inversion.  The kept pairs are the ones
     # that the stage would build, entry for entry (LU's masked multipliers
     # may leave a zero negative), and the generators are its bit for bit;
@@ -298,17 +308,19 @@ def test_wide_panels_build_each_transform_once(monkeypatch, route, size):
     counting(monkeypatch, lu_module, "_eliminate", calls)
     counting(monkeypatch, banded_module, "dgemm", calls)
     fact = factor(a)
-    want = plus({builder: wide, "dgemm": (3 if lu else 2) * wide}, "_eliminate",
+    keeps = panels if lu else wide
+    # the last LU panel has no columns right of it, so no update
+    want = plus({builder: keeps, "dgemm": 3 * panels - 2 if lu else 2 * wide}, "_eliminate",
                 panels if route == "lu column loop" else 0)
     assert calls == want
     assert fact.path == {"qr dgeqrt": "dgeqrt", "qr dgeqrf": "dgeqrf"}.get(route, "panels")
     kept = [t is not None for t in fact.transforms]
-    assert kept == [True] * wide + [False] * (panels - wide)
+    assert kept == [True] * keeps + [False] * (panels - keeps)
     assert all(top.flags.f_contiguous for top in fact.tops)
     calls.clear()
     g = inverse_generators(fact)
-    assert calls == plus({builder: panels - wide}, "dgemm", panels - wide if lu else 0)
-    for i, (u, w, _, _) in enumerate(panel_bands(fact)[:wide]):
+    assert calls == plus({}, builder, panels - keeps)
+    for i, (u, w, _, _) in enumerate(panel_bands(fact)[:keeps]):
         for got, built in zip(fact.transforms[i], fact.build_transform(i, u, w)):
             if got is None:
                 assert built is None and lu
@@ -364,8 +376,8 @@ def column_loop_factorization(a):
     """x, tops and the multipliers of the LU factorization with every panel
     eliminated one column at a time, the elimination that a panel which
     dgetrf would pivot must reproduce bit for bit (the reference); the
-    columns right of each panel take the library's own trailing update, or
-    on a wide block its explicit transform."""
+    columns right of each panel take the panel's explicit transform, as
+    LU's panel loop applies it."""
     r = a.r_lower
 
     def reduce(w, k0, b, wide):
@@ -373,9 +385,7 @@ def column_loop_factorization(a):
             mult = w[j + 1 : j + 1 + r, j]
             mult /= w[j, j]
             w[j + 1 : j + 1 + r, j + 1 : b] -= mult[:, None] * w[j, j + 1 : b]
-        if wide:
-            return None, elimination_transform(w[:, :b] * banded_module.strictly_lower(b + r, b))
-        lu_module._update(w, b)
+        return None, elimination_transform(w[:, :b] * banded_module.strictly_lower(b + r, b))
 
     x, tops, below, _ = factor_panels(a, max(r, a.r_upper), reduce)
     return x, tops, below[:, 1:]
@@ -400,7 +410,10 @@ def test_lu_panels_that_dgetrf_would_pivot_take_the_column_loop(
     # an entry three times its pivot below the diagonal, in the middle of
     # the second panel or of every panel, makes dgetrf's partial pivoting
     # swap rows there; the instance stays strongly regular, so exactly those
-    # panels are restored and eliminated one column at a time
+    # panels are restored and eliminated one column at a time.  Every
+    # panel's update, the two-sided bands' narrow ones too, is its explicit
+    # transform: the factorization solves nothing and keeps each panel's
+    # (None, F), read-only, so the stage builds none
     n = r + 3 * PANEL + offset
     r_upper = {"zero": 0, "equal": r, "full": n - 1}[upper]
     m = n - r
@@ -411,13 +424,20 @@ def test_lu_panels_that_dgetrf_would_pivot_take_the_column_loop(
         dense[j + 1, j] = 3.0 * dense[j, j]
     a = BandedMatrix.from_dense(dense, r, r_upper)
     calls = {}
-    for name in ("dgbtrf", "dgetrf", "_eliminate"):
+    for name in ("dgbtrf", "dgetrf", "_eliminate", "dtrsm"):
         counting(monkeypatch, lu_module, name, calls)
+    counting(monkeypatch, banded_module, "dtrsm", calls)
+    counting(monkeypatch, lu_module.LuFactorization, "build_transform", calls)
     fact = lu_factor_lower_band(a)
     # a band within dgbtrf's rule tries it first, sees the swap and falls back
     tried = {} if wide_right_block(max(r, r_upper), PANEL + r) else {"dgbtrf": 1}
     assert calls == {**tried, "dgetrf": len(panels), "_eliminate": len(planted_in)}
     assert fact.path == "panels"
+    assert len(fact.transforms) == len(panels)
+    assert all(pair[0] is None and not pair[1].flags.writeable for pair in fact.transforms)
+    calls.clear()
+    g = inverse_generators(fact)
+    assert calls == {}
     low, up = dense_unpivoted_lu(dense)
     np.testing.assert_allclose(fact.l_dense(), low, rtol=1e-13, atol=1e-15)
     np.testing.assert_allclose(fact.r_dense(), up, rtol=1e-13, atol=1e-13)
@@ -430,7 +450,7 @@ def test_lu_panels_that_dgetrf_would_pivot_take_the_column_loop(
         for name in ("p", "q", "p_last", "a"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     ref = dense_invert(dense)
-    err = covered_relative_error(reconstruct_structured(invert_lower_band_lu(a)), ref, r)
+    err = covered_relative_error(reconstruct_structured(g), ref, r)
     assert err <= 1e-12
 
 
@@ -911,9 +931,11 @@ def test_generator_stage_calls_blas_per_panel(monkeypatch, r_upper):
     # compact_transform's (QR below the dgeqrt rule), and LU's transform
     # takes one dtrtri; the prefix corrections solve nothing.  Each
     # factorization's class builds its transforms (qr and lu call them).
-    # Counted over the stage alone: with r_upper = 999 the factorization
+    # Counted over the stage alone: with r_upper = 999 QR's factorization
     # keeps the transforms of the 28 panels with a wide right block, and
-    # the stage builds only the other four
+    # the stage builds only the other four; LU's panel loop keeps every
+    # panel's, and the stage builds none.  With r_upper = 4 LU factors by
+    # dgbtrf, which keeps none: the stage builds every panel's
     n, r = 1000, 4
     panels = math.ceil((n - r) / PANEL)
     wide = sum(c > 2 * (PANEL + r) for c in right_blocks(n, r, min(r + r_upper, n - 1)))
@@ -928,8 +950,8 @@ def test_generator_stage_calls_blas_per_panel(monkeypatch, r_upper):
         counting(monkeypatch, banded_module, name, calls)
     expected = {
         qr_factor_lower_band: {"dtrsm": 2 * panels - wide, "compact_transform": panels - wide},
-        lu_factor_lower_band: {"dtrsm": panels, "dtrtri": panels - wide,
-                               "elimination_transform": panels - wide},
+        lu_factor_lower_band: {"dtrsm": panels, "dtrtri": panels, "elimination_transform": panels}
+        if r_upper == 4 else {"dtrsm": panels},
     }
     for factor, want in expected.items():
         fact = factor(a)
