@@ -51,7 +51,9 @@ class BandedMatrix:
     (the corner triangles of the band layout) must be zero.  Instances are
     immutable after construction; the band array is marked read-only so they
     can be shared freely between threads (``norm_inf``, computed on first
-    use, is the same value whichever thread computes it).
+    use, is the same value whichever thread computes it).  One read-only
+    n x n strided view of the array (``_band_view``), made once, is what
+    ``rows_block`` slices.
     """
 
     def __init__(self, n, r_lower, r_upper, bands):
@@ -79,6 +81,7 @@ class BandedMatrix:
         self.r_lower = int(r_lower)
         self.r_upper = int(r_upper)
         self.bands.setflags(write=False)
+        self._square = _band_view(self.bands, self.r_upper)
         self._norm = None
 
     @property
@@ -142,8 +145,8 @@ class BandedMatrix:
     def rows_block(self, i0, i1, j0, j1):
         """Dense block A[i0:i1, j0:j1] in Fortran order, zero outside the band;
         rows past the last one read as zero (0 <= i0, 0 <= j0 <= j1 <= n).
-        One strided read of the band array (``band_block``)."""
-        return band_block(self.bands, self.r_upper, self.r_upper, self.r_lower, i0, i1, j0, j1)
+        One slice of the band's n x n view (``band_block``)."""
+        return band_block(self._square, self.r_upper, self.r_lower, i0, i1, j0, j1)
 
     def panel(self, k0, rows, cols, carried=None):
         """Working window of a panel factorization: A[k0:k0+rows, k0:k0+cols]
@@ -192,32 +195,40 @@ class BandedMatrix:
         return f"BandedMatrix(n={self.n}, r_lower={self.r_lower}, r_upper={self.r_upper})"
 
 
-def band_block(bands, diagonal, above, below, i0, i1, j0, j1):
+def _band_view(bands, diagonal):
+    """The n x n matrix M whose cell (i, j) sits at ``bands[diagonal + i - j, j]``
+    of the Fortran-ordered (d, n) array ``bands``, as one strided view of it,
+    read-only when ``bands`` is.
+
+    M[i, j] sits at offset diagonal + i + j (d - 1) of the array.  Every
+    offset lies inside it when ``diagonal`` < d, the largest one,
+    diagonal + (n - 1) d at i = j = n - 1, included.  The view's cells
+    outside the band read other cells of the array, which ``band_block``
+    zeroes.
+    """
+    d, n = bands.shape
+    step = bands.itemsize
+    return np.ndarray((n, n), buffer=bands, offset=diagonal * step, strides=(step, (d - 1) * step))
+
+
+def band_block(view, above, below, i0, i1, j0, j1):
     """Dense block M[i0:i1, j0:j1] in Fortran order of the n x n matrix M
-    whose cell (i, j) sits at ``bands[diagonal + i - j, j]`` of the
-    Fortran-ordered (d, n) array ``bands``, with every cell j - i > ``above``
+    read through ``view`` (``_band_view``), with every cell j - i > ``above``
     or i - j > ``below`` zero; rows past the last one read as zero
     (0 <= i0, 0 <= j0 <= j1 <= n).
 
-    M[i, j] sits at offset diagonal + i + j (d - 1) of the array, so the
-    block is one strided view, copied as each column's contiguous band
-    cells.  The view's cells above or below the band read other cells; they
-    are zeroed after the copy, at indices cached per window shape
+    The block is one slice of the view, copied as each column's contiguous
+    band cells.  The slice's cells above or below the band read other cells;
+    they are zeroed after the copy, at indices cached per window shape
     (``_outside``).
     """
-    d, n = bands.shape
+    n = len(view)
     rows, cols = i1 - i0, j1 - j0
     live = max(0, min(i1, n) - i0)
     out = np.empty((rows, cols), order="F")
-    if live and cols:
-        step = bands.itemsize
-        out[:live] = np.ndarray(
-            (live, cols),
-            buffer=bands,
-            offset=(diagonal + i0 + j0 * (d - 1)) * step,
-            strides=(step, (d - 1) * step),
-        )
-    out[live:] = 0.0
+    out[:live] = view[i0 : i0 + live, j0:j1]
+    if live < rows:
+        out[live:] = 0.0
     above = min(max(above + i0 - j0, -rows), cols)
     below = min(max(below - i0 + j0, -cols), rows)
     out.T.reshape(-1)[_outside(rows, cols, above, below)] = 0.0
@@ -325,7 +336,7 @@ class PanelFactorization:
     from it on demand.
 
     The generator stage takes each panel's explicit transforms from
-    ``panel_transform(i, u, w)``: panel i's (M, F), F the descending
+    ``panel_transform(i, u, w, out)``: panel i's (M, F), F the descending
     product of its blocks and M the factor of their ascending product, or
     None where the stage needs none (LU).  ``transforms[i]`` is the pair
     that ``factor_panels`` kept for the panel (QR's panels with a wide
@@ -345,12 +356,15 @@ class PanelFactorization:
         self.w = w
         self.transforms = transforms or [None] * len(tops)
 
-    def panel_transform(self, i, u, w):
+    def panel_transform(self, i, u, w, out):
         """Panel i's (M, F): the kept pair, or else the one that
         ``build_transform`` makes from the panel's (b + r) x b matrices u
-        and w."""
+        and w.  ``out`` is the caller's Fortran (b + r) x (b + r) buffer,
+        its last r columns [0; I]: a builder may write F's first b columns
+        into it and return it as F (LU's does), so the caller owns the F it
+        gets until its next call with that buffer."""
         kept = self.transforms[i]
-        return self.build_transform(i, u, w) if kept is None else kept
+        return self.build_transform(i, u, w, out) if kept is None else kept
 
     @property
     def rows(self):
@@ -492,16 +506,22 @@ def reflection_transform(v, t):
     return m, np.subtract(_identity(len(v)), v @ m.T)
 
 
-def elimination_transform(l):
+def elimination_transform(l, out=None):
     """The descending product of a panel's elimination steps
     G_j = I - l_j e_j^T, l_j the columns of the (b + r) x b ``l`` (zero on
     and above its diagonal): for L = I + l = [L11; L21],
     F = [[L11^{-1}, 0], [-L21 L11^{-1}, I]], from one ``dtrtri`` and one
-    ``dgemm``."""
+    ``dgemm``.  Into ``out``, a (b + r) x (b + r) array whose last r
+    columns already hold [0; I], only the first b columns are written, and
+    ``out`` is returned; without it, F is a new Fortran-ordered array.
+    Either way F's bits are the same."""
     b = l.shape[1]
-    out = np.eye(len(l), order="F")
+    if out is None:
+        out = np.eye(len(l), order="F")
     inv = dtrtri(l[:b], lower=1, unitdiag=1)[0]
-    np.fill_diagonal(inv, 1.0)  # dtrtri leaves the unit diagonal as it found it
+    # dtrtri leaves the unit diagonal as it found it; inv is a fresh
+    # Fortran-ordered b x b array, so its diagonal is every (b + 1)-th cell
+    inv.T.reshape(-1)[:: b + 1] = 1.0
     out[:b, :b] = inv
     out[b:, :b] = dgemm(-1.0, l[b:], inv)
     return out
@@ -537,10 +557,6 @@ def random_band(n, r_lower, r_upper, seed, diag_shift=0.0):
     entries depend only on (n, seed), not on the bandwidths.  Identical
     arguments give bit-identical matrices.
     """
-    if not n > r_lower > 0:
-        raise ValueError(f"need n > r_lower > 0, got n={n}, r_lower={r_lower}")
-    if not 0 <= r_upper <= n - 1:
-        raise ValueError(f"r_upper must be in [0, n-1], got {r_upper}")
     rng = np.random.Generator(np.random.PCG64(seed))
     dense = np.tril(np.triu(rng.random((n, n)), -r_lower), r_upper)
     if diag_shift:

@@ -377,9 +377,11 @@ def inverse_generators(fact):
       built and kept (QR's panels with a wide right block, every panel of
       LU's loop), else built here
       from the panel's one triangular factor, QR's from LAPACK's T or from
-      the compact form, LU's F from L11^{-1}, with no M.  Either way each
-      panel's pair is built once per inversion, and the stage writes into
-      no array of the factorization, so threads may share one;
+      the compact form, LU's F from L11^{-1}, with no M, written into the
+      stage's own F buffer for the panel's height, whose [0; I] columns
+      are set once.  Either way each panel's pair is built once per
+      inversion, and the stage writes into no array of the factorization,
+      so threads may share one;
     - Z = R(J, J)^{-1} (F[:b] - R(J, j1:) P F[b:]) is Z_{j0} there, where P
       is the stack below J (none below the last panel);
     - the stack at row j0 is [Z[:, :r]; P F[b:, :r]], cut to ``width`` rows;
@@ -411,6 +413,8 @@ def inverse_generators(fact):
     np.subtract(np.eye(r)[-1], q, out=q)  # e_r - q
     stacks = np.empty((2, width, r))  # each panel writes the one it does not read
     t = stacks[1, :0]
+    # per panel height: the skewed matrices, and the F buffer with its
+    # [0; I] columns set once, which a builder may fill (LU's does)
     scratch = {}
     j0 = n
     for i in range(len(fact.tops) - 1, -1, -1):
@@ -418,28 +422,33 @@ def inverse_generators(fact):
         b, h = len(top), len(t)
         j0 -= b
         if b not in scratch:
-            scratch[b] = _skewed(b, r, 3)
-        (ut, wt, z), bands = scratch[b]
+            scratch[b] = *_skewed(b, r, 3), np.eye(b + r, order="F")
+        (ut, wt, z), bands, f_buf = scratch[b]
         bands[0] = u[j0 : j0 + b]
         bands[1] = w[j0 : j0 + b]
         # ut = U^T and wt = W^T are C-ordered: their transposes are the
         # Fortran-ordered (b + r) x b matrices U and W, uncopied
-        mult, f = fact.panel_transform(i, ut.T, wt.T)
+        mult, f = fact.panel_transform(i, ut.T, wt.T, f_buf)
         np.dot(top[:, b : b + h] @ t, f[b:], out=z)
         np.subtract(f[:b], z, out=z)
-        # z is C-ordered, so dtrsm solves with its transpose, uncopied
-        z[:] = dtrsm(1.0, top[:, :b], z.T, side=1, trans_a=1, overwrite_b=1).T
+        # z is C-ordered, so dtrsm solves with its transpose in place; it
+        # copies only an input that is not Fortran-contiguous
+        sol = dtrsm(1.0, top[:, :b], z.T, side=1, trans_a=1, overwrite_b=1)
+        if not np.may_share_memory(sol, z):
+            z[:] = sol.T
         nxt = stacks[i & 1]
         keep = min(b, width)
         nxt[:keep] = z[:keep, :r]
         height = min(b + h, width)
-        np.dot(t[: height - keep], f[b:, :r], out=nxt[keep:height])
+        if height > keep:  # an empty product where width <= b
+            np.dot(t[: height - keep], f[b:, :r], out=nxt[keep:height])
         t = nxt[:height]
         e = min(m - j0, b)  # rows e.. of the last panel are the bottom r rows
         if mult is not None:
             prefix = z @ mult
             prefix *= strictly_lower(b, b)
-            prefix[:, e:] = 0.0  # the bottom rows' prefix stops at row m
+            if e < b:
+                prefix[:, e:] = 0.0  # the bottom rows' prefix stops at row m
             z -= prefix @ wt
         p[j0 : j0 + e] = bands[2, :e, :r]
         if e < b:

@@ -36,6 +36,8 @@ from scipy.linalg.lapack import dgbtrf, dgetrf
 from .banded import (
     PANEL,
     PanelFactorization,
+    _band_view,
+    _outside,
     band_block,
     checked,
     elimination_transform,
@@ -93,14 +95,16 @@ class LuFactorization(PanelFactorization):
         multipliers below each panel's diagonal."""
         return max(np.abs(np.triu(top)).sum(axis=1).max() for top in self.tops) / (self.norm or 1.0)
 
-    def build_transform(self, i, u, w):
+    def build_transform(self, i, u, w, out):
         """No M, and F of the elimination steps of panel i, given as the
         (b + r) x b matrices u (the multipliers) and w (unused), from
         L11^{-1} (``banded.elimination_transform``), for the ``dgbtrf``
-        route: the panel loop keeps every panel's pair.  A step I - u_k e_k^T
-        changes only column k, so the stage's prefix correction would
-        change only columns left of each row's p(k): it is never run."""
-        return None, elimination_transform(u)
+        route: the panel loop keeps every panel's pair.  F is written into
+        the caller's buffer ``out``, whose [0; I] columns are already set,
+        so no identity is built per panel.  A step I - u_k e_k^T changes
+        only column k, so the stage's prefix correction would change only
+        columns left of each row's p(k): it is never run."""
+        return None, elimination_transform(u, out)
 
     def l_dense(self):
         """Entrywise unit lower triangular factor L."""
@@ -143,9 +147,9 @@ def _factor_band(a, width, tol, norm):
     U's diagonal, the r_upper rows above it U's superdiagonals (the r_lower
     rows on top are fill-in, zero when no row was swapped) and the r_lower
     rows below it L's multipliers.  So x is one row, u = [0 | f] one
-    transposing copy and each panel's ``tops`` one strided read
-    (``banded.band_block``).  An exactly zero pivot (``info`` > 0) is left
-    in place by ``dgbtrf`` and caught by the pivot check.
+    transposing copy and ``tops`` one strided copy of all full panels
+    (``_band_tops``).  An exactly zero pivot (``info`` > 0) is left in
+    place by ``dgbtrf`` and caught by the pivot check.
     """
     n, r, s = a.n, a.r_lower, a.r_upper
     diag = r + s
@@ -162,11 +166,41 @@ def _factor_band(a, width, tol, norm):
     u = np.empty((n, r + 1))
     u[:, 0] = 0.0
     u[:, 1:] = band[diag + 1 :].T
-    tops = [
-        band_block(band, diag, s, r, k0, k1, k0, min(k1 + width, n))
-        for k0, k1 in panel_edges(n, r)
-    ]
-    return LuFactorization(n, r, u, x, tops, width, norm, path="dgbtrf")
+    return LuFactorization(n, r, u, x, _band_tops(band, diag, s, r, width), width, norm, path="dgbtrf")
+
+
+def _band_tops(band, diag, s, r, width):
+    """R's panels, read off ``dgbtrf``'s (ldab, n) array ``band``, U's
+    diagonal in its row ``diag``.
+
+    Every panel of PANEL rows whose window of PANEL + width columns ends
+    inside the matrix, all of them but the last few, is one cell of one
+    3-D strided view of the array: the cell strides are 1 and ldab - 1,
+    those of the array's n x n view (``banded._band_view``), and panel p
+    starts p PANEL cells down that view's diagonal, a panel stride of
+    PANEL ldab.  One copy takes them into an array whose panels are
+    Fortran-ordered views, and one assignment at indices cached for that
+    window shape (``banded._outside``) zeroes their cells outside the band,
+    all panels at once.  The rest, the last panel among them, are
+    ``band_block`` slices of the n x n view.
+    """
+    ldab, n = band.shape
+    edges = panel_edges(n, r)
+    count = min(len(edges) - 1, (n - width) // PANEL)
+    rows, cols = PANEL, PANEL + width
+    step = band.itemsize
+    panels = np.ndarray(
+        (count, rows, cols),
+        buffer=band,
+        offset=diag * step,
+        strides=(PANEL * ldab * step, step, (ldab - 1) * step),
+    )
+    flat = np.empty((count, rows * cols))  # panel p's cells in Fortran order
+    tops = flat.reshape(count, cols, rows).transpose(0, 2, 1)
+    tops[...] = panels
+    flat[:, _outside(rows, cols, s, r)] = 0.0
+    view = _band_view(band, diag)
+    return [*tops, *(band_block(view, s, r, k0, k1, k0, min(k1 + width, n)) for k0, k1 in edges[count:])]
 
 
 def _factor_panels(a, width, tol, norm):

@@ -74,10 +74,11 @@ class QrFactorization(PanelFactorization):
     def path(self):
         return "dgeqrf" if self.t_factors is None else "dgeqrt"
 
-    def build_transform(self, i, u, w):
+    def build_transform(self, i, u, w, out):
         """M and F of the reflections of panel i, given as the (b + r) x b
         matrices u = V diag(tau) and w = V (``_transforms``); tau is u's
-        diagonal, as v_k[0] = 1."""
+        diagonal, as v_k[0] = 1.  F is a new array: the caller's buffer ``out``
+        is not used."""
         t = None if self.t_factors is None else self.t_factors[i]
         return _transforms(u, w, u.diagonal(), t)
 

@@ -76,6 +76,22 @@ def test_unpaired_runs_are_left_out_and_failed_ops_summed():
         ab_pairs.summarize(lines)
 
 
+def test_paired_ratios_are_reported_but_judge_nothing():
+    # two host modes: the parent's quartiles span both, so no gain holds,
+    # yet every pair's ratio is 0.94 or 0.95, and the summary shows them
+    parent = [2.40, 2.45, 2.75, 2.42, 2.78, 2.44, 2.72, 2.48, 2.80, 2.46]
+    change = [round(p * (0.94 if k % 2 else 0.95), 6) for k, p in enumerate(parent)]
+    row = only_row(lines_of(parent, change), bound=BOUND)
+    assert row["ratio"] == pytest.approx((0.94, 0.945, 0.95))
+    assert (row["wins"], row["claim"], row["verdict"]) == (10, False, "in bound")
+    assert "0.9450 [0.9400, 0.9500]" in ab_pairs.report([row])
+    # a parent value of zero leaves its pair out of the ratios, and with
+    # no ratio left the column reads "-"
+    assert only_row(lines_of([0.0, 2.0], [1.0, 3.0]))["ratio"] == (1.5, 1.5, 1.5)
+    zero = only_row(lines_of([0.0, 0.0], [1.0, 3.0]))
+    assert zero["ratio"] is None and " - " in ab_pairs.report([zero])
+
+
 def test_workloads_and_metrics_have_rows_of_their_own():
     lines = [line(w, s, side, round_cal_p50=1.0 + s, setup_s=0.01)
              for w in ("narrow_band", "generator_io") for s in range(2) for side in ("parent", "change")]

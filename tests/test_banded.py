@@ -249,12 +249,15 @@ def test_shifted_random_band_is_well_conditioned(seed):
 
 
 def test_random_band_rejects_bad_bandwidths():
-    with pytest.raises(ValueError):
+    # the constructor's checks, and their messages
+    with pytest.raises(ValueError, match=re.escape("need n > r_lower > 0, got n=4, r_lower=0")):
         random_band(4, 0, 1, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("need n > r_lower > 0, got n=4, r_lower=4")):
         random_band(4, 4, 1, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("r_upper must be in [0, n-1], got 5")):
         random_band(4, 1, 5, seed=0)
+    with pytest.raises(ValueError, match=re.escape("r_upper must be in [0, n-1], got -1")):
+        random_band(4, 1, -1, seed=0)
 
 
 def test_prescribed_condition_unitary_limit():
@@ -312,6 +315,35 @@ def test_rows_block_matches_dense(n, r_lower, r_upper):
                     block = a.rows_block(i0, i1, j0, j1)
                     assert block.flags.f_contiguous
                     np.testing.assert_array_equal(block, dense[i0:i1, j0:j1])
+
+
+@pytest.mark.parametrize("r_lower, r_upper", [(1, 0), (3, 2), (3, 5), (4, 299)])
+def test_rows_block_at_the_bottom_right_corner(r_lower, r_upper):
+    # blocks that end at the last row and column, and blocks that run up
+    # to r_lower + 2 rows past the last row, at n = 300
+    n = 300
+    a = random_band(n, r_lower, r_upper, seed=r_upper, diag_shift=1.0)
+    dense = np.vstack([a.to_dense(), np.zeros((r_lower + 2, n))])
+    for i0 in range(n - r_lower - 3, n + 1):
+        for i1 in (n, n + 1, n + r_lower + 2):
+            for j0 in (n - r_upper - 3, n - r_lower - 1, n - 1, n):
+                block = a.rows_block(i0, i1, max(j0, 0), n)
+                assert block.flags.f_contiguous and block.flags.writeable
+                np.testing.assert_array_equal(block, dense[i0:i1, max(j0, 0) : n])
+
+
+def test_the_view_of_the_band_is_read_only():
+    # rows_block slices one n x n view of the band array, which refuses
+    # writes; the blocks it returns are copies of their own
+    a = random_band(9, 2, 3, seed=1)
+    view = a._square
+    assert view.shape == (9, 9) and np.shares_memory(view, a.bands)
+    with pytest.raises(ValueError, match="read-only"):
+        view[4, 3] = 1.0
+    block = a.rows_block(2, 8, 1, 7)
+    assert not np.shares_memory(block, a.bands)
+    block[...] = 5.0
+    np.testing.assert_array_equal(a.rows_block(2, 8, 1, 7), a.to_dense()[2:8, 1:7])
 
 
 @pytest.mark.parametrize("n,r_lower,r_upper", KINDS)

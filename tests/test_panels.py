@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dgbtrf
 from conftest import instance, inverters
 from test_generators import backward_recursion
 from test_lu import dense_unpivoted_lu
@@ -321,7 +322,7 @@ def test_wide_panels_build_each_transform_once(monkeypatch, route, size):
     g = inverse_generators(fact)
     assert calls == plus({}, builder, panels - keeps)
     for i, (u, w, _, _) in enumerate(panel_bands(fact)[:keeps]):
-        for got, built in zip(fact.transforms[i], fact.build_transform(i, u, w)):
+        for got, built in zip(fact.transforms[i], fact.build_transform(i, u, w, None)):
             if got is None:
                 assert built is None and lu
             else:
@@ -333,18 +334,29 @@ def test_wide_panels_build_each_transform_once(monkeypatch, route, size):
     assert err <= 1e-12
 
 
-@pytest.mark.parametrize("factor", [qr_factor_lower_band, lu_factor_lower_band])
-def test_kept_transforms_are_safe_to_share(factor):
+@pytest.mark.parametrize(
+    "factor, upper",
+    [
+        pytest.param(qr_factor_lower_band, "full", id="qr_factor_lower_band"),
+        pytest.param(lu_factor_lower_band, "full", id="lu_factor_lower_band"),
+        pytest.param(lu_factor_lower_band, "equal", id="dgbtrf"),
+    ],
+)
+def test_kept_transforms_are_safe_to_share(factor, upper):
     # the kept arrays refuse writes, and two threads that run the stage on
     # one factorization at once get the bytes of a stage run alone, and
-    # leave the kept arrays as they were
+    # leave the kept arrays as they were.  The dgbtrf route keeps none:
+    # each stage call builds every F in buffers of its own
     n, r = 300, 6
-    fact = factor(instance(n, r, n - 1, seed=n, scale=1.0))
+    fact = factor(instance(n, r, n - 1 if upper == "full" else r, seed=n, scale=1.0))
     kept = [arr for pair in fact.transforms if pair is not None for arr in pair if arr is not None]
-    assert len(kept) >= (5 if factor is lu_factor_lower_band else 10)
-    assert not any(arr.flags.writeable for arr in kept)
-    with pytest.raises(ValueError):
-        kept[0][0, 0] = 0.0
+    if upper == "equal":
+        assert fact.path == "dgbtrf" and kept == []
+    else:
+        assert len(kept) >= (5 if factor is lu_factor_lower_band else 10)
+        assert not any(arr.flags.writeable for arr in kept)
+        with pytest.raises(ValueError):
+            kept[0][0, 0] = 0.0
     before = [arr.tobytes() for arr in kept]
     alone = inverse_generators(fact)
     switch = sys.getswitchinterval()
@@ -613,6 +625,57 @@ def test_dgbtrf_branch_agrees_with_the_panel_loop(monkeypatch, r, r_upper, extra
     assert got.q.tobytes() == want.q.tobytes()
     g = invert_lower_band_lu(a)
     assert covered_relative_error(reconstruct_structured(g), dense_invert(dense), r) <= 1e-12
+
+
+def band_cells(band, diag, above, below, i0, i1, j0, j1):
+    """M[i0:i1, j0:j1] of the n x n matrix whose cell (i, j) is
+    ``band[diag + i - j, j]``, zero where j - i > ``above`` or
+    i - j > ``below``, cell by cell (the reference)."""
+    i, j = np.ogrid[i0:i1, j0:j1]
+    inside = (j - i <= above) & (i - j <= below)
+    return np.where(inside, band[np.clip(diag + i - j, 0, len(band) - 1), j], 0.0)
+
+
+def dgbtrf_tops_cases():
+    # r_upper 0, below r, equal to r, above r and at the rule's edge
+    # 2 (PANEL + r), at n = r + 1 and n = r + k PANEL + {-1, 0, 1}
+    cases = []
+    for r in (4, PANEL + 3):
+        for n in (r + 1, *(r + k * PANEL + e for k in (1, 3) for e in (-1, 0, 1))):
+            for r_upper in (0, r - 2, r, r + 5, 2 * (PANEL + r)):
+                if r_upper < n:
+                    cases.append(pytest.param(n, r, r_upper, id=f"n={n}-r={r}-r_upper={r_upper}"))
+    return cases
+
+
+@pytest.mark.parametrize("n, r, r_upper", dgbtrf_tops_cases())
+def test_dgbtrf_tops_are_one_strided_copy(monkeypatch, n, r, r_upper):
+    # the dgbtrf route's panels of R are the band array's cells, bit for
+    # bit, as the per-panel reads had them, each Fortran-ordered; band_block
+    # reads only the panels that the strided copy leaves out, the last one
+    # and those whose window the matrix edge clips
+    a = instance(n, r, r_upper, seed=n + r_upper, scale=1.0)
+    bands, calls = [], {}
+
+    def keep_band(*args, **kwargs):
+        out = dgbtrf(*args, **kwargs)
+        bands.append(out[0].copy())
+        return out
+
+    monkeypatch.setattr(lu_module, "dgbtrf", keep_band)
+    counting(monkeypatch, lu_module, "band_block", calls)
+    fact = lu_factor_lower_band(a)
+    assert fact.path == "dgbtrf"
+    (band,) = bands
+    width = max(r, r_upper)
+    edges = panel_edges(n, r)
+    assert len(fact.tops) == len(edges)
+    for top, (k0, k1) in zip(fact.tops, edges):
+        want = band_cells(band, r + r_upper, r_upper, r, k0, k1, k0, min(k1 + width, n))
+        assert top.flags.f_contiguous and top.tobytes() == want.tobytes(), k0
+    clipped = [k1 == n or k1 + width > n for _, k1 in edges]
+    assert clipped == sorted(clipped)  # the strided copy takes the first panels
+    assert calls.get("band_block", 0) == sum(clipped)
 
 
 @pytest.mark.parametrize("column", [0, PANEL - 1, PANEL, 3 * PANEL])
@@ -1080,7 +1143,7 @@ def test_qr_that_reflects_nothing_corrects_by_exact_zeros(monkeypatch, r, upper)
     assert np.all(fact.tau == 0.0) and fact.path == "dgeqrf"
     assert np.all(fact.w[:, 0] == 1.0) and np.all(fact.w[:, 1:] == 0.0)
     for u, w, _, _ in panel_bands(fact):
-        mult, f = fact.panel_transform(0, u, w)
+        mult, f = fact.panel_transform(0, u, w, None)
         assert np.all(mult == 0.0) and np.array_equal(f, np.eye(len(u)))
     calls = {}
     counting(monkeypatch, generators_module, "dtrsm", calls)
@@ -1228,6 +1291,73 @@ def test_elimination_transform_is_the_compact_form(r, upper, scale):
     fact = lu_factor_lower_band(a)
     for u, w, _, _ in panel_bands(fact):
         assert rel(elimination_transform(u), compact_transform(u, w)[1]) <= 1e-14
+
+
+def whole_elimination_transform(l):
+    """F of a panel's elimination steps built whole, from an identity, with
+    the unit diagonal of L11^{-1} set by ``np.fill_diagonal`` (the
+    reference)."""
+    b = l.shape[1]
+    out = np.eye(len(l), order="F")
+    inv = scipy.linalg.lapack.dtrtri(l[:b], lower=1, unitdiag=1)[0]
+    np.fill_diagonal(inv, 1.0)
+    out[:b, :b] = inv
+    out[b:, :b] = scipy.linalg.blas.dgemm(-1.0, l[b:], inv)
+    return out
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("upper", ["zero", "full"])
+@pytest.mark.parametrize("r", R_LOWERS)
+def test_elimination_transform_into_a_buffer_keeps_every_bit(r, upper, scale):
+    # F written into a buffer whose [0; I] columns were set once, and that
+    # still holds the previous panel's first columns (here NaN), is F built
+    # whole, bit for bit, for the stage's U of every panel (dgbtrf's and
+    # the panel loop's factorizations) and for the panel loop's masked
+    # windows, whose cells above the diagonal may be -0
+    n = r + 3 * PANEL + 1
+    r_upper = {"zero": 0, "full": n - 1}[upper]
+    dense = instance(n, r, r_upper, seed=n + r, scale=scale).to_dense()
+    a = BandedMatrix.from_dense(plant_reduced_columns(dense, [PANEL]), r, r_upper)
+    fact = lu_factor_lower_band(a)
+    rng = np.random.Generator(np.random.PCG64(n))
+    buffers = {}
+    for u, _, _, _ in panel_bands(fact):
+        masked = -rng.random(u.shape) * banded_module.strictly_lower(*u.shape)
+        for l in (u, masked):
+            b = l.shape[1]
+            out = buffers.setdefault(len(l), np.eye(len(l), order="F"))
+            out[:, :b] = np.nan
+            got = elimination_transform(l, out)
+            assert got is out
+            want = whole_elimination_transform(l)
+            assert got.tobytes() == want.tobytes() == elimination_transform(l).tobytes()
+
+
+@pytest.mark.parametrize("factor", [qr_factor_lower_band, lu_factor_lower_band])
+@pytest.mark.parametrize("upper", ["equal", "full"])
+def test_stage_copies_back_a_solve_that_dtrsm_made_on_a_copy(monkeypatch, factor, upper):
+    # handed a C-ordered right-hand side, dtrsm solves a Fortran copy of it
+    # and returns that copy: the stage then copies the solution back, and
+    # gets the bytes of the in-place solve and the dense inverse's values
+    n, r = 3 * PANEL + 7, 4
+    a = instance(n, r, n - 1 if upper == "full" else r, seed=n, scale=1.0)
+    fact = factor(a)
+    alone = inverse_generators(fact)
+    copies = []
+
+    def on_a_copy(alpha, tri, rhs, **kwargs):
+        out = dtrsm(alpha, tri, np.ascontiguousarray(rhs), **kwargs)
+        copies.append(not np.may_share_memory(out, rhs))
+        return out
+
+    monkeypatch.setattr(generators_module, "dtrsm", on_a_copy)
+    g = inverse_generators(fact)
+    assert copies == [True] * len(fact.tops)
+    for name in ("p", "q", "p_last", "a"):
+        assert getattr(g, name).tobytes() == getattr(alone, name).tobytes(), name
+    err = covered_relative_error(reconstruct_structured(g), dense_invert(a.to_dense()), r)
+    assert err <= 1e-12
 
 
 @pytest.mark.parametrize("r_upper", [RULE, 999])

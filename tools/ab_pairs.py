@@ -14,10 +14,14 @@ follows the last run.  The script itself writes nothing inside either
 checkout.
 
 The summary gives, per workload and metric, each side's median and
-quartiles, the change's wins out of all pairs (ties count for neither side)
-and whether a gain may be claimed: the change wins at least nine in ten
-pairs, and its median is better than the parent's by more than the parent's
-quartile distance.  Which way is better comes from the ``BENCHMARK.json``
+quartiles, the median and quartiles of the per-seed ratio change / parent
+(over the pairs whose parent value is not zero), the change's wins out of
+all pairs (ties count for neither side) and whether a gain may be claimed:
+the change wins at least nine in ten pairs, and its median is better than
+the parent's by more than the parent's quartile distance.  The ratios are
+for reading only: on a host whose speed switches between modes, each
+side's quartiles span both modes while the paired ratios stay close, and
+neither the claim nor the verdict below reads them.  Which way is better comes from the ``BENCHMARK.json``
 of CHANGE (lower when a metric is not listed there).
 
 ``--saved`` runs nothing: it reads the JSON run lines from files of the
@@ -128,8 +132,10 @@ def quartiles(values):
 def summarize(lines, better=None, bound=None):
     """One row per (workload, metric) from JSON lines of runs.
 
-    A row holds each side's (q1, median, q3), the failed and attempted ops
-    of each side, the change's wins, the pairs, ``claim``: at least nine
+    A row holds each side's (q1, median, q3), ``ratio``: the (q1, median,
+    q3) of the per-pair change / parent values whose parent value is not
+    zero (None when none is), the failed and attempted ops of each side,
+    the change's wins, the pairs, ``claim``: at least nine
     tenths of the pairs won and a median gain larger than the parent's
     quartile distance, and ``verdict``: the no-regression verdict of a
     metric with a ``bound``, None for the others.  A pair is a workload and
@@ -157,9 +163,10 @@ def summarize(lines, better=None, bound=None):
             wins = sum(sign * c < sign * p for p, c in zip(vals["parent"], vals["change"]))
             stats = {side: quartiles(v) for side, v in vals.items()}
             (p1, pm, p3), (_, cm, _) = stats["parent"], stats["change"]
+            ratios = [c / p for p, c in zip(vals["parent"], vals["change"]) if p]
             rows.append({
                 "workload": workload, "metric": metric, "pairs": len(pairs), "wins": wins,
-                **stats, "failed": ops,
+                **stats, "ratio": quartiles(ratios) if ratios else None, "failed": ops,
                 "claim": wins >= 0.9 * len(pairs) and sign * (pm - cm) > p3 - p1,
                 "verdict": verdict(vals["parent"], vals["change"], sign, bound[metric]) if metric in bound else None,
             })
@@ -169,11 +176,12 @@ def summarize(lines, better=None, bound=None):
 def report(rows):
     """The summary rows as text, one line each."""
     out = [f"{'workload':<14} {'metric':<32} {'parent median [q1, q3]':>36} {'change median [q1, q3]':>36} "
-           f"{'wins':>7}  claim   {'verdict':<10}  failed (parent, change)"]
+           f"{'change/parent median [q1, q3]':>30} {'wins':>7}  claim   {'verdict':<10}  failed (parent, change)"]
     for row in rows:
         parent, change = ("{1:.6g} [{0:.6g}, {2:.6g}]".format(*row[side]) for side in SIDES)
+        ratio = "{1:.4f} [{0:.4f}, {2:.4f}]".format(*row["ratio"]) if row["ratio"] else "-"
         failed = ", ".join(f"{f}/{a}" for f, a in (row["failed"][s] for s in SIDES))
-        out.append(f"{row['workload']:<14} {row['metric']:<32} {parent:>36} {change:>36} "
+        out.append(f"{row['workload']:<14} {row['metric']:<32} {parent:>36} {change:>36} {ratio:>30} "
                    f"{row['wins']:>3}/{row['pairs']:<3}  {'holds' if row['claim'] else 'no':<6}  "
                    f"{row['verdict'] or '-':<10}  {failed}")
     return "\n".join(out)
